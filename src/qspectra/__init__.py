@@ -10,147 +10,19 @@ probability simplex, and a self-verification battery exposed through the
 ``qspectra`` command-line tool.
 """
 
-from .errors import DomainError, PoleError, UnsupportedModelError
-from .qalgebra import (
-    NEAR_ONE_EPS,
-    ClampedValue,
-    QParam,
-    as_qparam,
-    q_div,
-    q_exp,
-    q_log,
-    q_mul,
-    q_prod,
-    theta_reparam,
-)
-from .combinatorics import (
-    Distribution,
-    Partition,
-    asymptotic_leading,
-    asymptotic_remainder,
-    generalized_harmonic,
-    q_factorial,
-    q_factorial_log,
-    q_multinomial_log,
-    tsallis_entropy,
-)
-from .spectrum import (
-    Spectrum,
-    SpectrumVariation,
-    action_variation,
-    concatenate,
-    effective_action,
-    flow_derivative,
-    power_transform,
-    q_det,
-    q_logdet,
-    relative_q_logdet,
-    spectral_weight,
-    spectrum_from_csv,
-    spectrum_from_json,
-    spectrum_to_csv,
-    spectrum_to_json,
-    theta_covariance_residual,
-)
-from .zeta import (
-    ZetaModel,
-    bernoulli_numbers,
-    finite_diag,
-    from_spectrum,
-    hurwitz_zeta,
-    model_from_json,
-    model_pole,
-    model_to_json,
-    power_spectrum,
-    power_transform_model,
-    qdet_zeta,
-    relative_qdet_zeta,
-    shifted_linear,
-    theta_covariance_zeta,
-    zeta_deriv0,
-    zeta_value,
-)
-from .geometry import (
-    MetricField,
-    SimplexPoint,
-    field_to_csv,
-    field_to_json,
-    grid_field,
-    induced_metric,
-    potential,
-    potential_hessian,
-    volume_element,
-)
-from .verify import CheckResult, check_names, run_checks
+from . import combinatorics, errors, geometry, qalgebra, spectrum, verify, zeta
+from .errors import *
+from .qalgebra import *
+from .combinatorics import *
+from .spectrum import *
+from .zeta import *
+from .geometry import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError",
-    "PoleError",
-    "UnsupportedModelError",
-    "NEAR_ONE_EPS",
-    "ClampedValue",
-    "QParam",
-    "as_qparam",
-    "q_log",
-    "q_exp",
-    "q_mul",
-    "q_div",
-    "q_prod",
-    "theta_reparam",
-    "Partition",
-    "Distribution",
-    "generalized_harmonic",
-    "q_factorial_log",
-    "q_factorial",
-    "q_multinomial_log",
-    "tsallis_entropy",
-    "asymptotic_leading",
-    "asymptotic_remainder",
-    "Spectrum",
-    "SpectrumVariation",
-    "concatenate",
-    "q_logdet",
-    "q_det",
-    "relative_q_logdet",
-    "effective_action",
-    "action_variation",
-    "flow_derivative",
-    "power_transform",
-    "theta_covariance_residual",
-    "spectral_weight",
-    "spectrum_to_json",
-    "spectrum_from_json",
-    "spectrum_to_csv",
-    "spectrum_from_csv",
-    "ZetaModel",
-    "finite_diag",
-    "shifted_linear",
-    "power_spectrum",
-    "from_spectrum",
-    "model_pole",
-    "power_transform_model",
-    "bernoulli_numbers",
-    "hurwitz_zeta",
-    "zeta_value",
-    "zeta_deriv0",
-    "qdet_zeta",
-    "relative_qdet_zeta",
-    "theta_covariance_zeta",
-    "model_to_json",
-    "model_from_json",
-    "SimplexPoint",
-    "MetricField",
-    "potential",
-    "potential_hessian",
-    "induced_metric",
-    "volume_element",
-    "grid_field",
-    "field_to_csv",
-    "field_to_json",
-    "CheckResult",
-    "check_names",
-    "run_checks",
-    "__version__",
-]
+    name
+    for module in (errors, qalgebra, combinatorics, spectrum, zeta, geometry, verify)
+    for name in module.__all__
+] + ["__version__"]

@@ -16,7 +16,9 @@ significant digits so identical inputs give byte-identical files.
 
 Operand files are JSON objects ({"eigenvalues": [...], "scale": s} for
 spectra, {"kind": ..., ...} for zeta models) or plain one-column CSV of
-eigenvalues.
+eigenvalues. Spectra load as Spectrum and are evaluated by q_logdet;
+model files, {"kind": "finite_diag", ...} included, are evaluated through
+their zeta function.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ _TOLERANCE_SCALE_VAR = "QSPECTRA_TOLERANCE_SCALE"
 
 
 def _load_operand(path: str):
-    """Read a Spectrum or ZetaModel from a file.
+    """Read a Spectrum or another ZetaModel from a file.
 
     JSON objects are dispatched on their keys ('kind' marks a model);
     anything else is parsed as one-column CSV of eigenvalues.
@@ -68,18 +70,6 @@ def _load_operand(path: str):
         return spc.spectrum_from_csv(text)
     except DomainError as exc:
         raise DomainError(f"{path!r}: {exc}") from exc
-
-
-def _as_model(operand) -> zt.ZetaModel:
-    if isinstance(operand, zt.ZetaModel):
-        return operand
-    return zt.from_spectrum(operand)
-
-
-def _apply_theta(operand, theta: float):
-    if isinstance(operand, spc.Spectrum):
-        return spc.power_transform(operand, theta)
-    return zt.power_transform_model(operand, theta)
 
 
 def _json_safe(value):
@@ -126,8 +116,8 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
     operand = _load_operand(args.input)
     refs = [_load_operand(p) for p in args.input_ref]
     if args.theta is not None:
-        operand = _apply_theta(operand, args.theta)
-        refs = [_apply_theta(r, args.theta) for r in refs]
+        operand = zt.power_transform_model(operand, args.theta)
+        refs = [zt.power_transform_model(r, args.theta) for r in refs]
     qp = QParam(args.q)
 
     pole = None
@@ -147,10 +137,9 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
             value = spc.relative_q_logdet(operand, reference, qp)
         else:
             method = "qdet_zeta"
-            model, ref_model = _as_model(operand), _as_model(reference)
-            pole = zt.model_pole(model)
-            ref_pole = zt.model_pole(ref_model)
-            value = zt.relative_qdet_zeta(model, ref_model, qp)
+            pole = zt.model_pole(operand)
+            ref_pole = zt.model_pole(reference)
+            value = zt.relative_qdet_zeta(operand, reference, qp)
     elif isinstance(operand, spc.Spectrum):
         method = "q_logdet"
         value = spc.q_logdet(operand, qp)
@@ -178,7 +167,7 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
-    model = _as_model(_load_operand(args.input))
+    model = _load_operand(args.input)
     if args.deriv0 == (args.s is not None):
         raise DomainError("exactly one of --s and --deriv0 is required")
     value = zt.zeta_deriv0(model) if args.deriv0 else zt.zeta_value(model, args.s)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .combinatorics import _entropy_kernel
+from .combinatorics import _SIMPLEX_TOL, _entropy_kernel
 from .qalgebra import QLike, QParam, as_qparam
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "field_to_csv",
     "field_to_json",
 ]
-
-_SIMPLEX_TOL = 1e-12
 
 
 @dataclass(frozen=True)

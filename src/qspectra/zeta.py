@@ -2,13 +2,17 @@
 
 For an operator with spectrum {lambda_k} the zeta function is
 zeta_A(s) = sum_k (lambda_k / mu)^(-s) = mu^s sum_k lambda_k^(-s).
-Three model families are supported:
+Three model families are supported, one class each:
 
-* finite_diag      explicit eigenvalues; zeta is entire in s,
+* finite_diag      explicit eigenvalues (spectrum.FiniteDiag, of which
+                   every Spectrum is one); zeta is entire in s,
 * shifted_linear   lambda_k = k - 1 + a; zeta is the Hurwitz zeta(s, a)
                    with a simple pole at s = 1,
 * power_spectrum   lambda_k = k^alpha; zeta is the Riemann zeta(alpha s)
                    with a simple pole at s = 1 / alpha.
+
+Each class carries its kind tag, its pole, its bare zeta function and its
+power map; ZetaModel is their union.
 
 On top of zeta the finite-difference deformed log-determinant
 
@@ -23,26 +27,25 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, PoleError, UnsupportedModelError
+from .errors import DomainError, PoleError, UnsupportedModelError, positive_real
 from .qalgebra import QLike, as_qparam, theta_reparam
-from .spectrum import Spectrum
+from .spectrum import FiniteDiag
 
 __all__ = [
-    "FINITE_DIAG",
-    "SHIFTED_LINEAR",
-    "POWER_SPECTRUM",
     "POLE_EPS",
+    "ShiftedLinear",
+    "PowerSpectrum",
     "ZetaModel",
     "finite_diag",
     "shifted_linear",
     "power_spectrum",
-    "from_spectrum",
     "model_pole",
     "power_transform_model",
     "bernoulli_numbers",
@@ -56,10 +59,6 @@ __all__ = [
     "model_from_json",
 ]
 
-FINITE_DIAG = "finite_diag"
-SHIFTED_LINEAR = "shifted_linear"
-POWER_SPECTRUM = "power_spectrum"
-
 # Evaluations closer than this to a pole are refused rather than returned
 # as huge, meaningless floats.
 POLE_EPS = 1e-6
@@ -68,75 +67,77 @@ _BERNOULLI_MAX = 60
 
 
 @dataclass(frozen=True)
-class ZetaModel:
-    """A model operator whose zeta function continues analytically.
+class ShiftedLinear:
+    """lambda_k = k - 1 + a for k = 1, 2, ...; zeta is the Hurwitz zeta(s, a)."""
 
-    Exactly one of (eigenvalues, a, alpha) is set, according to kind.
-    Operations act on the rescaled operator A / scale.
-    """
-
-    kind: str
+    a: float
     scale: float = 1.0
-    eigenvalues: tuple[float, ...] | None = None
-    a: float | None = None
-    alpha: float | None = None
+
+    kind: ClassVar[str] = "shifted_linear"
+    pole: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", float(self.scale))
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError(f"scale must be positive, got {self.scale!r}")
-        if self.kind == FINITE_DIAG:
-            if self.eigenvalues is None:
-                raise DomainError("finite_diag model needs eigenvalues")
-            eigs = tuple(float(v) for v in self.eigenvalues)
-            if not eigs or any(not math.isfinite(v) or v <= 0.0 for v in eigs):
-                raise DomainError("eigenvalues must be finite and positive")
-            object.__setattr__(self, "eigenvalues", eigs)
-        elif self.kind == SHIFTED_LINEAR:
-            if self.a is None or not (math.isfinite(self.a) and self.a > 0.0):
-                raise DomainError("shifted_linear model needs a > 0")
-            object.__setattr__(self, "a", float(self.a))
-        elif self.kind == POWER_SPECTRUM:
-            if self.alpha is None or not (
-                math.isfinite(self.alpha) and self.alpha > 0.0
-            ):
-                raise DomainError("power_spectrum model needs alpha > 0")
-            object.__setattr__(self, "alpha", float(self.alpha))
-        else:
-            raise DomainError(f"unknown model kind {self.kind!r}")
+        object.__setattr__(self, "a", positive_real("a", self.a))
+        object.__setattr__(self, "scale", positive_real("scale", self.scale))
+
+    def zeta(self, s: float) -> float:
+        return hurwitz_zeta(s, self.a)
+
+    def power(self, theta: float):
+        raise UnsupportedModelError(
+            f"{self.kind!r} models leave the family under power maps"
+        )
 
 
-def finite_diag(eigenvalues, scale: float = 1.0) -> ZetaModel:
-    return ZetaModel(FINITE_DIAG, scale, eigenvalues=tuple(eigenvalues))
+@dataclass(frozen=True)
+class PowerSpectrum:
+    """lambda_k = k^alpha for k = 1, 2, ...; zeta is the Riemann zeta(alpha s)."""
+
+    alpha: float
+    scale: float = 1.0
+
+    kind: ClassVar[str] = "power_spectrum"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", positive_real("alpha", self.alpha))
+        object.__setattr__(self, "scale", positive_real("scale", self.scale))
+
+    @property
+    def pole(self) -> float:
+        return 1.0 / self.alpha
+
+    def zeta(self, s: float) -> float:
+        return hurwitz_zeta(self.alpha * s, 1.0)
+
+    def power(self, theta: float) -> PowerSpectrum:
+        """alpha -> alpha theta with scale -> scale^theta; needs theta > 0
+        to keep alpha positive."""
+        if theta <= 0.0:
+            raise UnsupportedModelError(
+                f"power_spectrum models need theta > 0 to keep alpha positive, "
+                f"got {theta!r}"
+            )
+        return PowerSpectrum(self.alpha * theta, self.scale**theta)
 
 
-def shifted_linear(a: float, scale: float = 1.0) -> ZetaModel:
-    return ZetaModel(SHIFTED_LINEAR, scale, a=float(a))
+ZetaModel = FiniteDiag | ShiftedLinear | PowerSpectrum
 
-
-def power_spectrum(alpha: float, scale: float = 1.0) -> ZetaModel:
-    return ZetaModel(POWER_SPECTRUM, scale, alpha=float(alpha))
-
-
-def from_spectrum(spec: Spectrum) -> ZetaModel:
-    """Wrap a finite spectrum as a finite_diag model (same scale)."""
-    return ZetaModel(FINITE_DIAG, spec.scale, eigenvalues=spec.eigenvalues)
+# constructor names that match the kind tags
+finite_diag = FiniteDiag
+shifted_linear = ShiftedLinear
+power_spectrum = PowerSpectrum
 
 
 def model_pole(model: ZetaModel) -> float | None:
     """Location of the single real pole of s -> zeta_A(s), if any."""
-    if model.kind == SHIFTED_LINEAR:
-        return 1.0
-    if model.kind == POWER_SPECTRUM:
-        return 1.0 / model.alpha
-    return None
+    return model.pole
 
 
 def power_transform_model(model: ZetaModel, theta: float) -> ZetaModel:
     """Power map A -> A^theta within the model families.
 
     finite_diag transforms eigenvalue-wise on the rescaled operator (the
-    scale is folded in, mirroring the finite-spectrum power map);
+    scale is folded in, as spectrum.power_transform does);
     power_spectrum maps alpha -> alpha * theta with scale -> scale^theta,
     which needs theta > 0 to keep alpha positive. shifted_linear leaves
     the family and is refused.
@@ -144,21 +145,7 @@ def power_transform_model(model: ZetaModel, theta: float) -> ZetaModel:
     th = float(theta)
     if th == 0.0:
         raise DomainError("theta must be nonzero")
-    if model.kind == FINITE_DIAG:
-        powered = (np.asarray(model.eigenvalues, dtype=float) / model.scale) ** th
-        return ZetaModel(
-            FINITE_DIAG, 1.0, eigenvalues=tuple(float(v) for v in powered)
-        )
-    if model.kind == POWER_SPECTRUM:
-        if th <= 0.0:
-            raise UnsupportedModelError(
-                f"power_spectrum models need theta > 0 to keep alpha positive, "
-                f"got {th!r}"
-            )
-        return ZetaModel(POWER_SPECTRUM, model.scale**th, alpha=model.alpha * th)
-    raise UnsupportedModelError(
-        f"{model.kind!r} models leave the family under power maps"
-    )
+    return model.power(th)
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +230,6 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50, n_bernoulli: int = 1
 # zeta values, derivatives, and the deformed determinant
 
 
-def _base_zeta(model: ZetaModel, s: float) -> float:
-    if model.kind == FINITE_DIAG:
-        eigs = np.asarray(model.eigenvalues, dtype=float)
-        return math.fsum(eigs ** (-s))
-    if model.kind == SHIFTED_LINEAR:
-        return hurwitz_zeta(s, model.a)
-    return hurwitz_zeta(model.alpha * s, 1.0)
-
-
 def zeta_value(model: ZetaModel, s: float) -> float:
     """zeta_A(s) for the rescaled operator: scale^s times the bare zeta.
 
@@ -261,13 +239,13 @@ def zeta_value(model: ZetaModel, s: float) -> float:
     0.8333333333333333
     """
     sf = float(s)
-    pole = model_pole(model)
+    pole = model.pole
     if pole is not None and abs(sf - pole) < POLE_EPS:
         raise PoleError(
             f"zeta of this {model.kind} model has a pole at s = {pole!r}, "
             f"got s = {sf!r}"
         )
-    base = _base_zeta(model, sf)
+    base = model.zeta(sf)
     if model.scale == 1.0:
         return base
     return model.scale ** sf * base
@@ -348,7 +326,7 @@ def theta_covariance_zeta(model: ZetaModel, q: QLike, theta: float) -> float:
     anything else raises UnsupportedModelError. The residual is zero in
     exact arithmetic and stays at rounding level (<= 1e-8 contract).
     """
-    if model.kind != POWER_SPECTRUM:
+    if not isinstance(model, PowerSpectrum):
         raise UnsupportedModelError(
             f"power map keeps only power_spectrum models in the family, "
             f"got {model.kind!r}"
@@ -369,16 +347,8 @@ def theta_covariance_zeta(model: ZetaModel, q: QLike, theta: float) -> float:
 
 
 def model_to_json(model: ZetaModel) -> str:
-    """JSON form with the kind tag and the kind's single parameter."""
-    obj: dict = {"kind": model.kind}
-    if model.kind == FINITE_DIAG:
-        obj["eigenvalues"] = list(model.eigenvalues)
-    elif model.kind == SHIFTED_LINEAR:
-        obj["a"] = model.a
-    else:
-        obj["alpha"] = model.alpha
-    obj["scale"] = model.scale
-    return json.dumps(obj)
+    """JSON form with the kind tag and the model's fields."""
+    return json.dumps({"kind": model.kind, **vars(model)})
 
 
 def model_from_json(text: str) -> ZetaModel:
@@ -386,15 +356,17 @@ def model_from_json(text: str) -> ZetaModel:
     return model_from_dict(obj)
 
 
+_MODELS = {cls.kind: cls for cls in (FiniteDiag, ShiftedLinear, PowerSpectrum)}
+
+
 def model_from_dict(obj) -> ZetaModel:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("model JSON must be an object with a 'kind' tag")
     kind = obj["kind"]
-    scale = float(obj.get("scale", 1.0))
-    if kind == FINITE_DIAG:
-        return ZetaModel(kind, scale, eigenvalues=tuple(obj["eigenvalues"]))
-    if kind == SHIFTED_LINEAR:
-        return ZetaModel(kind, scale, a=float(obj["a"]))
-    if kind == POWER_SPECTRUM:
-        return ZetaModel(kind, scale, alpha=float(obj["alpha"]))
-    raise DomainError(f"unknown model kind {kind!r}")
+    cls = _MODELS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DomainError(f"unknown model kind {kind!r}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+    if missing:
+        raise DomainError(f"{kind} model needs {', '.join(missing)}")
+    return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})

@@ -170,6 +170,40 @@ def test_zeta_accepts_spectrum_input(spectrum_csv):
     assert report["value"] == pytest.approx(1 / 2 + 1 / 3, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    (
+        ('{"kind": "shifted_linear"}', "a"),
+        ('{"kind": "finite_diag"}', "eigenvalues"),
+        ('{"kind": "power_spectrum", "alpha": "x"}', "alpha"),
+        ('{"kind": "shifted_linear", "a": 1.0, "scale": "abc"}', "scale"),
+        ('{"kind": "shifted_linear", "a": 1.0, "scale": null}', "scale"),
+    ),
+)
+def test_malformed_model_file_exits_2(tmp_path, text, field):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    proc = run_cli("qdet", "--q", "0.5", "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert field in proc.stderr
+
+
+def test_finite_diag_file_takes_the_zeta_route(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text('{"kind": "finite_diag", "eigenvalues": [0.5, 2.0, 3.5]}')
+    plain = tmp_path / "plain.csv"
+    plain.write_text("0.5\n2.0\n3.5\n")
+    via_model = json.loads(run_cli("qdet", "--q", "0.7", "--input", str(model)).stdout)
+    via_plain = json.loads(run_cli("qdet", "--q", "0.7", "--input", str(plain)).stdout)
+    assert (via_model["operator"], via_model["method"]) == ("model", "qdet_zeta")
+    assert (via_plain["operator"], via_plain["method"]) == ("spectrum", "q_logdet")
+    assert via_model["value"] == pytest.approx(via_plain["value"], abs=1e-12)
+    report = json.loads(run_cli("zeta", "--input", str(model), "--s", "1").stdout)
+    assert report["model_kind"] == "finite_diag"
+
+
 def test_geometry_defaults(tmp_path):
     out = tmp_path / "field.csv"
     proc = run_cli("geometry", "--out", str(out))

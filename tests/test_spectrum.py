@@ -45,6 +45,15 @@ def test_spectrum_validation():
         Spectrum((math.inf,))
 
 
+def test_text_is_not_read_as_eigenvalues():
+    # a string iterates as its characters: "123" must not become (1, 2, 3)
+    for value in ("123", b"123"):
+        with pytest.raises(DomainError):
+            Spectrum(value)
+    with pytest.raises(DomainError):
+        spectrum_from_json('{"eigenvalues": "123"}')
+
+
 def test_q_logdet_values():
     assert q_logdet(Spectrum((1.0, 4.0)), 0.0) == 3.0
     assert q_logdet(Spectrum((2.0, 3.0)), 1.0) == pytest.approx(

@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_geom = sub.add_parser("geometry", help="simplex metric field export")
     p_geom.add_argument("--q", type=float, default=1.4, help="deformation index")
     p_geom.add_argument(
-        "--resolution", type=int, default=60, help="lattice refinement"
+        "--resolution", type=int, default=60,
+        help=f"lattice refinement, 1 to {geom.MAX_RESOLUTION}",
     )
     p_geom.add_argument(
         "--margin", type=float, default=1e-3,

@@ -139,21 +139,26 @@ def q_multinomial_log(part: Partition, q: QLike) -> float:
     return full - math.fsum(q_factorial_log(ni, qp) for ni in part.parts)
 
 
-def _entropy_kernel(values: np.ndarray, index: float, near_one_eps: float) -> float:
-    """sum_v v (v^(index-1) - 1) / (1 - index) over v > 0.
+def _entropy_kernel(
+    values: np.ndarray, index: float, near_one_eps: float
+) -> np.ndarray:
+    """Row sums sum_v v (v^(index-1) - 1) / (1 - index) over the entries
+    v > 0 of each row of values (N, m); other entries contribute exactly 0.
 
     Uses sum(v) as its own reference instead of the literal constant 1, so
     it is exact on normalised input, differs from the textbook form only by
     a term linear in v (invisible to second derivatives), and stays stable
-    through index -> 1 where it turns into -sum v ln v.
+    through index -> 1 where it turns into -sum v ln v. Each row is summed
+    with math.fsum, so a row's value does not depend on the other rows.
     """
-    pos = values[values > 0.0]
-    if pos.size == 0:
-        return 0.0
+    # other entries are read as v = 1, whose term is exactly +-0
+    v = np.where(values > 0.0, values, 1.0)
     if abs(index - 1.0) < near_one_eps:
-        return -math.fsum(pos * np.log(pos))
+        terms = v * np.log(v)
+        return -np.array([math.fsum(row) for row in terms.tolist()])
     r = 1.0 - index
-    return math.fsum(pos * np.expm1(-r * np.log(pos))) / r
+    terms = v * np.expm1(-r * np.log(v))
+    return np.array([math.fsum(row) for row in terms.tolist()]) / r
 
 
 def tsallis_entropy(p, q: QLike) -> float:
@@ -167,7 +172,7 @@ def tsallis_entropy(p, q: QLike) -> float:
     """
     qp = as_qparam(q)
     dist = as_distribution(p)
-    return _entropy_kernel(np.asarray(dist.p), qp.q, qp.near_one_eps)
+    return float(_entropy_kernel(np.asarray([dist.p]), qp.q, qp.near_one_eps)[0])
 
 
 def asymptotic_leading(n: int, p, q: QLike) -> float:

@@ -36,6 +36,10 @@ __all__ = [
     "field_to_json",
 ]
 
+# Largest grid_field resolution: the field and its CSV text hold
+# R (R + 1) / 2 rows, about 250 MB of working memory at R = 1000.
+MAX_RESOLUTION = 1000
+
 
 @dataclass(frozen=True)
 class SimplexPoint:
@@ -59,16 +63,58 @@ class SimplexPoint:
 def _point_array(p, *, on_simplex: bool) -> np.ndarray:
     if isinstance(p, SimplexPoint):
         return np.asarray(p.p, dtype=float)
-    arr = np.asarray(tuple(float(v) for v in p), dtype=float)
+    arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("point must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
+    if not (np.isfinite(arr).all() and (arr > 0.0).all()):
         raise DomainError("point must have finite, strictly positive entries")
     if on_simplex and abs(math.fsum(arr) - 1.0) > _SIMPLEX_TOL:
         raise DomainError(
             f"point must lie on the simplex, coordinates sum to {math.fsum(arr)!r}"
         )
     return arr
+
+
+def _overflow(q: float) -> DomainError:
+    return DomainError(f"the simplex field overflows float64 at q = {q!r}")
+
+
+def _potential_rows(x: np.ndarray, qp: QParam) -> np.ndarray:
+    """Phi_q of each row of x (N, m), rows strictly positive."""
+    with np.errstate(all="ignore"):
+        if qp.q == 2.0:
+            phi = -np.array([math.fsum(row) for row in np.log(x).tolist()])
+        else:
+            s = 2.0 - qp.q
+            phi = _entropy_kernel(x, s, qp.near_one_eps) / s
+    if not np.isfinite(phi).all():
+        raise _overflow(qp.q)
+    return phi
+
+
+def _metric_rows(x: np.ndarray, q: float) -> np.ndarray:
+    """Stacked induced metrics (N, m-1, m-1) of the rows of x (N, m)."""
+    with np.errstate(all="ignore"):
+        weights = x ** (-q)
+    if not np.isfinite(weights).all():
+        raise _overflow(q)
+    n, m = x.shape
+    g = np.empty((n, m - 1, m - 1))
+    g[...] = weights[:, -1, None, None]
+    # the diagonal of each block is every m-th entry of its flattened row
+    g.reshape(n, -1)[:, ::m] += weights[:, :-1]
+    return g
+
+
+def _volume_rows(x: np.ndarray, q: float) -> np.ndarray:
+    """sqrt(det g) of each row of x (N, m): one batched slogdet."""
+    sign, logdet = np.linalg.slogdet(_metric_rows(x, q))
+    if not (sign > 0.0).all():
+        raise DomainError("induced metric lost positive definiteness")
+    try:
+        return np.array([math.exp(0.5 * v) for v in logdet.tolist()])
+    except OverflowError:
+        raise _overflow(q) from None
 
 
 def potential(p, q: QLike) -> float:
@@ -79,17 +125,13 @@ def potential(p, q: QLike) -> float:
     value -sum ln p_i is returned by convention. The formula extends off
     the simplex (only positivity is required), which is what curvature
     checks differentiate; simplex membership is enforced when a
-    SimplexPoint is passed.
+    SimplexPoint is passed. A value beyond float64 raises DomainError.
 
     >>> potential((0.5, 0.5), 0.0)
     0.25
     """
     arr = _point_array(p, on_simplex=False)
-    qp = as_qparam(q)
-    if qp.q == 2.0:
-        return -math.fsum(np.log(arr))
-    s = 2.0 - qp.q
-    return _entropy_kernel(arr, s, qp.near_one_eps) / s
+    return float(_potential_rows(arr[None, :], as_qparam(q))[0])
 
 
 def potential_hessian(p, q: QLike) -> np.ndarray:
@@ -100,37 +142,41 @@ def potential_hessian(p, q: QLike) -> np.ndarray:
     return np.diag(-(arr ** (-qp.q)))
 
 
+def _simplex_row(p) -> np.ndarray:
+    arr = _point_array(p, on_simplex=True)
+    if arr.size < 2:
+        raise DomainError("induced metric needs at least two outcomes")
+    return arr[None, :]
+
+
 def induced_metric(p, q: QLike) -> np.ndarray:
     """Metric on the simplex interior in coordinates xi_a = p_a, a < m.
 
     g_ab = p_a^(-q) delta_ab + p_m^(-q); symmetric positive definite for
-    every interior point and every real q.
+    every interior point and every real q. A weight p_a^(-q) beyond
+    float64 raises DomainError.
 
     >>> induced_metric((0.5, 0.5), 0.0)
     array([[2.]])
     """
-    arr = _point_array(p, on_simplex=True)
-    if arr.size < 2:
-        raise DomainError("induced metric needs at least two outcomes")
-    weights = arr ** (-as_qparam(q).q)
-    g = np.full((arr.size - 1, arr.size - 1), weights[-1], dtype=float)
-    idx = np.arange(arr.size - 1)
-    g[idx, idx] += weights[:-1]
-    return g
+    return _metric_rows(_simplex_row(p), as_qparam(q).q)[0]
 
 
 def volume_element(p, q: QLike) -> float:
     """Riemannian volume element sqrt(det g) of the induced metric.
 
-    Evaluated through slogdet; agrees with the rank-one determinant update
-    prod_{a<m} p_a^(-q) (1 + p_m^(-q) sum_{a<m} p_a^q) to better than
-    1e-10 relative.
+    Evaluated through slogdet, the same batched call grid_field makes for
+    a whole lattice. It is compared with the rank-one determinant update
+    prod_{a<m} p_a^(-q) (1 + p_m^(-q) sum_{a<m} p_a^q). The elimination
+    cancels where the weight p_m^(-q) dominates, with a relative error
+    near 1e-16 p_m^(-q) / max_{a<m} p_a^(-q). On the margin-1e-3 lattices
+    up to R = 1000 the two agree to better than 1e-10 relative for
+    |q| <= 2.5; on R = 300 the error is 2.5e-8 at q = 4 and 5e-4 at
+    q = 6, and from about |q| = 10 the metric is refused as not positive
+    definite. A weight p_a^(-q) or a volume beyond float64 raises
+    DomainError.
     """
-    g = induced_metric(p, q)
-    sign, logdet = np.linalg.slogdet(g)
-    if sign <= 0.0:
-        raise DomainError("induced metric lost positive definiteness")
-    return float(math.exp(0.5 * logdet))
+    return float(_volume_rows(_simplex_row(p), as_qparam(q).q)[0])
 
 
 @dataclass(frozen=True)
@@ -163,7 +209,7 @@ def grid_field(resolution: int, q: QLike, margin: float, m: int = 3) -> MetricFi
 
     Parameters
     ----------
-    resolution : lattice refinement R >= 1. Points sit at integer
+    resolution : lattice refinement 1 <= R <= 1000. Points sit at integer
         barycentric parts (i, j, k) / (R + 2) with i, j, k >= 1, so R = 1
         yields the centroid alone and larger R refine toward (but never
         touch) the boundary.
@@ -174,13 +220,19 @@ def grid_field(resolution: int, q: QLike, margin: float, m: int = 3) -> MetricFi
     m : number of outcomes; only the ternary case m = 3 is gridded.
 
     Rows follow lexicographic (i, j) order, which fixes the file layout of
-    the exported field byte for byte.
+    the exported field byte for byte. All R (R + 1) / 2 points are held as
+    one array and evaluated by the same row kernels as potential and
+    volume_element (one batched slogdet for the volumes), so time and
+    memory grow as O(R^2); the bound on R keeps memory to a few hundred MB.
+    A field beyond float64 at this q raises DomainError.
     """
     if m != 3:
         raise DomainError("gridded sampling supports m = 3 only")
     resolution = int(resolution)
     if resolution < 1:
         raise DomainError(f"resolution must be >= 1, got {resolution}")
+    if resolution > MAX_RESOLUTION:
+        raise DomainError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
     margin = float(margin)
     if not margin > 0.0:
         raise DomainError(
@@ -188,18 +240,15 @@ def grid_field(resolution: int, q: QLike, margin: float, m: int = 3) -> MetricFi
         )
     qp = as_qparam(q)
     total = resolution + 2
-    pts: list[tuple[float, float, float]] = []
-    for i in range(1, total - 1):
-        for j in range(1, total - i):
-            k = total - i - j
-            p = (i / total, j / total, k / total)
-            if min(p) >= margin:
-                pts.append(p)
-    if not pts:
+    first = np.arange(1, total - 1)
+    i = np.repeat(first, total - 1 - first)
+    j = np.concatenate([np.arange(1, total - a) for a in first.tolist()])
+    points = np.column_stack([i, j, total - i - j]) / total
+    points = points[points.min(axis=1) >= margin]
+    if not len(points):
         raise DomainError("margin excludes every lattice point")
-    points = np.asarray(pts, dtype=float)
-    phi = np.asarray([potential(row, qp) for row in points])
-    vol = np.asarray([volume_element(row, qp) for row in points])
+    phi = _potential_rows(points, qp)
+    vol = _volume_rows(points, qp.q)
     return MetricField(points, phi, vol, qp)
 
 
@@ -209,26 +258,18 @@ def grid_field(resolution: int, q: QLike, margin: float, m: int = 3) -> MetricFi
 _FIELD_COLUMNS = ("p1", "p2", "p3", "phi", "sqrt_det_g")
 
 
+def _field_rows(field: MetricField) -> list[list[float]]:
+    return np.column_stack([field.points, field.phi, field.volume]).tolist()
+
+
 def field_to_csv(field: MetricField) -> str:
     """CSV with columns p1,p2,p3,phi,sqrt_det_g, 17 significant digits,
     '\\n' line endings; byte-stable for identical inputs."""
-    lines = [",".join(_FIELD_COLUMNS)]
-    for row, phi, vol in zip(field.points, field.phi, field.volume):
-        cells = [f"{v:.17g}" for v in (*row, phi, vol)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    row = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+    header = ",".join(_FIELD_COLUMNS) + "\n"
+    return header + "".join([row % tuple(r) for r in _field_rows(field)])
 
 
 def field_to_json(field: MetricField) -> str:
     """JSON array of row objects keyed like the CSV columns."""
-    rows = [
-        {
-            "p1": float(row[0]),
-            "p2": float(row[1]),
-            "p3": float(row[2]),
-            "phi": float(phi),
-            "sqrt_det_g": float(vol),
-        }
-        for row, phi, vol in zip(field.points, field.phi, field.volume)
-    ]
-    return json.dumps(rows)
+    return json.dumps([dict(zip(_FIELD_COLUMNS, r)) for r in _field_rows(field)])

@@ -238,6 +238,23 @@ def test_geometry_rejects_zero_margin():
     assert run_cli("geometry", "--margin", "0").returncode == 2
 
 
+def test_geometry_rejects_resolution_above_bound():
+    proc = run_cli("geometry", "--resolution", "1001")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: resolution must be <= 1000, got 1001\n"
+    assert proc.stdout == ""
+
+
+def test_geometry_overflow_exits_cleanly():
+    proc = run_cli("geometry", "--q", "400")
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "overflows float64" in lines[0]
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_weight_defaults_cross_unit_point():
     proc = run_cli("weight")
     assert proc.returncode == 0

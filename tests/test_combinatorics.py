@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,11 @@ def test_tsallis_entropy_values():
 def test_tsallis_entropy_zero_entries_drop_out():
     assert tsallis_entropy((1.0, 0.0), 0.5) == 0.0
     assert tsallis_entropy((0.5, 0.5, 0.0), 2.0) == tsallis_entropy((0.5, 0.5), 2.0)
+    # where 0^q or 0 ln 0 is not 0 in floating point the entry still drops out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (-1.0, 0.0, 1.0):
+            assert tsallis_entropy((0.5, 0.0, 0.5), q) == tsallis_entropy((0.5, 0.5), q)
 
 
 def test_tsallis_entropy_certain_outcome_is_zero():

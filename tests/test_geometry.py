@@ -7,6 +7,7 @@ import pytest
 from qspectra.errors import DomainError
 from qspectra.qalgebra import QParam
 from qspectra.geometry import (
+    MAX_RESOLUTION,
     MetricField,
     SimplexPoint,
     field_to_csv,
@@ -109,6 +110,22 @@ def test_induced_metric_equals_projected_hessian():
             assert np.max(np.abs(g - built)) <= 1e-12
 
 
+def test_text_is_not_read_as_a_point():
+    # "123" iterates as the characters "1", "2", "3"
+    for fn in (potential, potential_hessian, induced_metric, volume_element):
+        with pytest.raises(DomainError):
+            fn("123", 1.0)
+
+
+def test_overflow_is_refused_not_returned():
+    with pytest.raises(DomainError, match="overflows float64"):
+        potential(UNIFORM3, 2000.0)
+    with pytest.raises(DomainError, match="overflows float64"):
+        volume_element(UNIFORM3, 2000.0)
+    with pytest.raises(DomainError, match="overflows float64"):
+        grid_field(60, 400.0, 1e-3)
+
+
 def test_induced_metric_rejects_bad_points():
     with pytest.raises(DomainError):
         induced_metric((0.5, 0.6), 1.0)
@@ -193,6 +210,29 @@ def test_grid_field_rejections():
         grid_field(10, 1.4, 1e-3, m=4)
     with pytest.raises(DomainError):
         grid_field(10, 1.4, 0.4)  # excludes every lattice point
+    with pytest.raises(DomainError):
+        grid_field(MAX_RESOLUTION + 1, 1.4, 1e-3)
+
+
+@pytest.mark.parametrize("resolution", (1, 7, 25))
+@pytest.mark.parametrize("q", (-1.5, 0.0, 0.5, 1.0, 1.0 + 1e-10, 1.4, 2.0, 3.0))
+def test_grid_field_rows_equal_pointwise_calls(resolution, q):
+    field = grid_field(resolution, q, 1e-3)
+    phi = [potential(row, q) for row in field.points]
+    vol = [volume_element(row, q) for row in field.points]
+    assert np.array_equal(field.phi, phi)
+    assert np.array_equal(field.volume, vol)
+
+
+def test_field_csv_reads_back_exactly():
+    field = grid_field(25, 1.4, 1e-3)
+    table = np.array(
+        [[float(c) for c in line.split(",")]
+         for line in field_to_csv(field).splitlines()[1:]]
+    )
+    assert np.array_equal(table[:, :3], field.points)
+    assert np.array_equal(table[:, 3], field.phi)
+    assert np.array_equal(table[:, 4], field.volume)
 
 
 def test_metric_field_validation():

@@ -35,7 +35,7 @@ import numpy as np
 from . import geometry as geom
 from . import spectrum as spc
 from . import zeta as zt
-from .errors import DomainError, PoleError, UnsupportedModelError
+from .errors import DomainError, PoleError, UnsupportedModelError, positive_real
 from .qalgebra import QParam, q_exp
 from .verify import run_checks
 
@@ -205,8 +205,8 @@ def _parse_q_list(text: str) -> list[float]:
 
 
 def _weight_lambdas(lmin: float, lmax: float, samples: int) -> list[float]:
-    if not (lmin > 0.0 and lmax > 0.0):
-        raise DomainError("lambda bounds must be positive")
+    lmin = positive_real("lambda-min", lmin)
+    lmax = positive_real("lambda-max", lmax)
     if not lmin < lmax:
         raise DomainError(f"need lambda-min < lambda-max, got [{lmin}, {lmax}]")
     if samples < 2:
@@ -240,15 +240,7 @@ def _cmd_weight(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    raw_scale = os.environ.get(_TOLERANCE_SCALE_VAR, "1")
-    try:
-        scale = float(raw_scale)
-    except ValueError as exc:
-        raise DomainError(
-            f"{_TOLERANCE_SCALE_VAR} must be a number, got {raw_scale!r}"
-        ) from exc
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise DomainError(f"{_TOLERANCE_SCALE_VAR} must be positive, got {scale!r}")
+    scale = positive_real(_TOLERANCE_SCALE_VAR, os.environ.get(_TOLERANCE_SCALE_VAR, "1"))
     try:
         results = run_checks(scale, dict(args.tolerance))
     except KeyError as exc:
@@ -370,10 +362,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, PoleError, UnsupportedModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, PoleError, UnsupportedModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

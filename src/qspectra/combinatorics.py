@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite_vector, positive_int
 from .qalgebra import ClampedValue, QLike, QParam, as_qparam, q_exp, q_log_array
 
 __all__ = [
@@ -37,6 +37,19 @@ __all__ = [
 _SIMPLEX_TOL = 1e-12
 
 
+def _check_simplex_sum(name: str, arr: np.ndarray) -> None:
+    """DomainError unless the entries of arr sum to 1 within _SIMPLEX_TOL."""
+    total = math.fsum(arr.tolist())
+    if abs(total - 1.0) > _SIMPLEX_TOL:
+        raise DomainError(f"{name} sum to {total!r}, expected 1")
+
+
+def _counts(parts) -> tuple[int, ...]:
+    if isinstance(parts, (str, bytes, bytearray)):
+        raise DomainError(f"parts must be a sequence of integers, got {parts!r}")
+    return tuple(positive_int("part", p) for p in parts)
+
+
 @dataclass(frozen=True)
 class Partition:
     """A total n split into positive integer parts with sum(parts) = n."""
@@ -45,14 +58,10 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        if self.n < 1:
-            raise DomainError(f"partition total must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", positive_int("partition total", self.n))
+        object.__setattr__(self, "parts", _counts(self.parts))
         if not self.parts:
             raise DomainError("partition needs at least one part")
-        if any(p < 1 for p in self.parts):
-            raise DomainError(f"parts must be positive integers, got {self.parts}")
         if sum(self.parts) != self.n:
             raise DomainError(
                 f"parts sum to {sum(self.parts)}, expected {self.n}"
@@ -60,7 +69,7 @@ class Partition:
 
     @classmethod
     def from_parts(cls, parts) -> "Partition":
-        parts = tuple(int(p) for p in parts)
+        parts = _counts(parts)
         return cls(sum(parts), parts)
 
     def ratios(self) -> tuple[float, ...]:
@@ -75,18 +84,19 @@ class Distribution:
     p: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        if not self.p:
-            raise DomainError("distribution needs at least one entry")
-        if any(v < 0.0 or not math.isfinite(v) for v in self.p):
-            raise DomainError("probabilities must be finite and non-negative")
-        total = math.fsum(self.p)
-        if abs(total - 1.0) > _SIMPLEX_TOL:
-            raise DomainError(f"probabilities sum to {total!r}, expected 1")
+        arr = finite_vector("probabilities", self.p)
+        if (arr < 0.0).any():
+            raise DomainError("probabilities must be non-negative")
+        _check_simplex_sum("probabilities", arr)
+        object.__setattr__(self, "p", tuple(arr.tolist()))
 
 
 def as_distribution(p) -> Distribution:
-    return p if isinstance(p, Distribution) else Distribution(tuple(p))
+    return p if isinstance(p, Distribution) else Distribution(p)
+
+
+def _as_partition(part) -> Partition:
+    return part if isinstance(part, Partition) else Partition.from_parts(part)
 
 
 def generalized_harmonic(n: int, r: float) -> float:
@@ -95,9 +105,7 @@ def generalized_harmonic(n: int, r: float) -> float:
     >>> generalized_harmonic(4, 1.0)
     10.0
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"generalized_harmonic requires n >= 1, got {n}")
+    n = positive_int("n", n)
     ks = np.arange(1, n + 1, dtype=float)
     return math.fsum(ks ** float(r))
 
@@ -109,9 +117,7 @@ def q_factorial_log(n: int, q: QLike) -> float:
     sum is evaluated term by term through the stabilised q_log kernel so no
     cancellation appears near the classical point.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"q_factorial_log requires n >= 1, got {n}")
+    n = positive_int("n", n)
     qp = as_qparam(q)
     if qp.is_classical:
         return math.lgamma(n + 1.0)
@@ -132,16 +138,13 @@ def q_multinomial_log(part: Partition, q: QLike) -> float:
     k^(1-q)) / (1-q); the constant reference terms n and sum(n_i) cancel
     exactly because the Partition type guarantees sum(n_i) = n.
     """
-    if not isinstance(part, Partition):
-        part = Partition.from_parts(part)
+    part = _as_partition(part)
     qp = as_qparam(q)
     full = q_factorial_log(part.n, qp)
     return full - math.fsum(q_factorial_log(ni, qp) for ni in part.parts)
 
 
-def _entropy_kernel(
-    values: np.ndarray, index: float, near_one_eps: float
-) -> np.ndarray:
+def _entropy_kernel(values: np.ndarray, index: QParam) -> np.ndarray:
     """Row sums sum_v v (v^(index-1) - 1) / (1 - index) over the entries
     v > 0 of each row of values (N, m); other entries contribute exactly 0.
 
@@ -153,10 +156,10 @@ def _entropy_kernel(
     """
     # other entries are read as v = 1, whose term is exactly +-0
     v = np.where(values > 0.0, values, 1.0)
-    if abs(index - 1.0) < near_one_eps:
+    if index.is_classical:
         terms = v * np.log(v)
         return -np.array([math.fsum(row) for row in terms.tolist()])
-    r = 1.0 - index
+    r = index.rate
     terms = v * np.expm1(-r * np.log(v))
     return np.array([math.fsum(row) for row in terms.tolist()]) / r
 
@@ -165,31 +168,41 @@ def tsallis_entropy(p, q: QLike) -> float:
     """Nonextensive entropy H_q(p) = (sum p_i^q - 1) / (1 - q).
 
     Entries with p_i = 0 contribute nothing (the 0 ln 0 = 0 convention);
-    at q = 1 this is the Shannon entropy in nats.
+    at q = 1 this is the Shannon entropy in nats. A value beyond float64
+    raises DomainError.
 
     >>> tsallis_entropy((0.5, 0.5), 2.0)
     0.5
     """
     qp = as_qparam(q)
     dist = as_distribution(p)
-    return float(_entropy_kernel(np.asarray([dist.p]), qp.q, qp.near_one_eps)[0])
+    with np.errstate(all="ignore"):
+        h = float(_entropy_kernel(np.asarray([dist.p]), qp)[0])
+    if not math.isfinite(h):
+        raise DomainError(f"Tsallis entropy overflows float64 at q = {qp.q!r}")
+    return h
 
 
 def asymptotic_leading(n: int, p, q: QLike) -> float:
     """Leading large-n term n^(2-q) / (2-q) * H_{2-q}(p) of the deformed
     log-multinomial at fixed part ratios p.
 
-    The coefficient has a pole at q = 2, so that index is rejected.
+    The coefficient has a pole at q = 2, so that index is rejected. A term
+    beyond float64 raises DomainError.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"asymptotic_leading requires n >= 1, got {n}")
+    n = positive_int("n", n)
     qp = as_qparam(q)
     if qp.q == 2.0:
         raise DomainError("leading coefficient has a pole at q = 2")
     s = 2.0 - qp.q
-    entropy = tsallis_entropy(p, QParam(s, qp.near_one_eps))
-    return float(n) ** s / s * entropy
+    entropy = tsallis_entropy(p, s)
+    try:
+        lead = float(n) ** s / s * entropy
+    except OverflowError:
+        lead = math.inf
+    if not math.isfinite(lead):
+        raise DomainError(f"leading term overflows float64 at n = {n}, q = {qp.q!r}")
+    return lead
 
 
 def asymptotic_remainder(part: Partition, q: QLike) -> float:
@@ -200,8 +213,7 @@ def asymptotic_remainder(part: Partition, q: QLike) -> float:
     q > 1 it approaches the constant (m-1) zeta(q-1) / (q-1) left behind
     by the Euler-Maclaurin tail of the power sums, so it does not vanish.
     """
-    if not isinstance(part, Partition):
-        part = Partition.from_parts(part)
+    part = _as_partition(part)
     qp = as_qparam(q)
     lead = asymptotic_leading(part.n, part.ratios(), qp)
     return q_multinomial_log(part, qp) - lead

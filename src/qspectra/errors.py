@@ -1,7 +1,10 @@
-"""Exception types shared across the library, and the one argument check
-that raises them for every positive real parameter."""
+"""Exception types shared across the library, and the argument checks that
+raise them, one per kind of argument."""
 
 import math
+from collections.abc import Iterable, Sequence
+
+import numpy as np
 
 __all__ = ["DomainError", "PoleError", "UnsupportedModelError"]
 
@@ -28,3 +31,51 @@ def positive_real(name: str, value) -> float:
     if not 0.0 < x < math.inf:
         raise DomainError(f"{name} must be a finite positive number, got {value!r}")
     return x
+
+
+def positive_int(name: str, value) -> int:
+    """``value`` as an int; DomainError naming ``name`` unless it is a number
+    with an integral value >= 1 (2.0 is read as 2; 2.5 and "2" are refused)."""
+    try:
+        n = int(value)
+        exact = n == value
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not (exact and n >= 1):
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return n
+
+
+def nonzero_real(name: str, value) -> float:
+    """``value`` as a float; DomainError naming ``name`` unless it is a
+    finite real number != 0."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and x != 0.0):
+        raise DomainError(f"{name} must be finite and nonzero, got {value!r}")
+    return x
+
+
+def finite_vector(name: str, values) -> np.ndarray:
+    """``values`` as a 1-d float64 array, each entry as float() reads it;
+    DomainError naming ``name`` unless it is a non-empty flat sequence of
+    finite reals. Text is refused, not read character by character."""
+    if isinstance(values, (str, bytes, bytearray)):
+        raise DomainError(f"{name} must be a sequence of numbers, got {values!r}")
+    if isinstance(values, Iterable) and not isinstance(values, (Sequence, np.ndarray)):
+        values = tuple(values)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a sequence of numbers: {exc}") from None
+    if arr.ndim != 1:
+        raise DomainError(f"{name} must be a flat sequence of numbers, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DomainError(f"{name} must contain at least one entry")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise DomainError(f"{name} entry {first} must be finite, got {arr[first].item()!r}")
+    return arr

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .combinatorics import _SIMPLEX_TOL, _entropy_kernel
+from .errors import DomainError, finite_vector, positive_int, positive_real
+from .combinatorics import _check_simplex_sum, _entropy_kernel
 from .qalgebra import QLike, QParam, as_qparam
 
 __all__ = [
@@ -48,30 +48,18 @@ class SimplexPoint:
     p: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        if not self.p:
-            raise DomainError("simplex point needs at least one coordinate")
-        if any(not math.isfinite(v) or v <= 0.0 for v in self.p):
-            raise DomainError(
-                "simplex point must be strictly interior (all p_i > 0)"
-            )
-        total = math.fsum(self.p)
-        if abs(total - 1.0) > _SIMPLEX_TOL:
-            raise DomainError(f"coordinates sum to {total!r}, expected 1")
+        arr = _point_array(self.p, on_simplex=True)
+        object.__setattr__(self, "p", tuple(arr.tolist()))
 
 
 def _point_array(p, *, on_simplex: bool) -> np.ndarray:
     if isinstance(p, SimplexPoint):
         return np.asarray(p.p, dtype=float)
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("point must be a non-empty 1-d sequence")
-    if not (np.isfinite(arr).all() and (arr > 0.0).all()):
-        raise DomainError("point must have finite, strictly positive entries")
-    if on_simplex and abs(math.fsum(arr) - 1.0) > _SIMPLEX_TOL:
-        raise DomainError(
-            f"point must lie on the simplex, coordinates sum to {math.fsum(arr)!r}"
-        )
+    arr = finite_vector("point", p)
+    if not (arr > 0.0).all():
+        raise DomainError("point must be strictly interior (all p_i > 0)")
+    if on_simplex:
+        _check_simplex_sum("coordinates", arr)
     return arr
 
 
@@ -86,7 +74,7 @@ def _potential_rows(x: np.ndarray, qp: QParam) -> np.ndarray:
             phi = -np.array([math.fsum(row) for row in np.log(x).tolist()])
         else:
             s = 2.0 - qp.q
-            phi = _entropy_kernel(x, s, qp.near_one_eps) / s
+            phi = _entropy_kernel(x, QParam(s)) / s
     if not np.isfinite(phi).all():
         raise _overflow(qp.q)
     return phi
@@ -203,7 +191,7 @@ class MetricField:
         return len(self.points)
 
 
-def grid_field(resolution: int, q: QLike, margin: float, m: int = 3) -> MetricField:
+def grid_field(resolution: int, q: QLike, margin: float) -> MetricField:
     """Sample Phi_q and sqrt(det g) on the interior lattice of the ternary
     simplex.
 
@@ -217,7 +205,6 @@ def grid_field(resolution: int, q: QLike, margin: float, m: int = 3) -> MetricFi
     margin : positive lower bound on min_i p_i; lattice points closer to
         the boundary are dropped. Required because the metric diverges on
         the boundary itself.
-    m : number of outcomes; only the ternary case m = 3 is gridded.
 
     Rows follow lexicographic (i, j) order, which fixes the file layout of
     the exported field byte for byte. All R (R + 1) / 2 points are held as
@@ -226,18 +213,10 @@ def grid_field(resolution: int, q: QLike, margin: float, m: int = 3) -> MetricFi
     memory grow as O(R^2); the bound on R keeps memory to a few hundred MB.
     A field beyond float64 at this q raises DomainError.
     """
-    if m != 3:
-        raise DomainError("gridded sampling supports m = 3 only")
-    resolution = int(resolution)
-    if resolution < 1:
-        raise DomainError(f"resolution must be >= 1, got {resolution}")
+    resolution = positive_int("resolution", resolution)
     if resolution > MAX_RESOLUTION:
         raise DomainError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
-    margin = float(margin)
-    if not margin > 0.0:
-        raise DomainError(
-            "margin must be positive: the boundary itself is singular"
-        )
+    margin = positive_real("margin", margin)
     qp = as_qparam(q)
     total = resolution + 2
     first = np.arange(1, total - 1)

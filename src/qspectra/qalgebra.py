@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, nonzero_real
 
 __all__ = [
     "NEAR_ONE_EPS",
@@ -47,23 +47,20 @@ _EXP_MAX = 709.782712893384
 
 @dataclass(frozen=True)
 class QParam:
-    """Deformation index together with the width of the classical band.
+    """Deformation index q.
 
-    Inside the band |q - 1| < near_one_eps every operation uses the exact
-    classical (q = 1) expression. Outside it the generic deformed formulas
-    apply; they are evaluated through expm1/log1p kernels and stay stable
-    arbitrarily close to the band, so the switch only exists to make q = 1
-    itself well defined.
+    Inside the classical band |q - 1| < NEAR_ONE_EPS every operation uses
+    the exact classical (q = 1) expression. Outside it the generic deformed
+    formulas apply; they are evaluated through expm1/log1p kernels and stay
+    stable arbitrarily close to the band, so the switch only exists to make
+    q = 1 itself well defined.
     """
 
     q: float
-    near_one_eps: float = NEAR_ONE_EPS
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.q):
             raise DomainError(f"deformation index must be finite, got {self.q!r}")
-        if not self.near_one_eps > 0.0:
-            raise DomainError("near_one_eps must be positive")
 
     @property
     def rate(self) -> float:
@@ -72,7 +69,7 @@ class QParam:
 
     @property
     def is_classical(self) -> bool:
-        return abs(self.q - 1.0) < self.near_one_eps
+        return abs(self.q - 1.0) < NEAR_ONE_EPS
 
 
 QLike = Union[QParam, float, int]
@@ -181,10 +178,8 @@ def theta_reparam(q: QLike, theta: float) -> QParam:
     which lifts to every spectral aggregate built from q_log.
     """
     qp = as_qparam(q)
-    th = float(theta)
-    if th == 0.0:
-        raise DomainError("theta must be nonzero")
-    return QParam(1.0 + th * (qp.q - 1.0), qp.near_one_eps)
+    th = nonzero_real("theta", theta)
+    return QParam(1.0 + th * (qp.q - 1.0))
 
 
 def q_log_array(x, qp: QParam) -> np.ndarray:

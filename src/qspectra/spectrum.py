@@ -23,7 +23,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, positive_real
+from .errors import DomainError, finite_vector, nonzero_real, positive_real
 from .qalgebra import (
     ClampedValue,
     QLike,
@@ -72,21 +72,11 @@ class FiniteDiag:
     pole: ClassVar[None] = None
 
     def __post_init__(self) -> None:
-        values = self.eigenvalues
-        if isinstance(values, (str, bytes)):
-            raise DomainError(f"eigenvalues must be a list of numbers, got {values!r}")
-        try:
-            eigs = tuple(map(float, values))
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"eigenvalues must be a list of numbers: {exc}") from None
-        if not eigs:
-            raise DomainError("spectrum must contain at least one eigenvalue")
-        arr = np.asarray(eigs)
-        # one vector test for the common case; the loop names the first bad entry
-        if not np.all((arr > 0.0) & (arr < math.inf)):
-            for i, v in enumerate(eigs):
-                positive_real(f"eigenvalue {i}", v)
-        object.__setattr__(self, "eigenvalues", eigs)
+        arr = finite_vector("eigenvalues", self.eigenvalues)
+        if not (arr > 0.0).all():
+            first = int(np.argmin(arr > 0.0))
+            positive_real(f"eigenvalue {first}", arr[first].item())
+        object.__setattr__(self, "eigenvalues", tuple(arr.tolist()))
         object.__setattr__(self, "scale", positive_real("scale", self.scale))
 
     def __len__(self) -> int:
@@ -121,16 +111,13 @@ class SpectrumVariation:
     deltas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "deltas", tuple(float(v) for v in self.deltas))
-        if not self.deltas:
-            raise DomainError("variation must contain at least one entry")
-        if any(not math.isfinite(v) for v in self.deltas):
-            raise DomainError("variation entries must be finite")
+        deltas = finite_vector("variation", self.deltas)
+        object.__setattr__(self, "deltas", tuple(deltas.tolist()))
 
 
 def _deltas_for(spec: Spectrum, variation) -> np.ndarray:
     deltas = variation.deltas if isinstance(variation, SpectrumVariation) else variation
-    arr = np.asarray(tuple(float(v) for v in deltas), dtype=float)
+    arr = finite_vector("variation", deltas)
     if arr.shape != (len(spec),):
         raise DomainError(
             f"variation has {arr.size} entries for a spectrum of size {len(spec)}"
@@ -146,8 +133,7 @@ def concatenate(*specs: Spectrum) -> Spectrum:
     """
     if not specs:
         raise DomainError("concatenate needs at least one spectrum")
-    eigs = tuple(float(v) for s in specs for v in s.dimensionless())
-    return Spectrum(eigs, 1.0)
+    return Spectrum(np.concatenate([s.dimensionless() for s in specs]), 1.0)
 
 
 def q_logdet(spec: Spectrum, q: QLike) -> float:
@@ -213,11 +199,8 @@ def power_transform(spec: FiniteDiag, theta: float) -> FiniteDiag:
     scale reset to 1; theta = 0 would collapse every eigenvalue to 1 and
     is rejected.
     """
-    th = float(theta)
-    if th == 0.0:
-        raise DomainError("theta must be nonzero")
-    powered = spec.dimensionless() ** th
-    return type(spec)(tuple(float(v) for v in powered), 1.0)
+    th = nonzero_real("theta", theta)
+    return type(spec)(spec.dimensionless() ** th, 1.0)
 
 
 def theta_covariance_residual(spec: Spectrum, q: QLike, theta: float) -> float:
@@ -242,7 +225,11 @@ def spectral_weight(lam: float, q: QLike) -> float:
     lf = float(lam)
     if not lf > 0.0:
         raise DomainError(f"spectral_weight requires lambda > 0, got {lf!r}")
-    return lf ** (-as_qparam(q).q)
+    qf = as_qparam(q).q
+    try:
+        return lf ** (-qf)
+    except OverflowError:
+        raise DomainError(f"lambda^(-q) overflows float64 at lambda = {lf!r}, q = {qf!r}") from None
 
 
 # ---------------------------------------------------------------------------

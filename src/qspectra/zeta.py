@@ -34,7 +34,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, PoleError, UnsupportedModelError, positive_real
+from .errors import DomainError, PoleError, UnsupportedModelError
+from .errors import nonzero_real, positive_int, positive_real
 from .qalgebra import QLike, as_qparam, theta_reparam
 from .spectrum import FiniteDiag
 
@@ -64,6 +65,8 @@ __all__ = [
 POLE_EPS = 1e-6
 
 _BERNOULLI_MAX = 60
+# Bernoulli correction terms in the Euler-Maclaurin tail of hurwitz_zeta
+_N_BERNOULLI = 15
 
 
 @dataclass(frozen=True)
@@ -142,10 +145,7 @@ def power_transform_model(model: ZetaModel, theta: float) -> ZetaModel:
     which needs theta > 0 to keep alpha positive. shifted_linear leaves
     the family and is refused.
     """
-    th = float(theta)
-    if th == 0.0:
-        raise DomainError("theta must be nonzero")
-    return model.power(th)
+    return model.power(nonzero_real("theta", theta))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def bernoulli_numbers(count: int) -> list[float]:
     return [float(b) for b in _bernoulli_fractions(count)]
 
 
-def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50, n_bernoulli: int = 15) -> float:
+def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50) -> float:
     """Hurwitz zeta zeta(s, a) = sum_{k>=0} (k + a)^(-s), continued to all
     real s != 1 by Euler-Maclaurin summation.
 
@@ -187,26 +187,20 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50, n_bernoulli: int = 1
     s : real evaluation point; |s - 1| < 1e-6 raises PoleError.
     a : positive shift.
     n_direct : number of explicitly summed terms.
-    n_bernoulli : number of Bernoulli correction terms.
 
-    The tail beyond the direct sum is replaced by its integral plus
+    The tail beyond the direct sum is replaced by its integral plus 15
     curvature corrections B_2j/(2j)! s(s+1)...(s+2j-2) (a+N)^(-s-2j+1).
     With the defaults the absolute error stays near 1e-12 wherever the
     value itself is of moderate size (s in [-10, 30], a in [0.1, 10]);
     for results of magnitude >> 1 the limit is the spacing of float64.
     """
     sf = float(s)
-    af = float(a)
-    if not (math.isfinite(sf) and math.isfinite(af)):
-        raise DomainError("s and a must be finite")
-    if af <= 0.0:
-        raise DomainError(f"hurwitz_zeta requires a > 0, got {af!r}")
+    af = positive_real("a", a)
+    if not math.isfinite(sf):
+        raise DomainError(f"s must be finite, got {sf!r}")
     if abs(sf - 1.0) < POLE_EPS:
         raise PoleError(f"Hurwitz zeta has a simple pole at s = 1, got s = {sf!r}")
-    n_direct = int(n_direct)
-    n_bernoulli = int(n_bernoulli)
-    if n_direct < 1 or n_bernoulli < 0:
-        raise DomainError("n_direct must be >= 1 and n_bernoulli >= 0")
+    n_direct = positive_int("n_direct", n_direct)
 
     points = af + np.arange(n_direct, dtype=float)
     direct = math.fsum(points ** (-sf))
@@ -214,11 +208,11 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50, n_bernoulli: int = 1
     x = af + n_direct
     terms = [x ** (1.0 - sf) / (sf - 1.0), 0.5 * x ** (-sf)]
 
-    bern = bernoulli_numbers(2 * n_bernoulli)
+    bern = bernoulli_numbers(2 * _N_BERNOULLI)
     poch = sf                      # s (s+1) ... (s+2j-2), one factor at j=1
     x_pow = x ** (-sf - 1.0)
     inv_x2 = x ** (-2.0)
-    for j in range(1, n_bernoulli + 1):
+    for j in range(1, _N_BERNOULLI + 1):
         coef = bern[2 * j] / math.factorial(2 * j)
         terms.append(coef * poch * x_pow)
         poch *= (sf + 2 * j - 1) * (sf + 2 * j)
@@ -254,23 +248,21 @@ def zeta_value(model: ZetaModel, s: float) -> float:
 _DERIV_STEP = 1e-3
 
 
-def zeta_deriv0(model: ZetaModel, *, step: float = _DERIV_STEP) -> float:
+def zeta_deriv0(model: ZetaModel) -> float:
     """zeta'_A(0) by Richardson-extrapolated central differences.
 
     Two central differences at steps h and h/2 are combined as
     (4 D(h/2) - D(h)) / 3, cancelling the h^2 error; with h = 1e-3 the
     truncation error is far below the 1e-8 contract.
     """
-    h = float(step)
-    if not 0.0 < h < 0.1:
-        raise DomainError("step must lie in (0, 0.1)")
+    h = _DERIV_STEP
     d1 = (zeta_value(model, h) - zeta_value(model, -h)) / (2.0 * h)
     d2 = (zeta_value(model, h / 2.0) - zeta_value(model, -h / 2.0)) / h
     return (4.0 * d2 - d1) / 3.0
 
 
-def _zeta_deriv2_at0(model: ZetaModel, *, step: float = _DERIV_STEP) -> float:
-    h = float(step)
+def _zeta_deriv2_at0(model: ZetaModel) -> float:
+    h = _DERIV_STEP
     z0 = zeta_value(model, 0.0)
 
     def second(hh: float) -> float:
@@ -283,7 +275,7 @@ def qdet_zeta(model: ZetaModel, q: QLike) -> float:
     """Finite-difference deformed log-determinant
     (zeta_A(q-1) - zeta_A(0)) / (1 - q).
 
-    Inside the near-classical band |q - 1| < near_one_eps the difference
+    Inside the classical band |q - 1| < NEAR_ONE_EPS the difference
     quotient would cancel catastrophically, so the expansion around s = 0
     is used instead: -zeta'(0) - (q - 1) zeta''(0) / 2. Evaluations that
     land on a pole of zeta (q = 2 for shifted_linear, q = 1 + 1/alpha for
@@ -323,23 +315,18 @@ def theta_covariance_zeta(model: ZetaModel, q: QLike, theta: float) -> float:
 
     Only power_spectrum models stay in the family under A -> A^theta
     (alpha -> alpha theta, scale -> scale^theta), and only for theta > 0;
-    anything else raises UnsupportedModelError. The residual is zero in
-    exact arithmetic and stays at rounding level (<= 1e-8 contract).
+    other models and theta < 0 raise UnsupportedModelError. The residual is
+    zero in exact arithmetic and stays at rounding level (<= 1e-8 contract).
     """
     if not isinstance(model, PowerSpectrum):
         raise UnsupportedModelError(
             f"power map keeps only power_spectrum models in the family, "
             f"got {model.kind!r}"
         )
-    th = float(theta)
-    if not th > 0.0:
-        raise UnsupportedModelError(
-            f"theta must be positive (alpha * theta must stay > 0), got {th!r}"
-        )
     qp = as_qparam(q)
-    qprime = theta_reparam(qp, th)
-    transformed = power_transform_model(model, th)
-    return abs(qdet_zeta(model, qprime) - qdet_zeta(transformed, qp) / th)
+    qprime = theta_reparam(qp, theta)
+    transformed = power_transform_model(model, theta)
+    return abs(qdet_zeta(model, qprime) - qdet_zeta(transformed, qp) / float(theta))
 
 
 # ---------------------------------------------------------------------------

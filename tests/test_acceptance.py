@@ -24,6 +24,7 @@ from qspectra import geometry as geom
 from qspectra import qalgebra as qa
 from qspectra import spectrum as spc
 from qspectra import zeta as zt
+from qspectra.verify import _partitions_upto, _rel
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -43,10 +44,6 @@ def _run_cli(*args):
         text=True,
         env=env,
     )
-
-
-def _rel(delta: float, *scales: float) -> float:
-    return abs(delta) / max(1.0, *(abs(s) for s in scales))
 
 
 def test_deformed_algebra_laws_on_grid():
@@ -115,23 +112,10 @@ def test_classical_limit_recovery_at_least_linear():
     )
 
 
-def _all_partitions(n_max: int):
-    def gen(total, largest):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, largest), 0, -1):
-            for rest in gen(total - first, first):
-                yield (first,) + rest
-
-    for n in range(1, n_max + 1):
-        yield from gen(n, n)
-
-
 def test_integer_multinomial_oracle():
     worst = 0.0
     count = 0
-    for parts in _all_partitions(12):
+    for parts in _partitions_upto(12):
         exact = math.factorial(sum(parts))
         for ni in parts:
             exact //= math.factorial(ni)

@@ -290,6 +290,22 @@ def test_weight_rejects_bad_bounds():
     assert run_cli("weight", "--lambda-min", "5", "--lambda-max", "1").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("--lambda-max", "1e300", "--q-list=-2"),
+        ("--lambda-min", "1e-320"),
+    ),
+)
+def test_weight_overflow_exits_cleanly(argv):
+    proc = run_cli("weight", *argv)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "overflows float64" in lines[0]
+    assert proc.stdout == ""
+
+
 def test_verify_exits_1_with_single_known_failure(tmp_path):
     """The battery honestly reports the impossible q=1.5 slope bound and
     nothing else, so verify must exit 1 with exactly that failure."""

@@ -39,6 +39,65 @@ def test_distribution_validation():
         Distribution((-0.1, 1.1))
 
 
+def test_text_is_not_read_as_probabilities_or_parts():
+    # a string iterates as its characters: "1" must not become (1.0,)
+    for text in ("1", b"1"):
+        with pytest.raises(DomainError):
+            Distribution(text)
+        with pytest.raises(DomainError):
+            tsallis_entropy(text, 2.0)
+    # nor "12" the parts (1, 2)
+    for text in ("12", b"12"):
+        with pytest.raises(DomainError):
+            Partition.from_parts(text)
+        with pytest.raises(DomainError):
+            q_multinomial_log(text, 1.0)
+    with pytest.raises(DomainError):
+        Partition(3, "12")
+    with pytest.raises(DomainError):
+        Partition(3, ("1", "2"))
+
+
+def test_non_integral_parts_and_totals_are_refused():
+    with pytest.raises(DomainError):
+        Partition.from_parts((2.5, 2.5))
+    with pytest.raises(DomainError):
+        Partition(5, (2.5, 2.5))
+    with pytest.raises(DomainError):
+        Partition(4.5, (2, 2))
+    with pytest.raises(DomainError):
+        Partition.from_parts((2, math.nan))
+    with pytest.raises(DomainError):
+        q_multinomial_log((2.5, 2.5), 1.5)
+    with pytest.raises(DomainError):
+        asymptotic_remainder((2.5, 2.5), 0.5)
+    # the same rule holds for every other count n
+    for fn, args in (
+        (generalized_harmonic, (1.0,)),
+        (q_factorial_log, (0.5,)),
+        (asymptotic_leading, ((0.5, 0.5), 0.5)),
+    ):
+        for n in (2.5, "2"):
+            with pytest.raises(DomainError):
+                fn(n, *args)
+    # integral values of another numeric type are read as ints
+    part = Partition.from_parts((2.0, np.int64(3)))
+    assert part == Partition(5, (2, 3))
+    assert all(type(v) is int for v in (part.n, *part.parts))
+
+
+def test_entropy_overflow_is_refused_not_returned():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows float64"):
+            tsallis_entropy((0.5, 0.5), -2000.0)
+        with pytest.raises(DomainError, match="overflows float64"):
+            asymptotic_leading(10, (0.5, 0.5), -2000.0)
+        # n^(2-q) alone beyond float64
+        with pytest.raises(DomainError, match="overflows float64"):
+            asymptotic_leading(2**20, (0.5, 0.5), -60.0)
+
+
 def test_generalized_harmonic():
     assert generalized_harmonic(4, 1.0) == 10.0
     assert generalized_harmonic(1, 3.7) == 1.0

@@ -111,10 +111,13 @@ def test_induced_metric_equals_projected_hessian():
 
 
 def test_text_is_not_read_as_a_point():
-    # "123" iterates as the characters "1", "2", "3"
-    for fn in (potential, potential_hessian, induced_metric, volume_element):
+    # "123" iterates as the characters "1", "2", "3", and "1" as (1.0,)
+    for text in ("123", "1", b"1"):
+        for fn in (potential, potential_hessian, induced_metric, volume_element):
+            with pytest.raises(DomainError):
+                fn(text, 1.0)
         with pytest.raises(DomainError):
-            fn("123", 1.0)
+            SimplexPoint(text)
 
 
 def test_overflow_is_refused_not_returned():
@@ -205,9 +208,9 @@ def test_grid_field_rejections():
     with pytest.raises(DomainError):
         grid_field(0, 1.4, 1e-3)
     with pytest.raises(DomainError):
-        grid_field(10, 1.4, 0.0)
+        grid_field(10.5, 1.4, 1e-3)
     with pytest.raises(DomainError):
-        grid_field(10, 1.4, 1e-3, m=4)
+        grid_field(10, 1.4, 0.0)
     with pytest.raises(DomainError):
         grid_field(10, 1.4, 0.4)  # excludes every lattice point
     with pytest.raises(DomainError):

@@ -48,8 +48,6 @@ def test_qparam_validation():
         QParam(math.nan)
     with pytest.raises(DomainError):
         QParam(math.inf)
-    with pytest.raises(DomainError):
-        QParam(1.0, near_one_eps=0.0)
     qp = as_qparam(1.5)
     assert qp.q == 1.5
     assert qp.rate == -0.5

@@ -24,6 +24,7 @@ from qspectra.spectrum import (
     spectrum_to_json,
     theta_covariance_residual,
 )
+from qspectra.zeta import power_spectrum, power_transform_model
 
 
 def _random_spectrum(rng, size=None):
@@ -142,6 +143,29 @@ def test_action_variation_accepts_variation_type_and_checks_shape():
         action_variation(spec, (0.1,), 0.5)
     with pytest.raises(DomainError):
         SpectrumVariation((math.nan,))
+
+
+def test_non_finite_perturbations_are_refused():
+    spec = Spectrum((1.0, 2.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        for deltas in ((bad, 1.0), np.array([1.0, bad])):
+            with pytest.raises(DomainError, match="variation entry"):
+                action_variation(spec, deltas, 0.5)
+            with pytest.raises(DomainError, match="variation entry"):
+                flow_derivative(spec, deltas, 1.5)
+
+
+def test_non_finite_theta_is_refused_with_a_theta_message():
+    spec = Spectrum((1.0, 2.0))
+    for theta in (math.nan, math.inf, 0.0):
+        with pytest.raises(DomainError, match="theta"):
+            power_transform(spec, theta)
+        with pytest.raises(DomainError, match="theta"):
+            theta_reparam(1.5, theta)
+        with pytest.raises(DomainError, match="theta"):
+            power_transform_model(power_spectrum(1.0), theta)
+        with pytest.raises(DomainError, match="theta"):
+            theta_covariance_residual(spec, 1.5, theta)
 
 
 def test_action_variation_respects_scale():

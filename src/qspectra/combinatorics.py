@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, finite_vector, positive_int
-from .qalgebra import ClampedValue, QLike, QParam, as_qparam, q_exp, q_log_array
+from .qalgebra import ClampedValue, QLike, QParam, as_qparam, exact_sum, q_exp, q_log_array
 
 __all__ = [
     "Partition",
@@ -100,14 +100,17 @@ def _as_partition(part) -> Partition:
 
 
 def generalized_harmonic(n: int, r: float) -> float:
-    """Power sum H(n, r) = sum_{k=1..n} k^r, exactly rounded.
+    """Power sum H(n, r) = sum_{k=1..n} k^r, exactly rounded; a value
+    beyond float64 raises DomainError.
 
     >>> generalized_harmonic(4, 1.0)
     10.0
     """
     n = positive_int("n", n)
-    ks = np.arange(1, n + 1, dtype=float)
-    return math.fsum(ks ** float(r))
+    r = float(r)
+    with np.errstate(all="ignore"):
+        terms = np.arange(1, n + 1, dtype=float) ** r
+    return exact_sum(terms, f"generalized_harmonic overflows float64 at r = {r!r}")
 
 
 def q_factorial_log(n: int, q: QLike) -> float:
@@ -115,14 +118,15 @@ def q_factorial_log(n: int, q: QLike) -> float:
 
     Equals (H(n, 1-q) - n) / (1-q) away from q = 1 and ln n! at q = 1; the
     sum is evaluated term by term through the stabilised q_log kernel so no
-    cancellation appears near the classical point.
+    cancellation appears near the classical point, and rounded once. A
+    value beyond float64 raises DomainError.
     """
     n = positive_int("n", n)
     qp = as_qparam(q)
     if qp.is_classical:
         return math.lgamma(n + 1.0)
-    ks = np.arange(1, n + 1, dtype=float)
-    return math.fsum(q_log_array(ks, qp))
+    terms = q_log_array(np.arange(1, n + 1, dtype=float), qp)
+    return exact_sum(terms, f"q_factorial_log overflows float64 at q = {qp.q!r}")
 
 
 def q_factorial(n: int, q: QLike) -> ClampedValue:

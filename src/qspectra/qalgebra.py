@@ -16,6 +16,7 @@ so chains of operations can track admissibility explicitly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
@@ -192,4 +193,64 @@ def q_log_array(x, qp: QParam) -> np.ndarray:
     if qp.is_classical:
         return np.log(arr)
     r = qp.rate
-    return np.expm1(r * np.log(arr)) / r
+    with np.errstate(over="ignore"):
+        return np.expm1(r * np.log(arr)) / r
+
+
+# exact_sum hands up to _SMALL entries to math.fsum, which is faster there. It
+# walks longer input in blocks of _BLOCK entries; each entry adds one integer
+# below 2^27 and one below 2^26 into float64 buckets, which stay exact while
+# they take at most _FLUSH entries (3 * 2^51 < 2^53). frexp exponents run from
+# -1073 (the smallest subnormal) to 1024; bucket k weighs 2^(k + _EXP_MIN - 53).
+_SMALL = 1 << 9
+_BLOCK = 1 << 16
+_FLUSH = 1 << 25
+_EXP_MIN = -1073
+_BUCKETS = 1024 - _EXP_MIN + 1
+
+
+def exact_sum(x, refuse: str | None = None) -> float:
+    """math.fsum of a 1-d float array, bit for bit (the sign of a zero
+    included), without a Python loop over the entries.
+
+    Each entry m 2^e (np.frexp) is split into two integers below 2^27,
+    hi 2^(e-26) + lo 2^(e-53), and bincount adds them into float64 buckets,
+    one per power of two; every _FLUSH entries the buckets are added into
+    one Python int, which is rounded once, by int true division.
+
+    Non-finite entries give fsum's result. A finite sum beyond float64
+    raises DomainError; when refuse is given, it is the text of the
+    DomainError raised for any non-finite result.
+    """
+    arr = np.asarray(x, dtype=float).ravel()
+    if arr.size <= _SMALL:
+        with contextlib.suppress(OverflowError, ValueError):  # else the buckets decide
+            total = math.fsum(arr.tolist())
+            if refuse is None or math.isfinite(total):
+                return total
+    total = 0
+    with np.errstate(invalid="ignore"):
+        for first in range(0, arr.size, _FLUSH):
+            chunk = arr[first : first + _FLUSH]
+            acc = np.zeros(_BUCKETS + 27)
+            for start in range(0, chunk.size, _BLOCK):
+                m, e = np.frexp(chunk[start : start + _BLOCK])
+                m *= 2.0**26
+                hi = np.trunc(m)
+                m -= hi
+                m *= 2.0**27
+                e -= _EXP_MIN
+                acc[:_BUCKETS] += np.bincount(e, m, _BUCKETS)
+                acc[27:] += np.bincount(e, hi, _BUCKETS)
+            if not math.isfinite(acc.sum()):  # a non-finite entry
+                if refuse is not None:
+                    raise DomainError(refuse)
+                return math.fsum(arr.tolist())
+            ks = (acc != 0.0).nonzero()[0]
+            total += sum(int(v) << k for k, v in zip(ks.tolist(), acc[ks].tolist()))
+    if total == 0 and not arr.any():
+        return math.fsum(arr.tolist())  # zeros only: fsum picks the sign
+    try:
+        return total / (1 << (53 - _EXP_MIN))
+    except OverflowError:
+        raise DomainError(refuse or "the sum overflows float64") from None

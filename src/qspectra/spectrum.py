@@ -17,7 +17,6 @@ maps A -> A^theta combined with q' = 1 + theta (q - 1).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -28,6 +27,7 @@ from .qalgebra import (
     ClampedValue,
     QLike,
     as_qparam,
+    exact_sum,
     q_exp,
     q_log_array,
     theta_reparam,
@@ -60,12 +60,16 @@ __all__ = [
 class FiniteDiag:
     """Finite operator: positive eigenvalues lambda_k with a positive scale mu.
 
+    The eigenvalues are held as one read-only float64 array, copied from
+    the input, so changing the caller's array later leaves the operator
+    alone. Equality and hash follow the scale and the eigenvalue values.
+
     This is the finite_diag zeta model. Its zeta function
     mu^s sum_k lambda_k^(-s) is entire, so it has no pole, and the power
     map A -> A^theta keeps it finite.
     """
 
-    eigenvalues: tuple[float, ...]
+    eigenvalues: np.ndarray
     scale: float = 1.0
 
     kind: ClassVar[str] = "finite_diag"
@@ -73,22 +77,36 @@ class FiniteDiag:
 
     def __post_init__(self) -> None:
         arr = finite_vector("eigenvalues", self.eigenvalues)
+        if arr is self.eigenvalues or not arr.flags.owndata:
+            arr = arr.copy()
         if not (arr > 0.0).all():
             first = int(np.argmin(arr > 0.0))
             positive_real(f"eigenvalue {first}", arr[first].item())
-        object.__setattr__(self, "eigenvalues", tuple(arr.tolist()))
+        arr.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", arr)
         object.__setattr__(self, "scale", positive_real("scale", self.scale))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.scale == other.scale and np.array_equal(self.eigenvalues, other.eigenvalues)
+
+    def __hash__(self) -> int:
+        return hash((self.scale, self.eigenvalues.tobytes()))
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
     def dimensionless(self) -> np.ndarray:
         """Eigenvalue ratios lambda_k / scale as an array."""
-        return np.asarray(self.eigenvalues, dtype=float) / self.scale
+        return self.eigenvalues / self.scale
 
     def zeta(self, s: float) -> float:
-        """Bare zeta sum_k lambda_k^(-s) of the raw eigenvalues."""
-        return math.fsum(np.asarray(self.eigenvalues, dtype=float) ** (-s))
+        """Bare zeta sum_k lambda_k^(-s) of the raw eigenvalues, exactly
+        rounded; DomainError if it overflows float64."""
+        with np.errstate(all="ignore"):
+            terms = self.eigenvalues ** (-s)
+        return exact_sum(terms, f"finite_diag zeta overflows float64 at s = {s!r}")
 
     def power(self, theta: float) -> FiniteDiag:
         return power_transform(self, theta)
@@ -97,6 +115,7 @@ class FiniteDiag:
 class Spectrum(FiniteDiag):
     """Finite spectrum of positive eigenvalues with a positive scale.
 
+    eigenvalues is a read-only float64 array, copied from the input.
     The same operator as its FiniteDiag model; the type marks that its
     determinant is taken directly as sum_k ln_q(lambda_k / mu) (q_logdet)
     rather than through the zeta function. The command line loads spectrum
@@ -140,14 +159,16 @@ def q_logdet(spec: Spectrum, q: QLike) -> float:
     """Deformed log-determinant sum_k ln_q(lambda_k / scale).
 
     Each term goes through the stabilised q_log kernel and the terms are
-    combined with exact summation, so the value is independent of the
-    eigenvalue ordering.
+    summed exactly, with one rounding at the end (the same bits as
+    math.fsum), so the value is independent of the eigenvalue ordering.
+    A value beyond float64 raises DomainError.
 
     >>> q_logdet(Spectrum((1.0, 4.0)), 0.0)
     3.0
     """
     qp = as_qparam(q)
-    return math.fsum(q_log_array(spec.dimensionless(), qp))
+    terms = q_log_array(spec.dimensionless(), qp)
+    return exact_sum(terms, f"q_logdet overflows float64 at q = {qp.q!r}")
 
 
 def q_det(spec: Spectrum, q: QLike) -> ClampedValue:
@@ -177,12 +198,14 @@ def action_variation(spec: Spectrum, variation, q: QLike) -> float:
 
     This is the exact directional derivative of q_logdet with respect to
     the raw eigenvalues; the deformation enters only through the spectral
-    weight (lambda/mu)^(-q).
+    weight (lambda/mu)^(-q). The sum is exactly rounded; a value beyond
+    float64 raises DomainError.
     """
     qp = as_qparam(q)
     deltas = _deltas_for(spec, variation)
-    lam = spec.dimensionless()
-    return math.fsum(lam ** (-qp.q) * (deltas / spec.scale))
+    with np.errstate(all="ignore"):
+        terms = spec.dimensionless() ** (-qp.q) * (deltas / spec.scale)
+    return exact_sum(terms, f"action_variation overflows float64 at q = {qp.q!r}")
 
 
 # The finite-difference effective action Gamma_q[A] is q_logdet under its
@@ -238,9 +261,7 @@ def spectral_weight(lam: float, q: QLike) -> float:
 
 def spectrum_to_json(spec: Spectrum) -> str:
     """JSON form {"eigenvalues": [...], "scale": s}; floats round-trip."""
-    return json.dumps(
-        {"eigenvalues": list(spec.eigenvalues), "scale": spec.scale}
-    )
+    return json.dumps({"eigenvalues": spec.eigenvalues.tolist(), "scale": spec.scale})
 
 
 def spectrum_from_json(text: str) -> Spectrum:
@@ -256,18 +277,24 @@ def spectrum_to_csv(spec: Spectrum) -> str:
     CSV carries no scale field, so the scale is folded in on write and
     reads back as 1.
     """
-    lines = [f"{float(v):.17g}" for v in spec.dimensionless()]
-    return "\n".join(lines) + "\n"
+    x = spec.dimensionless()
+    return ("%.17g\n" * x.size) % tuple(x.tolist())
 
 
 def spectrum_from_csv(text: str) -> Spectrum:
-    values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        entry = line.strip()
-        if not entry:
-            continue
-        try:
-            values.append(float(entry))
-        except ValueError as exc:
-            raise DomainError(f"line {lineno}: not a number: {entry!r}") from exc
-    return Spectrum(tuple(values), 1.0)
+    """One number per line, each read as float() reads it; blank lines are
+    skipped and any other line that is not a number raises DomainError."""
+    lines = text.splitlines()
+    try:
+        values = np.array(lines, dtype=float)  # fails on a blank or bad line
+    except ValueError:
+        values = []
+        for lineno, line in enumerate(lines, start=1):
+            entry = line.strip()
+            if not entry:
+                continue
+            try:
+                values.append(float(entry))
+            except ValueError as exc:
+                raise DomainError(f"line {lineno}: not a number: {entry!r}") from exc
+    return Spectrum(values, 1.0)

@@ -334,8 +334,8 @@ def theta_covariance_zeta(model: ZetaModel, q: QLike, theta: float) -> float:
 
 
 def model_to_json(model: ZetaModel) -> str:
-    """JSON form with the kind tag and the model's fields."""
-    return json.dumps({"kind": model.kind, **vars(model)})
+    """JSON form with the kind tag and the model's fields (arrays as lists)."""
+    return json.dumps({"kind": model.kind, **vars(model)}, default=np.ndarray.tolist)
 
 
 def model_from_json(text: str) -> ZetaModel:

@@ -255,6 +255,15 @@ def test_geometry_overflow_exits_cleanly():
     assert "Traceback" not in proc.stderr
 
 
+def test_qdet_overflow_exits_cleanly(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("1e300\n2\n")
+    proc = run_cli("qdet", "--q", "-1", "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: q_logdet overflows float64 at q = -1.0"]
+    assert proc.stdout == ""
+
+
 def test_weight_defaults_cross_unit_point():
     proc = run_cli("weight")
     assert proc.returncode == 0

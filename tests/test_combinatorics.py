@@ -98,6 +98,19 @@ def test_entropy_overflow_is_refused_not_returned():
             asymptotic_leading(2**20, (0.5, 0.5), -60.0)
 
 
+def test_factorial_overflow_is_refused_not_returned():
+    # were inf and nan (inf - inf), each with a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows float64 at q = -100.0"):
+            q_factorial_log(10**5, -100.0)
+        with pytest.raises(DomainError, match="overflows float64 at q = -100.0"):
+            q_multinomial_log((50000, 50000), -100.0)
+        # finite terms, sum beyond float64 (was an OverflowError from fsum)
+        with pytest.raises(DomainError, match="overflows float64 at r = 61.5"):
+            generalized_harmonic(100_000, 61.5)
+
+
 def test_generalized_harmonic():
     assert generalized_harmonic(4, 1.0) == 10.0
     assert generalized_harmonic(1, 3.7) == 1.0

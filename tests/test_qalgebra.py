@@ -1,14 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qspectra import qalgebra
 from qspectra.errors import DomainError
 from qspectra.qalgebra import (
     NEAR_ONE_EPS,
     ClampedValue,
     QParam,
     as_qparam,
+    exact_sum,
     q_div,
     q_exp,
     q_log,
@@ -174,3 +179,117 @@ def test_limit_recovery_is_linear_in_q_minus_1():
             errs.append(max(abs(q_log(x, q) - math.log(x)) for x in xs))
         for finer, coarser in zip(errs[1:], errs[:-1]):
             assert finer <= 0.625 * coarser
+
+
+# ---------------------------------------------------------------------------
+# exact_sum: math.fsum's bits without a Python loop over the entries
+
+BLOCK = 1 << 16
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal bits for finite floats: equal values and the same sign of zero."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _both_paths(x) -> list[float]:
+    """exact_sum of x as called, and with the fsum shortcut for short input off."""
+    with mock.patch.object(qalgebra, "_SMALL", 0):
+        buckets = exact_sum(x)
+    return [exact_sum(x), buckets]
+
+
+def _bulk(seed: int, kind: str, size: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.normal(size=size)
+    if kind == "wide":  # magnitudes 1e-300 .. 1e300, both signs
+        return rng.normal(size=size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+    if kind == "subnormal":
+        return rng.integers(-(2**40), 2**40, size) * 5e-324
+    # exactly cancelling pairs around a few survivors
+    half = rng.normal(size=size // 2) * 10.0 ** rng.uniform(-300.0, 300.0, size // 2)
+    x = np.concatenate([half, -half, rng.normal(size=size % 2) * 1e-300])
+    rng.shuffle(x)
+    return x
+
+
+extremes = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # reaches the subnormals
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300)),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    head=st.lists(extremes, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("normal", "wide", "subnormal", "cancelling")),
+    size=st.sampled_from((0, 1, 2, 33, BLOCK - 1, BLOCK, BLOCK + 1)),
+    mirror=st.booleans(),
+)
+def test_exact_sum_is_bit_equal_to_fsum(head, seed, kind, size, mirror):
+    x = np.concatenate([np.array(head, dtype=float), _bulk(seed, kind, size)])
+    if mirror:  # every entry cancels against a partner: the sum is zero
+        x = np.concatenate([x, -x[::-1]])
+    expected = math.fsum(x.tolist())
+    for got in _both_paths(x):
+        assert _same_float(got, expected), (got, expected)
+
+
+def test_exact_sum_keeps_fsum_sign_of_zero():
+    for x in ([], [0.0], [-0.0], [-0.0, -0.0], [-0.0, 0.0], [1.0, -1.0], [-5e-324, 5e-324]):
+        expected = math.fsum(x)
+        for got in _both_paths(x):
+            assert _same_float(got, expected), (x, got)
+
+
+def test_exact_sum_flushes_buckets_into_one_int():
+    # a bucket takes up to two integers per entry, below 2^27 and 2^26, and
+    # must stay below 2^53 to add exactly
+    assert qalgebra._FLUSH * (2**27 + 2**26) <= 2**53
+    x = _bulk(7, "wide", 5 * BLOCK + 3)
+    x[:BLOCK] = 2.0**53 - 1.0  # full mantissas, all into one pair of buckets
+    expected = math.fsum(x.tolist())
+    for flush in (BLOCK, 2 * BLOCK + 5):
+        with mock.patch.object(qalgebra, "_FLUSH", flush):
+            assert _same_float(exact_sum(x), expected)
+            # a non-finite entry after a flush still gives fsum's result
+            y = x.copy()
+            y[-1] = -math.inf
+            assert exact_sum(y) == -math.inf
+
+
+def test_exact_sum_final_overflow_raises_domain_error():
+    for size in (2, BLOCK + 1):
+        x = np.full(size, 1e308)
+        with pytest.raises(DomainError, match="overflows float64"):
+            exact_sum(x)
+        with pytest.raises(DomainError, match="^the total is too big$"):
+            exact_sum(x, "the total is too big")
+    # fsum raises on an overflow midway; the exact sum is finite
+    x = [1e308, 1e308, -1e308]
+    with pytest.raises(OverflowError):
+        math.fsum(x)
+    assert exact_sum(x) == 1e308
+
+
+@pytest.mark.parametrize("size", (3, BLOCK + 1))
+def test_exact_sum_non_finite_input_gives_fsum_result(size):
+    for special, expected in ((math.inf, math.inf), (-math.inf, -math.inf)):
+        x = np.ones(size)
+        x[size // 2] = special
+        assert exact_sum(x) == expected == math.fsum(x.tolist())
+        with pytest.raises(DomainError, match="^refused$"):
+            exact_sum(x, "refused")
+    x = np.ones(size)
+    x[0] = math.nan
+    assert math.isnan(exact_sum(x)) and math.isnan(math.fsum(x.tolist()))
+    x[0], x[-1] = math.inf, -math.inf
+    with pytest.raises(ValueError):
+        math.fsum(x.tolist())
+    with pytest.raises(ValueError):
+        exact_sum(x)
+    with pytest.raises(DomainError, match="^refused$"):
+        exact_sum(x, "refused")

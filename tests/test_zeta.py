@@ -210,7 +210,7 @@ def test_relative_qdet_zeta():
 def test_power_transform_model():
     finite = finite_diag((2.0, 8.0), scale=2.0)
     powered = power_transform_model(finite, 2.0)
-    assert powered.eigenvalues == (1.0, 16.0)
+    assert tuple(powered.eigenvalues.tolist()) == (1.0, 16.0)
     assert powered.scale == 1.0
 
     ps = power_transform_model(power_spectrum(1.5, scale=4.0), 2.0)

@@ -80,29 +80,35 @@ def _potential_rows(x: np.ndarray, qp: QParam) -> np.ndarray:
     return phi
 
 
-def _metric_rows(x: np.ndarray, q: float) -> np.ndarray:
-    """Stacked induced metrics (N, m-1, m-1) of the rows of x (N, m)."""
+def _weights(x: np.ndarray, q: float) -> np.ndarray:
+    """The Hessian weights p^(-q) of the entries of x, all finite."""
     with np.errstate(all="ignore"):
-        weights = x ** (-q)
-    if not np.isfinite(weights).all():
+        w = x ** (-q)
+    if not np.isfinite(w).all():
         raise _overflow(q)
-    n, m = x.shape
-    g = np.empty((n, m - 1, m - 1))
-    g[...] = weights[:, -1, None, None]
-    # the diagonal of each block is every m-th entry of its flattened row
-    g.reshape(n, -1)[:, ::m] += weights[:, :-1]
-    return g
+    return w
 
 
 def _volume_rows(x: np.ndarray, q: float) -> np.ndarray:
-    """sqrt(det g) of each row of x (N, m): one batched slogdet."""
-    sign, logdet = np.linalg.slogdet(_metric_rows(x, q))
-    if not (sign > 0.0).all():
-        raise DomainError("induced metric lost positive definiteness")
-    try:
-        return np.array([math.exp(0.5 * v) for v in logdet.tolist()])
-    except OverflowError:
-        raise _overflow(q) from None
+    """sqrt(det g) of each row of x (N, m), rows strictly positive.
+
+    By the matrix determinant lemma det g = prod_a p_a^(-q) sum_a p_a^q
+    over all m entries, a form symmetric in them. Sorted so that each row
+    ends in its largest p^q, it is prod_{a<m} p_a^(-q/2) times
+    sqrt(1 + sum_{a<m} (p_a/p_m)^q), where each ratio power is at most 1.
+    A volume beyond float64, or below its normal range (2.2e-308, where
+    digits are lost), is refused.
+    """
+    x = np.sort(x, axis=1) if q >= 0.0 else -np.sort(-x, axis=1)
+    head, last = x[:, :-1], x[:, -1:]
+    with np.errstate(all="ignore"):
+        vol = np.prod(head ** (-0.5 * q), axis=1)
+        vol *= np.sqrt(1.0 + np.sum((head / last) ** q, axis=1))
+    if not np.isfinite(vol).all():
+        raise _overflow(q)
+    if not (vol >= np.finfo(float).tiny).all():
+        raise DomainError(f"the simplex volume underflows float64 at q = {q!r}")
+    return vol
 
 
 def potential(p, q: QLike) -> float:
@@ -124,17 +130,15 @@ def potential(p, q: QLike) -> float:
 
 def potential_hessian(p, q: QLike) -> np.ndarray:
     """Hessian of the potential in unconstrained coordinates:
-    diag(-p_i^(-q))."""
-    arr = _point_array(p, on_simplex=False)
-    qp = as_qparam(q)
-    return np.diag(-(arr ** (-qp.q)))
+    diag(-p_i^(-q)). A weight beyond float64 raises DomainError."""
+    return np.diag(-_weights(_point_array(p, on_simplex=False), as_qparam(q).q))
 
 
-def _simplex_row(p) -> np.ndarray:
+def _simplex_point(p) -> np.ndarray:
     arr = _point_array(p, on_simplex=True)
     if arr.size < 2:
         raise DomainError("induced metric needs at least two outcomes")
-    return arr[None, :]
+    return arr
 
 
 def induced_metric(p, q: QLike) -> np.ndarray:
@@ -147,24 +151,27 @@ def induced_metric(p, q: QLike) -> np.ndarray:
     >>> induced_metric((0.5, 0.5), 0.0)
     array([[2.]])
     """
-    return _metric_rows(_simplex_row(p), as_qparam(q).q)[0]
+    w = _weights(_simplex_point(p), as_qparam(q).q)
+    return np.diag(w[:-1]) + w[-1]
 
 
 def volume_element(p, q: QLike) -> float:
     """Riemannian volume element sqrt(det g) of the induced metric.
 
-    Evaluated through slogdet, the same batched call grid_field makes for
-    a whole lattice. It is compared with the rank-one determinant update
-    prod_{a<m} p_a^(-q) (1 + p_m^(-q) sum_{a<m} p_a^q). The elimination
-    cancels where the weight p_m^(-q) dominates, with a relative error
-    near 1e-16 p_m^(-q) / max_{a<m} p_a^(-q). On the margin-1e-3 lattices
-    up to R = 1000 the two agree to better than 1e-10 relative for
-    |q| <= 2.5; on R = 300 the error is 2.5e-8 at q = 4 and 5e-4 at
-    q = 6, and from about |q| = 10 the metric is refused as not positive
-    definite. A weight p_a^(-q) or a volume beyond float64 raises
-    DomainError.
+    Closed form by the matrix determinant lemma, the same row kernel
+    grid_field applies to a whole lattice. Against mpmath, for m = 2..5 and
+    points down to 1e-3 from the boundary, the relative error measured is
+    at most 7e-16 for |q| <= 20, 1.0e-15 at |q| = 40 and 2.2e-15 at
+    |q| = 100: each ratio p_a/p_m is rounded once and then raised to the
+    power q, which adds about |q| 2.5e-17. At q = 0 the value is sqrt(m)
+    exactly. No intermediate leaves float64 before the volume does, so
+    the only refusals (DomainError) are a volume beyond float64 and, for
+    q < 0, one below its normal range (2.2e-308).
+
+    >>> volume_element((0.5, 0.5), 0.0)
+    1.4142135623730951
     """
-    return float(_volume_rows(_simplex_row(p), as_qparam(q).q)[0])
+    return float(_volume_rows(_simplex_point(p)[None, :], as_qparam(q).q)[0])
 
 
 @dataclass(frozen=True)
@@ -209,9 +216,9 @@ def grid_field(resolution: int, q: QLike, margin: float) -> MetricField:
     Rows follow lexicographic (i, j) order, which fixes the file layout of
     the exported field byte for byte. All R (R + 1) / 2 points are held as
     one array and evaluated by the same row kernels as potential and
-    volume_element (one batched slogdet for the volumes), so time and
-    memory grow as O(R^2); the bound on R keeps memory to a few hundred MB.
-    A field beyond float64 at this q raises DomainError.
+    volume_element, so each volume carries the accuracy stated there, and
+    time and memory grow as O(R^2); the bound on R keeps memory to a few
+    hundred MB. A field beyond float64 at this q raises DomainError.
     """
     resolution = positive_int("resolution", resolution)
     if resolution > MAX_RESOLUTION:
@@ -237,18 +244,18 @@ def grid_field(resolution: int, q: QLike, margin: float) -> MetricField:
 _FIELD_COLUMNS = ("p1", "p2", "p3", "phi", "sqrt_det_g")
 
 
-def _field_rows(field: MetricField) -> list[list[float]]:
-    return np.column_stack([field.points, field.phi, field.volume]).tolist()
+def _field_table(field: MetricField) -> np.ndarray:
+    return np.column_stack([field.points, field.phi, field.volume])
 
 
 def field_to_csv(field: MetricField) -> str:
     """CSV with columns p1,p2,p3,phi,sqrt_det_g, 17 significant digits,
     '\\n' line endings; byte-stable for identical inputs."""
-    row = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
-    header = ",".join(_FIELD_COLUMNS) + "\n"
-    return header + "".join([row % tuple(r) for r in _field_rows(field)])
+    table = _field_table(field)
+    rows = "%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(table)
+    return ",".join(_FIELD_COLUMNS) + "\n" + rows % tuple(table.ravel().tolist())
 
 
 def field_to_json(field: MetricField) -> str:
     """JSON array of row objects keyed like the CSV columns."""
-    return json.dumps([dict(zip(_FIELD_COLUMNS, r)) for r in _field_rows(field)])
+    return json.dumps([dict(zip(_FIELD_COLUMNS, r)) for r in _field_table(field).tolist()])

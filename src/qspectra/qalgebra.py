@@ -99,6 +99,7 @@ def q_log(x: float, q: QLike) -> float:
 
     Computed as expm1((1-q) ln x) / (1-q), which avoids the cancellation of
     the naive power form and degrades gracefully into ln x as q -> 1.
+    A value beyond float64 raises DomainError.
 
     >>> q_log(4.0, 0.5)
     2.0
@@ -112,7 +113,13 @@ def q_log(x: float, q: QLike) -> float:
     if qp.is_classical:
         return math.log(xf)
     r = qp.rate
-    return math.expm1(r * math.log(xf)) / r
+    try:
+        value = math.expm1(r * math.log(xf)) / r
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise DomainError(f"q_log overflows float64 at x = {xf!r}, q = {qp.q!r}")
+    return value
 
 
 def _exp_or_inf(u: float) -> float:

@@ -220,10 +220,15 @@ def power_transform(spec: FiniteDiag, theta: float) -> FiniteDiag:
 
     Returns the operand's type with eigenvalues (lambda_k / mu)^theta and
     scale reset to 1; theta = 0 would collapse every eigenvalue to 1 and
-    is rejected.
+    is rejected. An eigenvalue that overflows or underflows to 0 under the
+    map raises DomainError.
     """
     th = nonzero_real("theta", theta)
-    return type(spec)(spec.dimensionless() ** th, 1.0)
+    with np.errstate(all="ignore"):
+        eigs = spec.dimensionless() ** th
+    if not (np.isfinite(eigs) & (eigs > 0.0)).all():
+        raise DomainError(f"the power map A^theta leaves float64 at theta = {th!r}")
+    return type(spec)(eigs, 1.0)
 
 
 def theta_covariance_residual(spec: Spectrum, q: QLike, theta: float) -> float:

@@ -190,9 +190,12 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50) -> float:
 
     The tail beyond the direct sum is replaced by its integral plus 15
     curvature corrections B_2j/(2j)! s(s+1)...(s+2j-2) (a+N)^(-s-2j+1).
-    With the defaults the absolute error stays near 1e-12 wherever the
-    value itself is of moderate size (s in [-10, 30], a in [0.1, 10]);
-    for results of magnitude >> 1 the limit is the spacing of float64.
+    For s < 0 these terms grow like (a+N)^(1-s) and cancel. Measured with
+    the defaults against mpmath over a in [0.1, 10], the error relative to
+    max(1, |value|) is below 2e-14 for s in [0, 30], 2e-11 for s in
+    [-2, 0), 9e-8 on [-4, -2) and 2e-5 on [-6, -4). Below s = -6 the
+    result is not usable: 0.5 at s = -7.8, and hurwitz_zeta(-10, 0.1)
+    returns -64.0 where the true value is -0.00709.
     """
     sf = float(s)
     af = positive_real("a", a)
@@ -227,7 +230,8 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50) -> float:
 def zeta_value(model: ZetaModel, s: float) -> float:
     """zeta_A(s) for the rescaled operator: scale^s times the bare zeta.
 
-    Raises PoleError when s falls within 1e-6 of the model's pole.
+    Raises PoleError when s falls within 1e-6 of the model's pole, and
+    DomainError when the value is beyond float64.
 
     >>> zeta_value(finite_diag((2.0, 3.0)), 1.0)
     0.8333333333333333
@@ -239,10 +243,15 @@ def zeta_value(model: ZetaModel, s: float) -> float:
             f"zeta of this {model.kind} model has a pole at s = {pole!r}, "
             f"got s = {sf!r}"
         )
-    base = model.zeta(sf)
-    if model.scale == 1.0:
-        return base
-    return model.scale ** sf * base
+    value = model.zeta(sf)
+    if model.scale != 1.0:
+        try:
+            value *= model.scale**sf
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"zeta overflows float64 at s = {sf!r}")
+    return value
 
 
 _DERIV_STEP = 1e-3

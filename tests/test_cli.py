@@ -15,7 +15,7 @@ def run_cli(*args, env_extra=None):
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.update(env_extra or {})
     return subprocess.run(
-        [sys.executable, "-m", "qspectra", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qspectra", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -190,6 +190,22 @@ def test_malformed_model_file_exits_2(tmp_path, text, field):
     assert field in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "eigenvalues, scale, s",
+    (
+        ("[2.0]", "1e300", "2"),  # scale^s overflows
+        ("[1e-200]", "1e200", "1.5"),  # scale^s and the bare zeta are finite, their product is not
+    ),
+)
+def test_zeta_overflow_exits_cleanly(tmp_path, eigenvalues, scale, s):
+    path = tmp_path / "model.json"
+    path.write_text(f'{{"kind": "finite_diag", "eigenvalues": {eigenvalues}, "scale": {scale}}}')
+    proc = run_cli("zeta", "--s", s, "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: zeta overflows float64 at s = {float(s)!r}"]
+    assert proc.stdout == ""
+
+
 def test_finite_diag_file_takes_the_zeta_route(tmp_path):
     model = tmp_path / "model.json"
     model.write_text('{"kind": "finite_diag", "eigenvalues": [0.5, 2.0, 3.5]}')
@@ -255,12 +271,28 @@ def test_geometry_overflow_exits_cleanly():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("q", ("12", "40", "-40"))
+def test_geometry_large_q_is_evaluated(q):
+    proc = run_cli("geometry", "--q", q)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 1 + 1830
+
+
 def test_qdet_overflow_exits_cleanly(tmp_path):
     path = tmp_path / "wide.csv"
     path.write_text("1e300\n2\n")
     proc = run_cli("qdet", "--q", "-1", "--input", str(path))
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["error: q_logdet overflows float64 at q = -1.0"]
+    assert proc.stdout == ""
+
+
+def test_qdet_power_map_overflow_exits_cleanly(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("1e300\n2\n")
+    proc = run_cli("qdet", "--q", "0.5", "--theta", "2", "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: the power map A^theta leaves float64 at theta = 2.0"]
     assert proc.stdout == ""
 
 

@@ -20,7 +20,7 @@ def test_demo_runs(tmp_path, demo):
     script = tmp_path / demo.name
     shutil.copy(demo, script)
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         cwd=tmp_path,
         capture_output=True,
         text=True,

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -127,6 +128,11 @@ def test_overflow_is_refused_not_returned():
         volume_element(UNIFORM3, 2000.0)
     with pytest.raises(DomainError, match="overflows float64"):
         grid_field(60, 400.0, 1e-3)
+    with pytest.raises(DomainError, match="overflows float64"):
+        potential_hessian(UNIFORM3, 2000.0)
+    # sqrt(3) (1/3)^660 ~ 2e-315 is subnormal: digits are lost, so it is refused
+    with pytest.raises(DomainError, match="underflows float64"):
+        volume_element(UNIFORM3, -660.0)
 
 
 def test_induced_metric_rejects_bad_points():
@@ -164,6 +170,37 @@ def test_volume_element_matches_rank_one_formula():
             assert volume_element(p, q) == pytest.approx(
                 math.sqrt(det), rel=1e-10
             )
+
+
+def _mp_volume(p, q):
+    """sqrt(det g) of the full (m-1) x (m-1) metric, in 400-digit arithmetic:
+    at 50 digits the determinant cancels to 0 at q = -40."""
+    with mp.workdps(400):
+        w = [mp.mpf(x) ** -mp.mpf(q) for x in p]
+        g = mp.matrix(len(p) - 1)
+        for a in range(len(p) - 1):
+            for b in range(len(p) - 1):
+                g[a, b] = w[-1] + (w[a] if a == b else 0)
+        return mp.sqrt(mp.det(g))
+
+
+def _volume_points():
+    rng = np.random.default_rng(43)
+    eps = 1e-3
+    for m in (2, 3, 4, 5):
+        for _ in range(4):
+            yield tuple(rng.dirichlet(np.ones(m)).tolist())
+        rest = (1 - eps) / (m - 1)
+        yield (eps,) * (m - 1) + (1 - (m - 1) * eps,)
+        yield (rest,) * (m - 1) + (eps,)
+        yield (eps,) + (rest,) * (m - 1)
+
+
+@pytest.mark.parametrize("q", (-40.0, -6.0, 0.0, 1.4, 4.0, 6.0, 10.0, 12.0, 40.0))
+def test_volume_element_against_mpmath_determinant(q):
+    for p in _volume_points():
+        exact = _mp_volume(p, q)
+        assert abs(volume_element(p, q) - exact) <= 1e-15 * exact
 
 
 def test_boundary_enhancement():

@@ -61,6 +61,22 @@ def test_qparam_validation():
     assert QParam(1.0 + 0.5 * NEAR_ONE_EPS).is_classical
 
 
+def test_q_log_overflow_is_refused_not_raised():
+    # math.expm1 overflows for the first three
+    for x, q in ((1e300, -1.0), (1e-300, 3.0), (1e-310, 1.995)):
+        with pytest.raises(DomainError, match="q_log overflows float64"):
+            q_log(x, q)
+    # expm1 is finite, its quotient by 1 - q = -0.99 is -inf
+    with pytest.raises(DomainError, match="q_log overflows float64"):
+        q_log(4.3e-312, 1.99)
+    with pytest.raises(DomainError, match="q_log overflows float64"):
+        q_prod([1e300, 1e300], -1.0)
+    with pytest.raises(DomainError, match="q_log overflows float64"):
+        q_mul(1e300, 2.0, -1.0)
+    with pytest.raises(DomainError, match="q_log overflows float64"):
+        q_div(2.0, 1e300, -1.0)
+
+
 def test_q_exp_values_and_clamp():
     assert q_exp(3.0, 0.0) == ClampedValue(4.0, False)
     assert q_exp(-2.0, 0.0) == ClampedValue(0.0, True)

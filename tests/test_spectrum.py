@@ -356,3 +356,9 @@ def test_aggregate_overflow_is_refused_not_returned():
     # finite terms whose sum overflows
     with pytest.raises(DomainError, match="q_logdet overflows float64 at q = -1.0"):
         q_logdet(Spectrum((1.5e154,) * 4), -1.0)
+
+
+def test_power_map_beyond_float64_is_refused():
+    for eigenvalues, theta in (((1e300, 2.0), 2.0), ((1e-300, 2.0), 2.0), ((1e-300, 2.0), -2.0)):
+        with pytest.raises(DomainError, match=rf"power map A\^theta leaves float64 at theta = {theta}"):
+            power_transform(Spectrum(eigenvalues), theta)

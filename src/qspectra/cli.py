@@ -24,6 +24,7 @@ their zeta function.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -120,33 +121,23 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
         refs = [zt.power_transform_model(r, args.theta) for r in refs]
     qp = QParam(args.q)
 
-    pole = None
-    ref_pole = None
-    if refs:
-        if all(isinstance(r, spc.Spectrum) for r in refs):
-            reference = spc.concatenate(*refs)
-        elif len(refs) == 1:
-            reference = refs[0]
-        else:
-            raise DomainError(
-                "multiple --input-ref operators combine by direct sum, "
-                "which needs finite spectra"
-            )
-        if isinstance(operand, spc.Spectrum) and isinstance(reference, spc.Spectrum):
-            method = "q_logdet"
-            value = spc.relative_q_logdet(operand, reference, qp)
-        else:
-            method = "qdet_zeta"
-            pole = zt.model_pole(operand)
-            ref_pole = zt.model_pole(reference)
-            value = zt.relative_qdet_zeta(operand, reference, qp)
-    elif isinstance(operand, spc.Spectrum):
-        method = "q_logdet"
-        value = spc.q_logdet(operand, qp)
+    if not refs:
+        reference = None
+    elif all(isinstance(r, spc.Spectrum) for r in refs):
+        reference = spc.concatenate(*refs)
+    elif len(refs) == 1:
+        reference = refs[0]
     else:
-        method = "qdet_zeta"
-        pole = zt.model_pole(operand)
-        value = zt.qdet_zeta(operand, qp)
+        raise DomainError(
+            "multiple --input-ref operators combine by direct sum, "
+            "which needs finite spectra"
+        )
+    operands = (operand,) if reference is None else (operand, reference)
+    if all(isinstance(op, spc.Spectrum) for op in operands):
+        method, kernels = "q_logdet", (spc.q_logdet, spc.relative_q_logdet)
+    else:
+        method, kernels = "qdet_zeta", (zt.qdet_zeta, zt.relative_qdet_zeta)
+    value = kernels[len(operands) - 1](*operands, qp)
 
     det = q_exp(value, qp)
     report = {
@@ -159,8 +150,8 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
         "value": value,
         "q_det": det.value,
         "clamped": det.clamped,
-        "pole": pole,
-        "reference_pole": ref_pole,
+        "pole": operand.pole,
+        "reference_pole": None if reference is None else reference.pole,
     }
     _emit(_render_report(report, args.format), args.out)
     return 0
@@ -259,7 +250,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "tolerance_scale": scale,
         "passed": not failures,
         "failures": failures,
-        "checks": [res.as_dict() for res in results],
+        "checks": [dataclasses.asdict(res) for res in results],
     }
     _emit(json.dumps(_json_safe(report), indent=2) + "\n", args.out)
     return 0 if not failures else 1

@@ -81,11 +81,14 @@ def _potential_rows(x: np.ndarray, qp: QParam) -> np.ndarray:
 
 
 def _weights(x: np.ndarray, q: float) -> np.ndarray:
-    """The Hessian weights p^(-q) of the entries of x, all finite."""
+    """The Hessian weights p^(-q) of the entries of x, all finite and
+    within the normal float64 range (from 2.2e-308)."""
     with np.errstate(all="ignore"):
         w = x ** (-q)
     if not np.isfinite(w).all():
         raise _overflow(q)
+    if not (w >= np.finfo(float).tiny).all():
+        raise DomainError(f"a metric weight p^(-q) underflows float64 at q = {q!r}")
     return w
 
 
@@ -130,7 +133,8 @@ def potential(p, q: QLike) -> float:
 
 def potential_hessian(p, q: QLike) -> np.ndarray:
     """Hessian of the potential in unconstrained coordinates:
-    diag(-p_i^(-q)). A weight beyond float64 raises DomainError."""
+    diag(-p_i^(-q)). A weight beyond float64, or below its normal range
+    (2.2e-308), raises DomainError."""
     return np.diag(-_weights(_point_array(p, on_simplex=False), as_qparam(q).q))
 
 
@@ -146,7 +150,9 @@ def induced_metric(p, q: QLike) -> np.ndarray:
 
     g_ab = p_a^(-q) delta_ab + p_m^(-q); symmetric positive definite for
     every interior point and every real q. A weight p_a^(-q) beyond
-    float64 raises DomainError.
+    float64, or below its normal range (2.2e-308, where a zero or
+    subnormal weight would make g singular or lose digits), raises
+    DomainError.
 
     >>> induced_metric((0.5, 0.5), 0.0)
     array([[2.]])

@@ -39,15 +39,6 @@ class CheckResult:
     passed: bool
     detail: str = field(default="")
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
 
 def _rel(delta: float, *scales: float) -> float:
     return abs(delta) / max(1.0, *(abs(s) for s in scales))
@@ -60,45 +51,44 @@ _X_GRID = tuple(np.geomspace(0.1, 10.0, 10))
 _Q_GRID = (0.3, 0.7, 1.0, 1.6, 2.4)
 
 
-def _check_pseudo_additivity() -> tuple[float, str]:
+def _worst_on_grid(law) -> float:
+    """Worst relative gap between the sides (lhs, rhs) = law(x, y, q) over
+    the q x x x y grid; points where law returns None are skipped."""
     worst = 0.0
     for q in _Q_GRID:
-        r = 1.0 - q
         for x in _X_GRID:
             for y in _X_GRID:
-                lx, ly = qa.q_log(x, q), qa.q_log(y, q)
-                lhs = qa.q_log(x * y, q)
-                rhs = lx + ly + r * lx * ly
-                worst = max(worst, _rel(lhs - rhs, lhs, rhs))
-    return worst, "ln_q(xy) = ln_q x + ln_q y + (1-q) ln_q x ln_q y"
+                sides = law(x, y, q)
+                if sides is not None:
+                    lhs, rhs = sides
+                    worst = max(worst, _rel(lhs - rhs, lhs, rhs))
+    return worst
+
+
+def _check_pseudo_additivity() -> tuple[float, str]:
+    def law(x, y, q):
+        lx, ly = qa.q_log(x, q), qa.q_log(y, q)
+        return qa.q_log(x * y, q), lx + ly + (1.0 - q) * lx * ly
+
+    return _worst_on_grid(law), "ln_q(xy) = ln_q x + ln_q y + (1-q) ln_q x ln_q y"
 
 
 def _check_product_duality() -> tuple[float, str]:
-    worst = 0.0
-    for q in _Q_GRID:
-        for x in _X_GRID:
-            for y in _X_GRID:
-                prod = qa.q_mul(x, y, q)
-                if prod.clamped:
-                    continue
-                lhs = qa.q_log(prod.value, q)
-                rhs = qa.q_log(x, q) + qa.q_log(y, q)
-                worst = max(worst, _rel(lhs - rhs, lhs, rhs))
-    return worst, "ln_q of unclamped q-products is additive"
+    def law(x, y, q):
+        prod = qa.q_mul(x, y, q)
+        if not prod.clamped:
+            return qa.q_log(prod.value, q), qa.q_log(x, q) + qa.q_log(y, q)
+
+    return _worst_on_grid(law), "ln_q of unclamped q-products is additive"
 
 
 def _check_quotient_duality() -> tuple[float, str]:
-    worst = 0.0
-    for q in _Q_GRID:
-        for x in _X_GRID:
-            for y in _X_GRID:
-                quot = qa.q_div(x, y, q)
-                if quot.clamped:
-                    continue
-                lhs = qa.q_log(quot.value, q)
-                rhs = qa.q_log(x, q) - qa.q_log(y, q)
-                worst = max(worst, _rel(lhs - rhs, lhs, rhs))
-    return worst, "ln_q of unclamped q-quotients is subtractive"
+    def law(x, y, q):
+        quot = qa.q_div(x, y, q)
+        if not quot.clamped:
+            return qa.q_log(quot.value, q), qa.q_log(x, q) - qa.q_log(y, q)
+
+    return _worst_on_grid(law), "ln_q of unclamped q-quotients is subtractive"
 
 
 def _check_inverse_pair() -> tuple[float, str]:
@@ -112,17 +102,27 @@ def _check_inverse_pair() -> tuple[float, str]:
     return worst, "exp_q(ln_q x) = x on the admissible set"
 
 
-def _check_limit_recovery() -> tuple[float, str]:
-    worst_ratio = 0.0
-    deltas = [1e-2 * 2.0**-k for k in range(14)]
+# |q - 1| halving from 1e-2, for the checks of the q -> 1 limits
+_HALVING_DELTAS = tuple(1e-2 * 2.0**-k for k in range(14))
+
+
+def _worst_halving_ratio(error) -> float:
+    """Largest error(1 +- d/2) / error(1 +- d) as d halves, on each side of 1."""
+    worst = 0.0
     for sign in (1.0, -1.0):
-        errs = []
-        for d in deltas:
-            q = 1.0 + sign * d
-            errs.append(max(abs(qa.q_log(x, q) - math.log(x)) for x in _X_GRID))
+        errs = [error(1.0 + sign * d) for d in _HALVING_DELTAS]
         for lo, hi in zip(errs[1:], errs[:-1]):
-            worst_ratio = max(worst_ratio, lo / hi)
-    return worst_ratio, "halving |q-1| at least halves the q_log error (x1.25 slack)"
+            worst = max(worst, lo / hi)
+    return worst
+
+
+def _check_limit_recovery() -> tuple[float, str]:
+    def error(q):
+        return max(abs(qa.q_log(x, q) - math.log(x)) for x in _X_GRID)
+
+    return _worst_halving_ratio(error), (
+        "halving |q-1| at least halves the q_log error (x1.25 slack)"
+    )
 
 
 def _check_theta_identity() -> tuple[float, str]:
@@ -201,8 +201,6 @@ def _check_difference_identity() -> tuple[float, str]:
     worst = 0.0
     parts_list = [(2, 2), (1, 2, 3), (5, 5, 5), (7, 1), (4, 4, 4, 4), (10, 20, 30)]
     for q in (0.0, 0.5, 1.5, 2.5):
-        if q == 1.0:
-            continue
         r = 1.0 - q
         for parts in parts_list:
             part = comb.Partition.from_parts(parts)
@@ -250,13 +248,13 @@ def _check_remainder_scaling(q: float) -> tuple[float, str]:
 def _check_tsallis_limit() -> tuple[float, str]:
     p = (0.2, 0.3, 0.5)
     shannon = comb.tsallis_entropy(p, 1.0)
-    worst_ratio = 0.0
-    deltas = [1e-2 * 2.0**-k for k in range(14)]
-    for sign in (1.0, -1.0):
-        errs = [abs(comb.tsallis_entropy(p, 1.0 + sign * d) - shannon) for d in deltas]
-        for lo, hi in zip(errs[1:], errs[:-1]):
-            worst_ratio = max(worst_ratio, lo / hi)
-    return worst_ratio, "Tsallis -> Shannon at least linearly in |q-1| (x1.25 slack)"
+
+    def error(q):
+        return abs(comb.tsallis_entropy(p, q) - shannon)
+
+    return _worst_halving_ratio(error), (
+        "Tsallis -> Shannon at least linearly in |q-1| (x1.25 slack)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +291,11 @@ def _check_classical_product() -> tuple[float, str]:
     return worst, "q = 1 determinant equals the plain eigenvalue product"
 
 
+def _central_slope(f, eps: float) -> float:
+    """(f(eps) - f(-eps)) / (2 eps)."""
+    return (f(eps) - f(-eps)) / (2.0 * eps)
+
+
 def _check_variation_fd() -> tuple[float, str]:
     rng = np.random.default_rng(_SEED + 3)
     eps = 1e-5
@@ -303,10 +306,11 @@ def _check_variation_fd() -> tuple[float, str]:
         delta /= np.linalg.norm(delta)
         for q in (0.3, 1.0, 1.7):
             analytic = spc.action_variation(spec, tuple(delta), q)
-            up = spc.Spectrum(lam + eps * delta, spec.scale)
-            dn = spc.Spectrum(lam - eps * delta, spec.scale)
-            fd = (spc.q_logdet(up, q) - spc.q_logdet(dn, q)) / (2.0 * eps)
-            worst = max(worst, abs(analytic - fd))
+
+            def gamma_of(e: float) -> float:
+                return spc.q_logdet(spc.Spectrum(lam + e * delta, spec.scale), q)
+
+            worst = max(worst, abs(analytic - _central_slope(gamma_of, eps)))
     return worst, "analytic variation matches central differences (unit norm)"
 
 
@@ -351,8 +355,7 @@ def _check_variation_covariance() -> tuple[float, str]:
                     moved = spc.Spectrum(lam + e * delta, spec.scale)
                     return spc.q_logdet(spc.power_transform(moved, th), q) / th
 
-                fd = (gamma_of(eps) - gamma_of(-eps)) / (2.0 * eps)
-                worst = max(worst, abs(analytic - fd))
+                worst = max(worst, abs(analytic - _central_slope(gamma_of, eps)))
     return worst, "variation transforms with the reparametrised index"
 
 
@@ -392,12 +395,11 @@ def _check_zeta_determinant_oracle() -> tuple[float, str]:
 def _check_qdet_limit_stability() -> tuple[float, str]:
     model = zt.shifted_linear(1.0)
     target = 0.5 * math.log(2.0 * math.pi)
-    ratios = []
-    for k in range(14):
-        d = 1e-2 * 2.0**-k
-        for sign in (1.0, -1.0):
-            err = abs(zt.qdet_zeta(model, 1.0 + sign * d) - target)
-            ratios.append(err / d)
+    ratios = [
+        abs(zt.qdet_zeta(model, 1.0 + sign * d) - target) / d
+        for d in _HALVING_DELTAS
+        for sign in (1.0, -1.0)
+    ]
     spread = (max(ratios) - min(ratios)) / min(ratios)
     return spread, "qdet -> -zeta'(0) linearly; error/|q-1| stays flat"
 

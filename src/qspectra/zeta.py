@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError, UnsupportedModelError
 from .errors import nonzero_real, positive_int, positive_real
-from .qalgebra import QLike, as_qparam, theta_reparam
+from .qalgebra import QLike, QParam, as_qparam, theta_reparam
 from .spectrum import FiniteDiag
 
 __all__ = [
@@ -178,6 +178,13 @@ def bernoulli_numbers(count: int) -> list[float]:
     return [float(b) for b in _bernoulli_fractions(count)]
 
 
+@lru_cache(maxsize=None)
+def _em_coefficients() -> tuple[float, ...]:
+    """B_2j / (2j)! for j = 1 .. 15, the Euler-Maclaurin tail coefficients."""
+    bern = bernoulli_numbers(2 * _N_BERNOULLI)
+    return tuple(bern[2 * j] / math.factorial(2 * j) for j in range(1, _N_BERNOULLI + 1))
+
+
 def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50) -> float:
     """Hurwitz zeta zeta(s, a) = sum_{k>=0} (k + a)^(-s), continued to all
     real s != 1 by Euler-Maclaurin summation.
@@ -195,7 +202,8 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50) -> float:
     max(1, |value|) is below 2e-14 for s in [0, 30], 2e-11 for s in
     [-2, 0), 9e-8 on [-4, -2) and 2e-5 on [-6, -4). Below s = -6 the
     result is not usable: 0.5 at s = -7.8, and hurwitz_zeta(-10, 0.1)
-    returns -64.0 where the true value is -0.00709.
+    returns -64.0 where the true value is -0.00709. A value or term beyond
+    float64 (from about s = -180 at a = 1) raises DomainError.
     """
     sf = float(s)
     af = positive_real("a", a)
@@ -206,21 +214,25 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50) -> float:
     n_direct = positive_int("n_direct", n_direct)
 
     points = af + np.arange(n_direct, dtype=float)
-    direct = math.fsum(points ** (-sf))
+    try:
+        with np.errstate(over="ignore"):
+            direct = math.fsum(points ** (-sf))
 
-    x = af + n_direct
-    terms = [x ** (1.0 - sf) / (sf - 1.0), 0.5 * x ** (-sf)]
-
-    bern = bernoulli_numbers(2 * _N_BERNOULLI)
-    poch = sf                      # s (s+1) ... (s+2j-2), one factor at j=1
-    x_pow = x ** (-sf - 1.0)
-    inv_x2 = x ** (-2.0)
-    for j in range(1, _N_BERNOULLI + 1):
-        coef = bern[2 * j] / math.factorial(2 * j)
-        terms.append(coef * poch * x_pow)
-        poch *= (sf + 2 * j - 1) * (sf + 2 * j)
-        x_pow *= inv_x2
-    return direct + math.fsum(terms)
+        x = af + n_direct
+        terms = [x ** (1.0 - sf) / (sf - 1.0), 0.5 * x ** (-sf)]
+        poch = sf                      # s (s+1) ... (s+2j-2), one factor at j=1
+        x_pow = x ** (-sf - 1.0)
+        inv_x2 = x ** (-2.0)
+        for j, coef in enumerate(_em_coefficients(), 1):
+            terms.append(coef * poch * x_pow)
+            poch *= (sf + 2 * j - 1) * (sf + 2 * j)
+            x_pow *= inv_x2
+        value = direct + math.fsum(terms)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"Hurwitz zeta overflows float64 at s = {sf!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -254,30 +266,38 @@ def zeta_value(model: ZetaModel, s: float) -> float:
     return value
 
 
-_DERIV_STEP = 1e-3
-
-
 def zeta_deriv0(model: ZetaModel) -> float:
-    """zeta'_A(0) by Richardson-extrapolated central differences.
+    """zeta'_A(0) by a five-point Richardson stencil.
 
-    Two central differences at steps h and h/2 are combined as
-    (4 D(h/2) - D(h)) / 3, cancelling the h^2 error; with h = 1e-3 the
-    truncation error is far below the 1e-8 contract.
+    zeta is evaluated at +-h, +-h/2 and 0 with h = 1e-3. Central
+    differences at steps h and h/2 are combined as (4 D(h/2) - D(h)) / 3,
+    cancelling the h^2 error, so the truncation error is far below the
+    1e-8 contract. The same five values give zeta''(0) for the classical
+    band of qdet_zeta.
     """
-    h = _DERIV_STEP
-    d1 = (zeta_value(model, h) - zeta_value(model, -h)) / (2.0 * h)
-    d2 = (zeta_value(model, h / 2.0) - zeta_value(model, -h / 2.0)) / h
-    return (4.0 * d2 - d1) / 3.0
+    return _qdet_parts(model, QParam(1.0))[0]
 
 
-def _zeta_deriv2_at0(model: ZetaModel) -> float:
-    h = _DERIV_STEP
-    z0 = zeta_value(model, 0.0)
+def _qdet_parts(model: ZetaModel, qp: QParam) -> tuple[float, float]:
+    """(zeta(q-1), zeta(0)); inside the classical band (zeta'(0), zeta''(0))
+    from the five-point stencil described in zeta_deriv0."""
+    if not qp.is_classical:
+        return zeta_value(model, qp.q - 1.0), zeta_value(model, 0.0)
+    h = 1e-3
+    zp, zm, zp2, zm2, z0 = (zeta_value(model, s) for s in (h, -h, h / 2.0, -h / 2.0, 0.0))
+    d1 = (zp - zm) / (2.0 * h)
+    d2 = (zp2 - zm2) / h
+    c1 = (zp - 2.0 * z0 + zm) / h**2
+    c2 = (zp2 - 2.0 * z0 + zm2) / (h / 2.0) ** 2
+    return (4.0 * d2 - d1) / 3.0, (4.0 * c2 - c1) / 3.0
 
-    def second(hh: float) -> float:
-        return (zeta_value(model, hh) - 2.0 * z0 + zeta_value(model, -hh)) / hh**2
 
-    return (4.0 * second(h / 2.0) - second(h)) / 3.0
+def _qdet_combine(qp: QParam, a: float, b: float) -> float:
+    """(a - b) / (1 - q); inside the classical band -a - (q - 1) b / 2."""
+    if not qp.is_classical:
+        return (a - b) / qp.rate
+    # at q = 1 itself b is left out, so a non-finite zeta''(0) cannot make it nan
+    return -a if qp.q == 1.0 else -a - 0.5 * (qp.q - 1.0) * b
 
 
 def qdet_zeta(model: ZetaModel, q: QLike) -> float:
@@ -291,13 +311,7 @@ def qdet_zeta(model: ZetaModel, q: QLike) -> float:
     power_spectrum) raise PoleError.
     """
     qp = as_qparam(q)
-    if qp.is_classical:
-        if qp.q == 1.0:
-            return -zeta_deriv0(model)
-        return -zeta_deriv0(model) - 0.5 * (qp.q - 1.0) * _zeta_deriv2_at0(model)
-    z1 = zeta_value(model, qp.q - 1.0)
-    z0 = zeta_value(model, 0.0)
-    return (z1 - z0) / qp.rate
+    return _qdet_combine(qp, *_qdet_parts(model, qp))
 
 
 def relative_qdet_zeta(model: ZetaModel, reference: ZetaModel, q: QLike) -> float:
@@ -308,15 +322,8 @@ def relative_qdet_zeta(model: ZetaModel, reference: ZetaModel, q: QLike) -> floa
     reference terms cancel before the division by 1 - q.
     """
     qp = as_qparam(q)
-    if qp.is_classical:
-        lead = zeta_deriv0(model) - zeta_deriv0(reference)
-        if qp.q == 1.0:
-            return -lead
-        curv = _zeta_deriv2_at0(model) - _zeta_deriv2_at0(reference)
-        return -lead - 0.5 * (qp.q - 1.0) * curv
-    dz1 = zeta_value(model, qp.q - 1.0) - zeta_value(reference, qp.q - 1.0)
-    dz0 = zeta_value(model, 0.0) - zeta_value(reference, 0.0)
-    return (dz1 - dz0) / qp.rate
+    (a, b), (ra, rb) = _qdet_parts(model, qp), _qdet_parts(reference, qp)
+    return _qdet_combine(qp, a - ra, b - rb)
 
 
 def theta_covariance_zeta(model: ZetaModel, q: QLike, theta: float) -> float:
@@ -348,8 +355,7 @@ def model_to_json(model: ZetaModel) -> str:
 
 
 def model_from_json(text: str) -> ZetaModel:
-    obj = json.loads(text)
-    return model_from_dict(obj)
+    return model_from_dict(json.loads(text))
 
 
 _MODELS = {cls.kind: cls for cls in (FiniteDiag, ShiftedLinear, PowerSpectrum)}

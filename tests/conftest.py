@@ -1,6 +1,23 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
+
+
+def run_cli(*args, env_extra=None):
+    """Run ``python -m qspectra`` on these sources. numpy RuntimeWarnings
+    are raised as errors, as the pytest filter does in-process, so a
+    warning on stderr fails the run instead of passing unseen."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(env_extra or {})
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qspectra", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )

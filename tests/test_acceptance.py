@@ -11,13 +11,10 @@ analysis; silencing either test would misreport what the code does.
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_cli
 
 from qspectra import combinatorics as comb
 from qspectra import geometry as geom
@@ -26,24 +23,11 @@ from qspectra import spectrum as spc
 from qspectra import zeta as zt
 from qspectra.verify import _partitions_upto, _rel
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
 
 def _report(name: str, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
     print(f"[acceptance] {name}: {status} ({detail})")
     assert passed, f"{name}: {detail}"
-
-
-def _run_cli(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "qspectra", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
 
 
 def test_deformed_algebra_laws_on_grid():
@@ -304,7 +288,7 @@ def test_simplex_metric_properties():
 
 
 def test_weight_curves_unit_crossing_and_ordering():
-    proc = _run_cli("weight")
+    proc = run_cli("weight")
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
     assert lines[0] == "lambda,q=0.5,q=1,q=2"
@@ -326,7 +310,7 @@ def test_weight_curves_unit_crossing_and_ordering():
 def test_emitted_outputs_are_deterministic():
     identical = True
     for args in (("geometry", "--q", "1.4", "--resolution", "60"), ("weight",)):
-        first, second = _run_cli(*args), _run_cli(*args)
+        first, second = run_cli(*args), run_cli(*args)
         assert first.returncode == 0 and second.returncode == 0
         identical = identical and first.stdout == second.stdout
     _report(
@@ -337,7 +321,7 @@ def test_emitted_outputs_are_deterministic():
 
 
 def test_verification_battery_is_clean():
-    proc = _run_cli("verify")
+    proc = run_cli("verify")
     failures = []
     if proc.stdout:
         failures = json.loads(proc.stdout).get("failures", [])

@@ -1,25 +1,11 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import run_cli
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.update(env_extra or {})
-    return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qspectra", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+from qspectra import spectrum as spc
+from qspectra import zeta as zt
 
 
 @pytest.fixture()
@@ -95,6 +81,49 @@ def test_qdet_multiple_refs_concatenate(tmp_path, spectrum_csv):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.fixture()
+def power_json(tmp_path):
+    path = tmp_path / "power.json"
+    path.write_text('{"kind": "power_spectrum", "alpha": 2.0}')
+    return str(path)
+
+
+@pytest.mark.parametrize("q", ("0.4", "1.000000001"))
+def test_qdet_model_against_model_reference(shifted_json, power_json, q):
+    proc = run_cli("qdet", "--q", q, "--input", shifted_json, "--input-ref", power_json)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["operator"], report["relative"], report["method"]) == (
+        "model", True, "qdet_zeta"
+    )
+    assert (report["pole"], report["reference_pole"]) == (1.0, 0.5)
+    expected = zt.relative_qdet_zeta(zt.shifted_linear(1.0), zt.power_spectrum(2.0), float(q))
+    assert report["value"] == expected
+
+
+def test_qdet_spectrum_against_model_reference(spectrum_csv, shifted_json):
+    proc = run_cli("qdet", "--q", "0.4", "--input", spectrum_csv, "--input-ref", shifted_json)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["operator"], report["method"]) == ("spectrum", "qdet_zeta")
+    assert (report["pole"], report["reference_pole"]) == (None, 1.0)
+    spec = spc.Spectrum((2.0, 3.0), 1.0)
+    assert report["value"] == zt.relative_qdet_zeta(spec, zt.shifted_linear(1.0), 0.4)
+
+
+def test_qdet_model_and_spectrum_references_exit_2(spectrum_csv, shifted_json):
+    proc = run_cli(
+        "qdet", "--q", "0.4", "--input", spectrum_csv,
+        "--input-ref", shifted_json, "--input-ref", spectrum_csv,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: multiple --input-ref operators combine by direct sum, "
+        "which needs finite spectra\n"
+    )
 
 
 def test_qdet_model_near_classical(shifted_json):
@@ -191,18 +220,28 @@ def test_malformed_model_file_exits_2(tmp_path, text, field):
 
 
 @pytest.mark.parametrize(
-    "eigenvalues, scale, s",
+    "model, s, message",
     (
-        ("[2.0]", "1e300", "2"),  # scale^s overflows
-        ("[1e-200]", "1e200", "1.5"),  # scale^s and the bare zeta are finite, their product is not
+        pytest.param(  # scale^s overflows
+            '"finite_diag", "eigenvalues": [2.0], "scale": 1e300', "2", "zeta",
+            id="[2.0]-1e300-2",
+        ),
+        pytest.param(  # scale^s and the bare zeta are finite, their product is not
+            '"finite_diag", "eigenvalues": [1e-200], "scale": 1e200', "1.5", "zeta",
+            id="[1e-200]-1e200-1.5",
+        ),
+        pytest.param(  # the Euler-Maclaurin terms (a + 50)^(1 - s) are beyond float64
+            '"shifted_linear", "a": 1.0', "-200", "Hurwitz zeta",
+            id="shifted_linear-1.0--200",
+        ),
     ),
 )
-def test_zeta_overflow_exits_cleanly(tmp_path, eigenvalues, scale, s):
+def test_zeta_overflow_exits_cleanly(tmp_path, model, s, message):
     path = tmp_path / "model.json"
-    path.write_text(f'{{"kind": "finite_diag", "eigenvalues": {eigenvalues}, "scale": {scale}}}')
+    path.write_text(f'{{"kind": {model}}}')
     proc = run_cli("zeta", "--s", s, "--input", str(path))
     assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [f"error: zeta overflows float64 at s = {float(s)!r}"]
+    assert proc.stderr.splitlines() == [f"error: {message} overflows float64 at s = {float(s)!r}"]
     assert proc.stdout == ""
 
 

@@ -133,6 +133,11 @@ def test_overflow_is_refused_not_returned():
     # sqrt(3) (1/3)^660 ~ 2e-315 is subnormal: digits are lost, so it is refused
     with pytest.raises(DomainError, match="underflows float64"):
         volume_element(UNIFORM3, -660.0)
+    # (1/3)^1400 ~ 1e-668 rounds to 0: the metric would be the zero matrix
+    with pytest.raises(DomainError, match="underflows float64"):
+        induced_metric(UNIFORM3, -1400.0)
+    with pytest.raises(DomainError, match="underflows float64"):
+        potential_hessian(UNIFORM3, -1400.0)
 
 
 def test_induced_metric_rejects_bad_points():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -33,7 +34,7 @@ def test_residuals_are_finite_and_typed(results):
         assert isinstance(r.residual, float)
         assert isinstance(r.passed, bool)
         assert math.isfinite(r.residual)
-        payload = r.as_dict()
+        payload = dataclasses.asdict(r)
         assert set(payload) == {"name", "residual", "tolerance", "passed", "detail"}
 
 

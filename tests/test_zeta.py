@@ -103,6 +103,9 @@ def test_hurwitz_zeta_domain_errors():
         hurwitz_zeta(2.0, 1.0, n_direct=0)
     with pytest.raises(DomainError):
         hurwitz_zeta(2.0, 1.0, n_direct=49.5)
+    # (a + 50)^(1 - s) is beyond float64
+    with pytest.raises(DomainError, match="overflows float64"):
+        hurwitz_zeta(-180.0, 1.0)
 
 
 def test_riemann_constants():
@@ -197,12 +200,15 @@ def test_qdet_zeta_pole():
 
 
 def test_relative_qdet_zeta():
-    a = finite_diag((2.0, 3.0))
-    b = finite_diag((1.0, 6.0))
-    for q in (0.0, 0.5, 1.0, 1.7):
-        assert relative_qdet_zeta(a, b, q) == pytest.approx(
-            qdet_zeta(a, q) - qdet_zeta(b, q), abs=1e-12
-        )
+    pairs = (
+        (finite_diag((2.0, 3.0)), finite_diag((1.0, 6.0))),
+        (shifted_linear(1.0), power_spectrum(2.0)),
+    )
+    for a, b in pairs:
+        for q in (0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.7):
+            assert relative_qdet_zeta(a, b, q) == pytest.approx(
+                qdet_zeta(a, q) - qdet_zeta(b, q), abs=1e-12
+            )
     infinite = shifted_linear(1.0)
     assert relative_qdet_zeta(infinite, infinite, 1.5) == 0.0
 

@@ -132,12 +132,11 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
             "multiple --input-ref operators combine by direct sum, "
             "which needs finite spectra"
         )
-    operands = (operand,) if reference is None else (operand, reference)
-    if all(isinstance(op, spc.Spectrum) for op in operands):
-        method, kernels = "q_logdet", (spc.q_logdet, spc.relative_q_logdet)
+    if all(isinstance(op, spc.Spectrum) for op in (operand, *refs)):
+        method, absolute, relative = "q_logdet", spc.q_logdet, spc.relative_q_logdet
     else:
-        method, kernels = "qdet_zeta", (zt.qdet_zeta, zt.relative_qdet_zeta)
-    value = kernels[len(operands) - 1](*operands, qp)
+        method, absolute, relative = "qdet_zeta", zt.qdet_zeta, zt.relative_qdet_zeta
+    value = absolute(operand, qp) if reference is None else relative(operand, reference, qp)
 
     det = q_exp(value, qp)
     report = {

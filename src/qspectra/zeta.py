@@ -202,8 +202,11 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50) -> float:
     max(1, |value|) is below 2e-14 for s in [0, 30], 2e-11 for s in
     [-2, 0), 9e-8 on [-4, -2) and 2e-5 on [-6, -4). Below s = -6 the
     result is not usable: 0.5 at s = -7.8, and hurwitz_zeta(-10, 0.1)
-    returns -64.0 where the true value is -0.00709. A value or term beyond
-    float64 (from about s = -180 at a = 1) raises DomainError.
+    returns -64.0 where the true value is -0.00709. A result that is not
+    finite in float64 raises DomainError: a sum that overflows (from about
+    s = -180 at a = 1, or where a^(-s) itself does), and s above about
+    4e10, where a tail term becomes inf * 0 although the true value is
+    finite.
     """
     sf = float(s)
     af = positive_real("a", a)
@@ -231,7 +234,7 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50) -> float:
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise DomainError(f"Hurwitz zeta overflows float64 at s = {sf!r}")
+        raise DomainError(f"Hurwitz zeta is not finite in float64 at s = {sf!r}")
     return value
 
 
@@ -275,21 +278,23 @@ def zeta_deriv0(model: ZetaModel) -> float:
     1e-8 contract. The same five values give zeta''(0) for the classical
     band of qdet_zeta.
     """
-    return _qdet_parts(model, QParam(1.0))[0]
+    return _stencil(model)[0]
+
+
+def _stencil(model: ZetaModel) -> tuple[float, float]:
+    """(zeta'(0), zeta''(0)) from the five-point stencil of zeta_deriv0."""
+    h = 1e-3
+    zp, zm, zp2, zm2, z0 = (zeta_value(model, s) for s in (h, -h, h / 2.0, -h / 2.0, 0.0))
+    d1, d2 = (zp - zm) / (2.0 * h), (zp2 - zm2) / h
+    c1, c2 = (zp - 2.0 * z0 + zm) / h**2, (zp2 - 2.0 * z0 + zm2) / (h / 2.0) ** 2
+    return (4.0 * d2 - d1) / 3.0, (4.0 * c2 - c1) / 3.0
 
 
 def _qdet_parts(model: ZetaModel, qp: QParam) -> tuple[float, float]:
-    """(zeta(q-1), zeta(0)); inside the classical band (zeta'(0), zeta''(0))
-    from the five-point stencil described in zeta_deriv0."""
-    if not qp.is_classical:
-        return zeta_value(model, qp.q - 1.0), zeta_value(model, 0.0)
-    h = 1e-3
-    zp, zm, zp2, zm2, z0 = (zeta_value(model, s) for s in (h, -h, h / 2.0, -h / 2.0, 0.0))
-    d1 = (zp - zm) / (2.0 * h)
-    d2 = (zp2 - zm2) / h
-    c1 = (zp - 2.0 * z0 + zm) / h**2
-    c2 = (zp2 - 2.0 * z0 + zm2) / (h / 2.0) ** 2
-    return (4.0 * d2 - d1) / 3.0, (4.0 * c2 - c1) / 3.0
+    """(zeta(q-1), zeta(0)); inside the classical band (zeta'(0), zeta''(0))."""
+    if qp.is_classical:
+        return _stencil(model)
+    return zeta_value(model, qp.q - 1.0), zeta_value(model, 0.0)
 
 
 def _qdet_combine(qp: QParam, a: float, b: float) -> float:

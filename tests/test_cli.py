@@ -223,15 +223,15 @@ def test_malformed_model_file_exits_2(tmp_path, text, field):
     "model, s, message",
     (
         pytest.param(  # scale^s overflows
-            '"finite_diag", "eigenvalues": [2.0], "scale": 1e300', "2", "zeta",
+            '"finite_diag", "eigenvalues": [2.0], "scale": 1e300', "2", "zeta overflows",
             id="[2.0]-1e300-2",
         ),
         pytest.param(  # scale^s and the bare zeta are finite, their product is not
-            '"finite_diag", "eigenvalues": [1e-200], "scale": 1e200', "1.5", "zeta",
+            '"finite_diag", "eigenvalues": [1e-200], "scale": 1e200', "1.5", "zeta overflows",
             id="[1e-200]-1e200-1.5",
         ),
         pytest.param(  # the Euler-Maclaurin terms (a + 50)^(1 - s) are beyond float64
-            '"shifted_linear", "a": 1.0', "-200", "Hurwitz zeta",
+            '"shifted_linear", "a": 1.0', "-200", "Hurwitz zeta is not finite in",
             id="shifted_linear-1.0--200",
         ),
     ),
@@ -241,7 +241,7 @@ def test_zeta_overflow_exits_cleanly(tmp_path, model, s, message):
     path.write_text(f'{{"kind": {model}}}')
     proc = run_cli("zeta", "--s", s, "--input", str(path))
     assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [f"error: {message} overflows float64 at s = {float(s)!r}"]
+    assert proc.stderr.splitlines() == [f"error: {message} float64 at s = {float(s)!r}"]
     assert proc.stdout == ""
 
 

@@ -104,8 +104,11 @@ def test_hurwitz_zeta_domain_errors():
     with pytest.raises(DomainError):
         hurwitz_zeta(2.0, 1.0, n_direct=49.5)
     # (a + 50)^(1 - s) is beyond float64
-    with pytest.raises(DomainError, match="overflows float64"):
+    with pytest.raises(DomainError, match="not finite in float64"):
         hurwitz_zeta(-180.0, 1.0)
+    # s (s+1) ... overflows while x^(-s-1) underflows: a tail term is inf * 0
+    with pytest.raises(DomainError, match="not finite in float64"):
+        hurwitz_zeta(1e11, 1.0)
 
 
 def test_riemann_constants():

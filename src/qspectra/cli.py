@@ -168,7 +168,7 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
         "s": args.s,
         "deriv0": args.deriv0,
         "value": value,
-        "pole": zt.model_pole(model),
+        "pole": model.pole,
     }
     _emit(_render_report(report, args.format), args.out)
     return 0
@@ -251,7 +251,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "failures": failures,
         "checks": [dataclasses.asdict(res) for res in results],
     }
-    _emit(json.dumps(_json_safe(report), indent=2) + "\n", args.out)
+    _emit(_render_report(report, "json"), args.out)
     return 0 if not failures else 1
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, finite_vector, positive_int
+from .errors import DomainError, finite, finite_vector, positive_int
 from .qalgebra import ClampedValue, QLike, QParam, as_qparam, exact_sum, q_exp, q_log_array
 
 __all__ = [
@@ -110,7 +110,7 @@ def generalized_harmonic(n: int, r: float) -> float:
     r = float(r)
     with np.errstate(all="ignore"):
         terms = np.arange(1, n + 1, dtype=float) ** r
-    return exact_sum(terms, f"generalized_harmonic overflows float64 at r = {r!r}")
+    return finite(exact_sum(terms), "generalized_harmonic overflows float64 at r = {!r}", r)
 
 
 def q_factorial_log(n: int, q: QLike) -> float:
@@ -126,7 +126,7 @@ def q_factorial_log(n: int, q: QLike) -> float:
     if qp.is_classical:
         return math.lgamma(n + 1.0)
     terms = q_log_array(np.arange(1, n + 1, dtype=float), qp)
-    return exact_sum(terms, f"q_factorial_log overflows float64 at q = {qp.q!r}")
+    return finite(exact_sum(terms), "q_factorial_log overflows float64 at q = {!r}", qp.q)
 
 
 def q_factorial(n: int, q: QLike) -> ClampedValue:
@@ -182,9 +182,7 @@ def tsallis_entropy(p, q: QLike) -> float:
     dist = as_distribution(p)
     with np.errstate(all="ignore"):
         h = float(_entropy_kernel(np.asarray([dist.p]), qp)[0])
-    if not math.isfinite(h):
-        raise DomainError(f"Tsallis entropy overflows float64 at q = {qp.q!r}")
-    return h
+    return finite(h, "Tsallis entropy overflows float64 at q = {!r}", qp.q)
 
 
 def asymptotic_leading(n: int, p, q: QLike) -> float:
@@ -204,9 +202,7 @@ def asymptotic_leading(n: int, p, q: QLike) -> float:
         lead = float(n) ** s / s * entropy
     except OverflowError:
         lead = math.inf
-    if not math.isfinite(lead):
-        raise DomainError(f"leading term overflows float64 at n = {n}, q = {qp.q!r}")
-    return lead
+    return finite(lead, "leading term overflows float64 at n = {}, q = {!r}", n, qp.q)
 
 
 def asymptotic_remainder(part: Partition, q: QLike) -> float:

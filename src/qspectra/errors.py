@@ -1,5 +1,6 @@
-"""Exception types shared across the library, and the argument checks that
-raise them, one per kind of argument."""
+"""Exception types shared across the library, the argument checks that
+raise them, one per kind of argument, and the one check of a float64
+result."""
 
 import math
 from collections.abc import Iterable, Sequence
@@ -79,3 +80,12 @@ def finite_vector(name: str, values) -> np.ndarray:
         first = int(np.argmin(finite))
         raise DomainError(f"{name} entry {first} must be finite, got {arr[first].item()!r}")
     return arr
+
+
+def finite(value, message: str, *args):
+    """``value`` itself when it is finite (every entry, for an array);
+    otherwise DomainError(message.format(*args)). The message is formatted
+    only on failure, so a passing check costs one isfinite test."""
+    if np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value):
+        return value
+    raise DomainError(message.format(*args))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, finite_vector, positive_int, positive_real
+from .errors import DomainError, finite, finite_vector, positive_int, positive_real
 from .combinatorics import _check_simplex_sum, _entropy_kernel
 from .qalgebra import QLike, QParam, as_qparam
 
@@ -63,8 +63,7 @@ def _point_array(p, *, on_simplex: bool) -> np.ndarray:
     return arr
 
 
-def _overflow(q: float) -> DomainError:
-    return DomainError(f"the simplex field overflows float64 at q = {q!r}")
+_OVERFLOW = "the simplex field overflows float64 at q = {!r}"
 
 
 def _potential_rows(x: np.ndarray, qp: QParam) -> np.ndarray:
@@ -75,18 +74,14 @@ def _potential_rows(x: np.ndarray, qp: QParam) -> np.ndarray:
         else:
             s = 2.0 - qp.q
             phi = _entropy_kernel(x, QParam(s)) / s
-    if not np.isfinite(phi).all():
-        raise _overflow(qp.q)
-    return phi
+    return finite(phi, _OVERFLOW, qp.q)
 
 
 def _weights(x: np.ndarray, q: float) -> np.ndarray:
     """The Hessian weights p^(-q) of the entries of x, all finite and
     within the normal float64 range (from 2.2e-308)."""
     with np.errstate(all="ignore"):
-        w = x ** (-q)
-    if not np.isfinite(w).all():
-        raise _overflow(q)
+        w = finite(x ** (-q), _OVERFLOW, q)
     if not (w >= np.finfo(float).tiny).all():
         raise DomainError(f"a metric weight p^(-q) underflows float64 at q = {q!r}")
     return w
@@ -107,8 +102,7 @@ def _volume_rows(x: np.ndarray, q: float) -> np.ndarray:
     with np.errstate(all="ignore"):
         vol = np.prod(head ** (-0.5 * q), axis=1)
         vol *= np.sqrt(1.0 + np.sum((head / last) ** q, axis=1))
-    if not np.isfinite(vol).all():
-        raise _overflow(q)
+    finite(vol, _OVERFLOW, q)
     if not (vol >= np.finfo(float).tiny).all():
         raise DomainError(f"the simplex volume underflows float64 at q = {q!r}")
     return vol

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import DomainError, nonzero_real
+from .errors import DomainError, finite, nonzero_real
 
 __all__ = [
     "NEAR_ONE_EPS",
@@ -41,8 +41,8 @@ __all__ = [
 
 NEAR_ONE_EPS = 1e-8
 
-# math.exp overflows (raises) past this; the deformed exponential returns inf
-# instead, matching the divergent branch of the positive-part power.
+# math.exp and math.expm1 overflow (raise) past this; the deformed exponential
+# returns inf instead, matching the divergent branch of the positive-part power.
 _EXP_MAX = 709.782712893384
 
 
@@ -113,13 +113,9 @@ def q_log(x: float, q: QLike) -> float:
     if qp.is_classical:
         return math.log(xf)
     r = qp.rate
-    try:
-        value = math.expm1(r * math.log(xf)) / r
-    except OverflowError:
-        value = math.inf
-    if math.isinf(value):
-        raise DomainError(f"q_log overflows float64 at x = {xf!r}, q = {qp.q!r}")
-    return value
+    t = r * math.log(xf)
+    value = math.expm1(t) / r if t <= _EXP_MAX else math.inf
+    return finite(value, "q_log overflows float64 at x = {!r}, q = {!r}", xf, qp.q)
 
 
 def _exp_or_inf(u: float) -> float:
@@ -173,10 +169,12 @@ def q_prod(xs: Iterable[float], q: QLike) -> ClampedValue:
 
     Aggregated through the additive representation sum(ln_q x_k) with exact
     (fsum) summation, so the result is independent of factor order and the
-    single clamp decision happens once, at the final exponential.
+    single clamp decision happens once, at the final exponential. A sum
+    beyond float64 raises DomainError.
     """
     qp = as_qparam(q)
-    return q_exp(math.fsum(q_log(x, qp) for x in xs), qp)
+    total = exact_sum([q_log(x, qp) for x in xs])
+    return q_exp(finite(total, "q_prod overflows float64 at q = {!r}", qp.q), qp)
 
 
 def theta_reparam(q: QLike, theta: float) -> QParam:
@@ -216,7 +214,7 @@ _EXP_MIN = -1073
 _BUCKETS = 1024 - _EXP_MIN + 1
 
 
-def exact_sum(x, refuse: str | None = None) -> float:
+def exact_sum(x) -> float:
     """math.fsum of a 1-d float array, bit for bit (the sign of a zero
     included), without a Python loop over the entries.
 
@@ -225,16 +223,15 @@ def exact_sum(x, refuse: str | None = None) -> float:
     one per power of two; every _FLUSH entries the buckets are added into
     one Python int, which is rounded once, by int true division.
 
-    Non-finite entries give fsum's result. A finite sum beyond float64
-    raises DomainError; when refuse is given, it is the text of the
-    DomainError raised for any non-finite result.
+    The value is fsum's wherever fsum returns one. Where fsum raises, the
+    value is still the exactly rounded sum: finite if only a partial sum
+    overflows, +-inf if the sum itself does, and nan for inf - inf. Whether
+    a non-finite sum is an error is left to the caller.
     """
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size <= _SMALL:
         with contextlib.suppress(OverflowError, ValueError):  # else the buckets decide
-            total = math.fsum(arr.tolist())
-            if refuse is None or math.isfinite(total):
-                return total
+            return math.fsum(arr.tolist())
     total = 0
     with np.errstate(invalid="ignore"):
         for first in range(0, arr.size, _FLUSH):
@@ -249,10 +246,8 @@ def exact_sum(x, refuse: str | None = None) -> float:
                 e -= _EXP_MIN
                 acc[:_BUCKETS] += np.bincount(e, m, _BUCKETS)
                 acc[27:] += np.bincount(e, hi, _BUCKETS)
-            if not math.isfinite(acc.sum()):  # a non-finite entry
-                if refuse is not None:
-                    raise DomainError(refuse)
-                return math.fsum(arr.tolist())
+            if not math.isfinite(acc.sum()):  # a non-finite entry decides alone
+                return float(arr[~np.isfinite(arr)].sum())
             ks = (acc != 0.0).nonzero()[0]
             total += sum(int(v) << k for k, v in zip(ks.tolist(), acc[ks].tolist()))
     if total == 0 and not arr.any():
@@ -260,4 +255,4 @@ def exact_sum(x, refuse: str | None = None) -> float:
     try:
         return total / (1 << (53 - _EXP_MIN))
     except OverflowError:
-        raise DomainError(refuse or "the sum overflows float64") from None
+        return math.inf if total > 0 else -math.inf

@@ -22,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, finite_vector, nonzero_real, positive_real
+from .errors import DomainError, finite, finite_vector, nonzero_real, positive_real
 from .qalgebra import (
     ClampedValue,
     QLike,
@@ -79,12 +79,15 @@ class FiniteDiag:
         arr = finite_vector("eigenvalues", self.eigenvalues)
         if arr is self.eigenvalues or not arr.flags.owndata:
             arr = arr.copy()
-        if not (arr > 0.0).all():
+        lo, hi = arr.min().item(), arr.max().item()
+        if not lo > 0.0:
             first = int(np.argmin(arr > 0.0))
             positive_real(f"eigenvalue {first}", arr[first].item())
         arr.flags.writeable = False
         object.__setattr__(self, "eigenvalues", arr)
         object.__setattr__(self, "scale", positive_real("scale", self.scale))
+        # not a field, so equality, repr and the JSON form ignore it
+        object.__setattr__(self, "_extremes", (lo, hi))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -98,7 +101,12 @@ class FiniteDiag:
         return len(self.eigenvalues)
 
     def dimensionless(self) -> np.ndarray:
-        """Eigenvalue ratios lambda_k / scale as an array."""
+        """Eigenvalue ratios lambda_k / scale as an array; DomainError if a
+        ratio overflows or rounds to 0. The ratio is monotone in lambda, so
+        the smallest and the largest eigenvalue decide."""
+        lo, hi = self._extremes
+        if not (lo / self.scale > 0.0 and hi / self.scale < np.inf):
+            raise DomainError(f"a ratio lambda / scale leaves float64 at scale = {self.scale!r}")
         return self.eigenvalues / self.scale
 
     def zeta(self, s: float) -> float:
@@ -106,7 +114,7 @@ class FiniteDiag:
         rounded; DomainError if it overflows float64."""
         with np.errstate(all="ignore"):
             terms = self.eigenvalues ** (-s)
-        return exact_sum(terms, f"finite_diag zeta overflows float64 at s = {s!r}")
+        return finite(exact_sum(terms), "finite_diag zeta overflows float64 at s = {!r}", s)
 
     def power(self, theta: float) -> FiniteDiag:
         return power_transform(self, theta)
@@ -168,7 +176,7 @@ def q_logdet(spec: Spectrum, q: QLike) -> float:
     """
     qp = as_qparam(q)
     terms = q_log_array(spec.dimensionless(), qp)
-    return exact_sum(terms, f"q_logdet overflows float64 at q = {qp.q!r}")
+    return finite(exact_sum(terms), "q_logdet overflows float64 at q = {!r}", qp.q)
 
 
 def q_det(spec: Spectrum, q: QLike) -> ClampedValue:
@@ -205,7 +213,7 @@ def action_variation(spec: Spectrum, variation, q: QLike) -> float:
     deltas = _deltas_for(spec, variation)
     with np.errstate(all="ignore"):
         terms = spec.dimensionless() ** (-qp.q) * (deltas / spec.scale)
-    return exact_sum(terms, f"action_variation overflows float64 at q = {qp.q!r}")
+    return finite(exact_sum(terms), "action_variation overflows float64 at q = {!r}", qp.q)
 
 
 # The finite-difference effective action Gamma_q[A] is q_logdet under its
@@ -255,9 +263,10 @@ def spectral_weight(lam: float, q: QLike) -> float:
         raise DomainError(f"spectral_weight requires lambda > 0, got {lf!r}")
     qf = as_qparam(q).q
     try:
-        return lf ** (-qf)
+        w = lf ** (-qf)
     except OverflowError:
-        raise DomainError(f"lambda^(-q) overflows float64 at lambda = {lf!r}, q = {qf!r}") from None
+        w = np.inf
+    return finite(w, "lambda^(-q) overflows float64 at lambda = {!r}, q = {!r}", lf, qf)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import ClassVar
@@ -35,7 +35,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, PoleError, UnsupportedModelError
-from .errors import nonzero_real, positive_int, positive_real
+from .errors import finite, nonzero_real, positive_int, positive_real
 from .qalgebra import QLike, QParam, as_qparam, theta_reparam
 from .spectrum import FiniteDiag
 
@@ -204,9 +204,10 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50) -> float:
     result is not usable: 0.5 at s = -7.8, and hurwitz_zeta(-10, 0.1)
     returns -64.0 where the true value is -0.00709. A result that is not
     finite in float64 raises DomainError: a sum that overflows (from about
-    s = -180 at a = 1, or where a^(-s) itself does), and s above about
-    4e10, where a tail term becomes inf * 0 although the true value is
-    finite.
+    s = -180 at a = 1, or where a^(-s) itself does). For large s the tail
+    stops at its first term that underflows to 0, as every later one does,
+    so a large s is refused only where a^(-s) overflows (a < 1): the value
+    is 1.0 at a = 1 and 0.0 for a > 1 once a^(-s) underflows.
     """
     sf = float(s)
     af = positive_real("a", a)
@@ -227,15 +228,15 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50) -> float:
         x_pow = x ** (-sf - 1.0)
         inv_x2 = x ** (-2.0)
         for j, coef in enumerate(_em_coefficients(), 1):
+            if x_pow == 0.0:  # so is every later term; poch may be inf by now
+                break
             terms.append(coef * poch * x_pow)
             poch *= (sf + 2 * j - 1) * (sf + 2 * j)
             x_pow *= inv_x2
         value = direct + math.fsum(terms)
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"Hurwitz zeta is not finite in float64 at s = {sf!r}")
-    return value
+    return finite(value, "Hurwitz zeta is not finite in float64 at s = {!r}", sf)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +259,11 @@ def zeta_value(model: ZetaModel, s: float) -> float:
             f"zeta of this {model.kind} model has a pole at s = {pole!r}, "
             f"got s = {sf!r}"
         )
-    value = model.zeta(sf)
-    if model.scale != 1.0:
-        try:
-            value *= model.scale**sf
-        except OverflowError:
-            value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"zeta overflows float64 at s = {sf!r}")
-    return value
+    try:  # scale**s is exactly 1.0 at scale 1
+        value = model.zeta(sf) * model.scale**sf
+    except OverflowError:
+        value = math.inf
+    return finite(value, "zeta overflows float64 at s = {!r}", sf)
 
 
 def zeta_deriv0(model: ZetaModel) -> float:
@@ -276,9 +273,9 @@ def zeta_deriv0(model: ZetaModel) -> float:
     differences at steps h and h/2 are combined as (4 D(h/2) - D(h)) / 3,
     cancelling the h^2 error, so the truncation error is far below the
     1e-8 contract. The same five values give zeta''(0) for the classical
-    band of qdet_zeta.
+    band of qdet_zeta. A derivative beyond float64 raises DomainError.
     """
-    return _stencil(model)[0]
+    return finite(_stencil(model)[0], "zeta'(0) is not finite in float64")
 
 
 def _stencil(model: ZetaModel) -> tuple[float, float]:
@@ -298,11 +295,14 @@ def _qdet_parts(model: ZetaModel, qp: QParam) -> tuple[float, float]:
 
 
 def _qdet_combine(qp: QParam, a: float, b: float) -> float:
-    """(a - b) / (1 - q); inside the classical band -a - (q - 1) b / 2."""
+    """(a - b) / (1 - q); inside the classical band -a - (q - 1) b / 2.
+    DomainError if the result is not finite in float64."""
     if not qp.is_classical:
-        return (a - b) / qp.rate
-    # at q = 1 itself b is left out, so a non-finite zeta''(0) cannot make it nan
-    return -a if qp.q == 1.0 else -a - 0.5 * (qp.q - 1.0) * b
+        value = (a - b) / qp.rate
+    else:
+        # at q = 1 itself b is left out, so a non-finite zeta''(0) cannot make it nan
+        value = -a if qp.q == 1.0 else -a - 0.5 * (qp.q - 1.0) * b
+    return finite(value, "the zeta determinant is not finite in float64 at q = {!r}", qp.q)
 
 
 def qdet_zeta(model: ZetaModel, q: QLike) -> float:
@@ -356,7 +356,7 @@ def theta_covariance_zeta(model: ZetaModel, q: QLike, theta: float) -> float:
 
 def model_to_json(model: ZetaModel) -> str:
     """JSON form with the kind tag and the model's fields (arrays as lists)."""
-    return json.dumps({"kind": model.kind, **vars(model)}, default=np.ndarray.tolist)
+    return json.dumps({"kind": model.kind, **asdict(model)}, default=np.ndarray.tolist)
 
 
 def model_from_json(text: str) -> ZetaModel:

@@ -245,6 +245,34 @@ def test_zeta_overflow_exits_cleanly(tmp_path, model, s, message):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "a, argv, message",
+    (  # the zeta values are finite; the differences built from them are not
+        ("1e305", ("zeta", "--deriv0"), "zeta'(0) is not finite in float64"),
+        ("1e305", ("qdet", "--q", "1"), "the zeta determinant is not finite in float64 at q = 1.0"),
+        ("1e305", ("qdet", "--q", "1.000000001"), "the zeta determinant is not finite in float64 at q = 1.000000001"),
+        ("1e307", ("qdet", "--q", "1.00000002"), "the zeta determinant is not finite in float64 at q = 1.00000002"),
+    ),
+)
+def test_zeta_differences_beyond_float64_exit_cleanly(tmp_path, a, argv, message):
+    # each printed inf, -inf or nan with exit 0
+    path = tmp_path / "model.json"
+    path.write_text(f'{{"kind": "shifted_linear", "a": {a}}}')
+    proc = run_cli(*argv, "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert proc.stdout == ""
+
+
+def test_zeta_at_large_s_is_evaluated(tmp_path):
+    # was refused: the Euler-Maclaurin tail formed inf * 0 above s = 4e10
+    path = tmp_path / "model.json"
+    path.write_text('{"kind": "shifted_linear", "a": 1.0}')
+    proc = run_cli("zeta", "--s", "1e11", "--input", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 1.0
+
+
 def test_finite_diag_file_takes_the_zeta_route(tmp_path):
     model = tmp_path / "model.json"
     model.write_text('{"kind": "finite_diag", "eigenvalues": [0.5, 2.0, 3.5]}')
@@ -323,6 +351,16 @@ def test_qdet_overflow_exits_cleanly(tmp_path):
     proc = run_cli("qdet", "--q", "-1", "--input", str(path))
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["error: q_logdet overflows float64 at q = -1.0"]
+    assert proc.stdout == ""
+    # lambda / scale = 2e308 (was a RuntimeWarning, or a traceback and exit 1
+    # with warnings as errors)
+    path = tmp_path / "scaled.json"
+    path.write_text('{"eigenvalues": [1e308, 2.0], "scale": 0.5}')
+    proc = run_cli("qdet", "--q", "0.5", "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: a ratio lambda / scale leaves float64 at scale = 0.5"
+    ]
     assert proc.stdout == ""
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qspectra import qalgebra
-from qspectra.errors import DomainError
+from qspectra.errors import DomainError, finite
 from qspectra.qalgebra import (
     NEAR_ONE_EPS,
     ClampedValue,
@@ -75,6 +75,17 @@ def test_q_log_overflow_is_refused_not_raised():
         q_mul(1e300, 2.0, -1.0)
     with pytest.raises(DomainError, match="q_log overflows float64"):
         q_div(2.0, 1e300, -1.0)
+
+
+def test_q_prod_sum_beyond_float64_is_refused():
+    # every ln_q x = 5e307 is finite; their sum is not (was an OverflowError from fsum)
+    with pytest.raises(DomainError, match=r"^q_prod overflows float64 at q = -1.0$"):
+        q_prod([1e154] * 4, -1.0)
+    # the exactly rounded sum has fsum's bits
+    xs = np.geomspace(1e-3, 1e3, 37).tolist()
+    for q in (-1.0, 0.3, 1.0, 2.5):
+        want = q_exp(math.fsum(q_log(x, q) for x in xs), q)
+        assert q_prod(xs, q) == want and q_prod(iter(xs), q) == want
 
 
 def test_q_exp_values_and_clamp():
@@ -277,13 +288,13 @@ def test_exact_sum_flushes_buckets_into_one_int():
             assert exact_sum(y) == -math.inf
 
 
-def test_exact_sum_final_overflow_raises_domain_error():
+def test_exact_sum_final_overflow_is_signed_inf():
     for size in (2, BLOCK + 1):
-        x = np.full(size, 1e308)
-        with pytest.raises(DomainError, match="overflows float64"):
-            exact_sum(x)
-        with pytest.raises(DomainError, match="^the total is too big$"):
-            exact_sum(x, "the total is too big")
+        for sign in (1.0, -1.0):
+            x = np.full(size, sign * 1e308)
+            assert exact_sum(x) == sign * math.inf
+            with pytest.raises(DomainError, match="^the total is too big$"):
+                finite(exact_sum(x), "the total is too big")
     # fsum raises on an overflow midway; the exact sum is finite
     x = [1e308, 1e308, -1e308]
     with pytest.raises(OverflowError):
@@ -298,14 +309,18 @@ def test_exact_sum_non_finite_input_gives_fsum_result(size):
         x[size // 2] = special
         assert exact_sum(x) == expected == math.fsum(x.tolist())
         with pytest.raises(DomainError, match="^refused$"):
-            exact_sum(x, "refused")
+            finite(exact_sum(x), "refused")
+        # fsum raises where finite entries overflow before the infinity; it decides
+        y = np.concatenate([[1e308, 1e308], x])
+        with pytest.raises(OverflowError):
+            math.fsum(y.tolist())
+        assert exact_sum(y) == expected
     x = np.ones(size)
     x[0] = math.nan
     assert math.isnan(exact_sum(x)) and math.isnan(math.fsum(x.tolist()))
     x[0], x[-1] = math.inf, -math.inf
     with pytest.raises(ValueError):
         math.fsum(x.tolist())
-    with pytest.raises(ValueError):
-        exact_sum(x)
+    assert math.isnan(exact_sum(x))
     with pytest.raises(DomainError, match="^refused$"):
-        exact_sum(x, "refused")
+        finite(exact_sum(x), "refused")

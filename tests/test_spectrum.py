@@ -27,7 +27,7 @@ from qspectra.spectrum import (
     spectrum_to_json,
     theta_covariance_residual,
 )
-from qspectra.zeta import power_spectrum, power_transform_model
+from qspectra.zeta import power_spectrum, power_transform_model, zeta_value
 
 
 def _random_spectrum(rng, size=None):
@@ -311,6 +311,10 @@ positive_floats = st.floats(min_value=5e-324, max_value=1e300)
 @given(values=st.lists(positive_floats, min_size=1, max_size=30), scale=st.sampled_from((1.0, 0.3, 7.0)))
 def test_csv_writer_is_the_per_line_format(values, scale):
     spec = Spectrum(values, scale)
+    if min(values) / scale == 0.0:  # a ratio rounds to 0: the file would not read back
+        with pytest.raises(DomainError, match="lambda / scale leaves float64"):
+            spectrum_to_csv(spec)
+        return
     per_line = "\n".join(f"{v:.17g}" for v in spec.dimensionless().tolist()) + "\n"
     assert spectrum_to_csv(spec) == per_line
 
@@ -356,6 +360,21 @@ def test_aggregate_overflow_is_refused_not_returned():
     # finite terms whose sum overflows
     with pytest.raises(DomainError, match="q_logdet overflows float64 at q = -1.0"):
         q_logdet(Spectrum((1.5e154,) * 4), -1.0)
+    # a ratio lambda / scale beyond float64, or rounded to 0, is refused by
+    # every operation that reads the ratios (was inf or 0 with a RuntimeWarning)
+    for eigenvalues, scale in (((1e308, 2.0), 0.5), ((5e-324, 2.0), 7.0)):
+        spec = Spectrum(eigenvalues, scale)
+        for op in (
+            lambda: q_logdet(spec, 0.5),
+            lambda: action_variation(spec, (1.0, 1.0), 0.5),
+            lambda: power_transform(spec, 1.0),
+            lambda: spectrum_to_csv(spec),
+        ):
+            message = f"^a ratio lambda / scale leaves float64 at scale = {scale}$"
+            with pytest.raises(DomainError, match=message):
+                op()
+        # the zeta function reads the raw eigenvalues and stays defined
+        assert math.isfinite(zeta_value(spec, 0.5))
 
 
 def test_power_map_beyond_float64_is_refused():

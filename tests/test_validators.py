@@ -1,22 +1,34 @@
-"""Property tests of the shared argument checks.
+"""Property tests of the shared argument and result checks.
 
 Every probability vector, simplex point, perturbation and partition goes
 through one check per argument kind. Valid input must come out bit for bit
 as float() or int() reads it; text, non-finite, empty and nested input
-must be refused with DomainError.
+must be refused with DomainError. A numeric result either is a finite
+float or is refused with DomainError or PoleError.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qspectra import errors
 from qspectra.combinatorics import Distribution, Partition, tsallis_entropy
-from qspectra.errors import DomainError, finite_vector
+from qspectra.errors import DomainError, PoleError, finite, finite_vector
 from qspectra.geometry import SimplexPoint, potential
-from qspectra.spectrum import Spectrum, SpectrumVariation, action_variation
+from qspectra.qalgebra import ClampedValue, q_prod
+from qspectra.spectrum import FiniteDiag, Spectrum, SpectrumVariation, action_variation, q_logdet
+from qspectra.zeta import (
+    PowerSpectrum,
+    ShiftedLinear,
+    qdet_zeta,
+    relative_qdet_zeta,
+    zeta_deriv0,
+    zeta_value,
+)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 finite_vectors = st.lists(finite_floats, min_size=1, max_size=12)
@@ -112,3 +124,66 @@ def test_empty_input_is_refused():
         for check in _vector_checks():
             with pytest.raises(DomainError):
                 check(empty)
+
+
+# ---------------------------------------------------------------------------
+# results: finite in float64, or refused
+
+
+def test_finite_returns_its_argument_or_refuses():
+    assert "finite" not in errors.__all__  # the package namespace is unchanged
+    arr = np.array([1.0, -2.0])
+    assert finite(arr, "unused") is arr
+    assert finite(3.5, "unused {}", object()) == 3.5
+    for value in (math.inf, -math.inf, math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(DomainError, match=r"^x = 2.0 at q = 'a'$"):
+            finite(value, "x = {!r} at q = {!r}", 2.0, "a")
+    # the message is formatted only on failure
+    assert finite(1.0, "{} {}") == 1.0
+
+
+# log-uniform on [1e-300, 1e308]
+magnitudes = st.floats(min_value=-300.0, max_value=308.0).map(lambda e: 10.0**e)
+eigenvalue_lists = st.lists(magnitudes, min_size=1, max_size=6)
+zeta_models = st.one_of(
+    st.builds(ShiftedLinear, magnitudes, magnitudes),
+    st.builds(PowerSpectrum, magnitudes, magnitudes),
+    st.builds(FiniteDiag, eigenvalue_lists, magnitudes),
+)
+scaled_spectra = st.builds(Spectrum, eigenvalue_lists, magnitudes.filter(lambda s: s != 1.0))
+q_values = st.one_of(
+    st.floats(min_value=-60.0, max_value=60.0),
+    st.sampled_from((1.0, 1.0 + 1e-8, 1.0 - 1e-8)),
+)
+
+
+def _finite_or_refused(call) -> None:
+    try:
+        value = call()
+    except (DomainError, PoleError):
+        return
+    assert isinstance(value, float) and math.isfinite(value), value
+
+
+@settings(deadline=None, max_examples=300)
+@given(zeta_models, zeta_models, scaled_spectra, eigenvalue_lists, q_values)
+# each was inf, -inf, nan, a RuntimeWarning or a raw OverflowError
+@example(ShiftedLinear(1e305), ShiftedLinear(1.0), Spectrum((1e308, 2.0), 0.5), [2.0], 1.0)
+@example(ShiftedLinear(1e305), ShiftedLinear(1.0), Spectrum((2.0,), 0.5), [2.0], 1.000000001)
+@example(ShiftedLinear(1e307), ShiftedLinear(1.0), Spectrum((2.0,), 0.5), [1e154] * 4, -1.0)
+def test_results_are_finite_or_refused(model, reference, spec, factors, q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _finite_or_refused(lambda: qdet_zeta(model, q))
+        _finite_or_refused(lambda: relative_qdet_zeta(model, reference, q))
+        _finite_or_refused(lambda: zeta_value(model, q - 1.0))
+        _finite_or_refused(lambda: zeta_deriv0(model))
+        _finite_or_refused(lambda: q_logdet(spec, q))
+        _finite_or_refused(lambda: action_variation(spec, spec.eigenvalues, q))
+        # the product is exp_q of a finite sum; exp_q itself returns inf on
+        # its divergent branch by design, so only the sum is held finite here
+        try:
+            value = q_prod(factors, q)
+        except DomainError:
+            return
+        assert isinstance(value, ClampedValue) and not math.isnan(value.value)

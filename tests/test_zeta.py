@@ -106,9 +106,14 @@ def test_hurwitz_zeta_domain_errors():
     # (a + 50)^(1 - s) is beyond float64
     with pytest.raises(DomainError, match="not finite in float64"):
         hurwitz_zeta(-180.0, 1.0)
-    # s (s+1) ... overflows while x^(-s-1) underflows: a tail term is inf * 0
-    with pytest.raises(DomainError, match="not finite in float64"):
-        hurwitz_zeta(1e11, 1.0)
+    # s (s+1) ... overflows where x^(-s-1) has underflowed: the tail stops at
+    # the first zero term instead of forming inf * 0
+    assert hurwitz_zeta(1e11, 1.0) == 1.0
+    assert hurwitz_zeta(1e11, 2.5) == 0.0
+    for s in (60.0, 300.0, 1000.0):
+        for a in (0.5, 0.9, 1.0, 1.5, 2.5, 10.0):
+            want = float(mp.zeta(s, a))
+            assert hurwitz_zeta(s, a) == pytest.approx(want, rel=1e-14, abs=0.0), (s, a)
 
 
 def test_riemann_constants():
@@ -165,6 +170,20 @@ def test_zeta_deriv0_scale_shift():
     scaled = shifted_linear(1.0, scale=mu)
     want = zeta_deriv0(base) + math.log(mu) * zeta_value(base, 0.0)
     assert zeta_deriv0(scaled) == pytest.approx(want, abs=1e-8)
+
+
+def test_zeta_differences_beyond_float64_are_refused():
+    # every zeta value is finite; the stencil and the quotient overflow
+    # (were inf, -inf and nan)
+    huge, one = shifted_linear(1e305), shifted_linear(1.0)
+    with pytest.raises(DomainError, match=r"^zeta'\(0\) is not finite in float64$"):
+        zeta_deriv0(huge)
+    for q in (1.0, 1.0 + 1e-9, 1.0 - 1e-9):
+        for call in (lambda: qdet_zeta(huge, q), lambda: relative_qdet_zeta(huge, one, q)):
+            with pytest.raises(DomainError, match=f"^the zeta determinant is not finite in float64 at q = {q!r}$"):
+                call()
+    with pytest.raises(DomainError, match="^the zeta determinant is not finite in float64 at q = 1.00000002$"):
+        qdet_zeta(shifted_linear(1e307), 1.00000002)
 
 
 def test_qdet_zeta_finite_matches_spectrum_route():

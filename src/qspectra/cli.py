@@ -19,6 +19,11 @@ spectra, {"kind": ..., ...} for zeta models) or plain one-column CSV of
 eigenvalues. Spectra load as Spectrum and are evaluated by q_logdet;
 model files, {"kind": "finite_diag", ...} included, are evaluated through
 their zeta function.
+
+Each subcommand imports the modules it uses when it runs: ``weight``
+loads neither numpy nor the spectrum, geometry and verify modules, and a
+shifted_linear or power_spectrum file loads numpy only when the Hurwitz
+direct sum runs.
 """
 
 from __future__ import annotations
@@ -31,14 +36,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import geometry as geom
-from . import spectrum as spc
 from . import zeta as zt
 from .errors import DomainError, PoleError, UnsupportedModelError, positive_real
-from .qalgebra import QParam, q_exp
-from .verify import run_checks
+from .qalgebra import QParam, q_exp, spectral_weight
 
 __all__ = ["main", "build_parser"]
 
@@ -50,7 +50,8 @@ _TOLERANCE_SCALE_VAR = "QSPECTRA_TOLERANCE_SCALE"
 
 
 def _load_operand(path: str):
-    """Read a Spectrum or another ZetaModel from a file.
+    """Read a Spectrum or another ZetaModel from a file, with whether the
+    file held a spectrum: (operand, is_spectrum).
 
     JSON objects are dispatched on their keys ('kind' marks a model);
     anything else is parsed as one-column CSV of eigenvalues.
@@ -65,10 +66,14 @@ def _load_operand(path: str):
         except json.JSONDecodeError as exc:
             raise DomainError(f"{path!r}: invalid JSON: {exc}") from exc
         if "kind" in obj:
-            return zt.model_from_dict(obj)
-        return spc.spectrum_from_json(text)
+            return zt.model_from_dict(obj), False
+        from .spectrum import spectrum_from_json
+
+        return spectrum_from_json(text), True
+    from .spectrum import spectrum_from_csv
+
     try:
-        return spc.spectrum_from_csv(text)
+        return spectrum_from_csv(text), True
     except DomainError as exc:
         raise DomainError(f"{path!r}: {exc}") from exc
 
@@ -114,8 +119,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_qdet(args: argparse.Namespace) -> int:
-    operand = _load_operand(args.input)
-    refs = [_load_operand(p) for p in args.input_ref]
+    # a power map keeps a Spectrum a Spectrum, so the flags hold after it
+    operand, operand_is_spectrum = _load_operand(args.input)
+    loaded = [_load_operand(p) for p in args.input_ref]
+    refs = [ref for ref, _ in loaded]
+    refs_are_spectra = all(is_spectrum for _, is_spectrum in loaded)
     if args.theta is not None:
         operand = zt.power_transform_model(operand, args.theta)
         refs = [zt.power_transform_model(r, args.theta) for r in refs]
@@ -123,7 +131,9 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
 
     if not refs:
         reference = None
-    elif all(isinstance(r, spc.Spectrum) for r in refs):
+    elif refs_are_spectra:
+        from . import spectrum as spc
+
         reference = spc.concatenate(*refs)
     elif len(refs) == 1:
         reference = refs[0]
@@ -132,7 +142,9 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
             "multiple --input-ref operators combine by direct sum, "
             "which needs finite spectra"
         )
-    if all(isinstance(op, spc.Spectrum) for op in (operand, *refs)):
+    if operand_is_spectrum and refs_are_spectra:
+        from . import spectrum as spc
+
         method, absolute, relative = "q_logdet", spc.q_logdet, spc.relative_q_logdet
     else:
         method, absolute, relative = "qdet_zeta", zt.qdet_zeta, zt.relative_qdet_zeta
@@ -143,7 +155,7 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
         "command": "qdet",
         "q": qp.q,
         "theta": args.theta,
-        "operator": "spectrum" if isinstance(operand, spc.Spectrum) else "model",
+        "operator": "spectrum" if operand_is_spectrum else "model",
         "relative": bool(refs),
         "method": method,
         "value": value,
@@ -157,7 +169,7 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
-    model = _load_operand(args.input)
+    model, _ = _load_operand(args.input)
     if args.deriv0 == (args.s is not None):
         raise DomainError("exactly one of --s and --deriv0 is required")
     value = zt.zeta_deriv0(model) if args.deriv0 else zt.zeta_value(model, args.s)
@@ -175,6 +187,8 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
 
 
 def _cmd_geometry(args: argparse.Namespace) -> int:
+    from . import geometry as geom
+
     field = geom.grid_field(args.resolution, args.q, args.margin)
     if args.format == "json":
         text = geom.field_to_json(field) + "\n"
@@ -201,10 +215,13 @@ def _weight_lambdas(lmin: float, lmax: float, samples: int) -> list[float]:
         raise DomainError(f"need lambda-min < lambda-max, got [{lmin}, {lmax}]")
     if samples < 2:
         raise DomainError(f"samples must be >= 2, got {samples}")
-    exps = np.linspace(math.log10(lmin), math.log10(lmax), samples)
+    # np.linspace's arithmetic, bit for bit: start + i * step, then stop
+    start, stop = math.log10(lmin), math.log10(lmax)
+    step = (stop - start) / (samples - 1)
+    exps = [start + i * step for i in range(samples - 1)] + [stop]
     # snap the exponent so the grid hits lambda = 1 exactly, then force the
     # crossing point in whenever the range straddles it
-    lams = {1.0 if abs(e) < 1e-12 else float(10.0**e) for e in exps}
+    lams = {1.0 if abs(e) < 1e-12 else 10.0**e for e in exps}
     if lmin < 1.0 < lmax:
         lams.add(1.0)
     return sorted(lams)
@@ -214,7 +231,7 @@ def _cmd_weight(args: argparse.Namespace) -> int:
     qs = _parse_q_list(args.q_list)
     lams = _weight_lambdas(args.lambda_min, args.lambda_max, args.samples)
     labels = [f"q={q:g}" for q in qs]
-    rows = [[lam] + [spc.spectral_weight(lam, q) for q in qs] for lam in lams]
+    rows = [[lam] + [spectral_weight(lam, q) for q in qs] for lam in lams]
     if args.format == "json":
         objs = [
             dict(zip(["lambda"] + labels, row))
@@ -230,6 +247,8 @@ def _cmd_weight(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_checks
+
     scale = positive_real(_TOLERANCE_SCALE_VAR, os.environ.get(_TOLERANCE_SCALE_VAR, "1"))
     try:
         results = run_checks(scale, dict(args.tolerance))
@@ -315,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_geom.add_argument("--q", type=float, default=1.4, help="deformation index")
     p_geom.add_argument(
         "--resolution", type=int, default=60,
-        help=f"lattice refinement, 1 to {geom.MAX_RESOLUTION}",
+        help="lattice refinement, 1 to 1000",  # geometry.MAX_RESOLUTION
     )
     p_geom.add_argument(
         "--margin", type=float, default=1e-3,

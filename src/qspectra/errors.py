@@ -1,11 +1,14 @@
 """Exception types shared across the library, the argument checks that
 raise them, one per kind of argument, and the one check of a float64
-result."""
+result.
+
+numpy is imported by the array checks when they run, never at load time:
+the scalar checks serve code that builds no array."""
+
+from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-
-import numpy as np
 
 __all__ = ["DomainError", "PoleError", "UnsupportedModelError"]
 
@@ -63,6 +66,8 @@ def finite_vector(name: str, values) -> np.ndarray:
     """``values`` as a 1-d float64 array, each entry as float() reads it;
     DomainError naming ``name`` unless it is a non-empty flat sequence of
     finite reals. Text is refused, not read character by character."""
+    import numpy as np
+
     if isinstance(values, (str, bytes, bytearray)):
         raise DomainError(f"{name} must be a sequence of numbers, got {values!r}")
     if isinstance(values, Iterable) and not isinstance(values, (Sequence, np.ndarray)):
@@ -86,6 +91,12 @@ def finite(value, message: str, *args):
     """``value`` itself when it is finite (every entry, for an array);
     otherwise DomainError(message.format(*args)). The message is formatted
     only on failure, so a passing check costs one isfinite test."""
-    if np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value):
+    if isinstance(value, float):
+        ok = math.isfinite(value)
+    else:  # an array, so numpy is loaded already
+        import numpy as np
+
+        ok = np.isfinite(value).all()
+    if ok:
         return value
     raise DomainError(message.format(*args))

@@ -11,7 +11,9 @@ q' = 1 + theta (q - 1), which rescales exponents rather than values.
 
 All operations are pure functions on floats. Deformed exponentials carry a
 positive-part truncation; it is reported through a flag instead of raising,
-so chains of operations can track admissibility explicitly.
+so chains of operations can track admissibility explicitly. The array
+kernels shared with the spectrum and combinatorics aggregates import numpy
+when they run, so the scalar calculus loads without it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
-
-import numpy as np
 
 from .errors import DomainError, finite, nonzero_real
 
@@ -37,6 +37,7 @@ __all__ = [
     "q_div",
     "q_prod",
     "theta_reparam",
+    "spectral_weight",
 ]
 
 NEAR_ONE_EPS = 1e-8
@@ -188,12 +189,31 @@ def theta_reparam(q: QLike, theta: float) -> QParam:
     return QParam(1.0 + th * (qp.q - 1.0))
 
 
+def spectral_weight(lam: float, q: QLike) -> float:
+    """Spectral weight w(lambda) = lambda^(-q) governing variations.
+
+    Every curve passes through (1, 1); q > 1 amplifies the infrared
+    (lambda < 1) and suppresses the ultraviolet, q < 1 does the opposite.
+    """
+    lf = float(lam)
+    if not lf > 0.0:
+        raise DomainError(f"spectral_weight requires lambda > 0, got {lf!r}")
+    qf = as_qparam(q).q
+    try:
+        w = lf ** (-qf)
+    except OverflowError:
+        w = math.inf
+    return finite(w, "lambda^(-q) overflows float64 at lambda = {!r}, q = {!r}", lf, qf)
+
+
 def q_log_array(x, qp: QParam) -> np.ndarray:
     """Vectorised q_log kernel for strictly positive arrays.
 
     Internal helper shared by the spectrum and combinatorics aggregates;
     positivity is the caller's responsibility.
     """
+    import numpy as np
+
     arr = np.asarray(x, dtype=float)
     if qp.is_classical:
         return np.log(arr)
@@ -228,6 +248,8 @@ def exact_sum(x) -> float:
     overflows, +-inf if the sum itself does, and nan for inf - inf. Whether
     a non-finite sum is an error is left to the caller.
     """
+    import numpy as np
+
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size <= _SMALL:
         with contextlib.suppress(OverflowError, ValueError):  # else the buckets decide

@@ -48,7 +48,6 @@ __all__ = [
     "action_variation",
     "power_transform",
     "theta_covariance_residual",
-    "spectral_weight",
     "spectrum_to_json",
     "spectrum_from_json",
     "spectrum_to_csv",
@@ -250,23 +249,6 @@ def theta_covariance_residual(spec: Spectrum, q: QLike, theta: float) -> float:
     lhs = q_logdet(spec, qprime)
     rhs = q_logdet(power_transform(spec, theta), qp) / float(theta)
     return abs(lhs - rhs)
-
-
-def spectral_weight(lam: float, q: QLike) -> float:
-    """Spectral weight w(lambda) = lambda^(-q) governing variations.
-
-    Every curve passes through (1, 1); q > 1 amplifies the infrared
-    (lambda < 1) and suppresses the ultraviolet, q < 1 does the opposite.
-    """
-    lf = float(lam)
-    if not lf > 0.0:
-        raise DomainError(f"spectral_weight requires lambda > 0, got {lf!r}")
-    qf = as_qparam(q).q
-    try:
-        w = lf ** (-qf)
-    except OverflowError:
-        w = np.inf
-    return finite(w, "lambda^(-q) overflows float64 at lambda = {!r}, q = {!r}", lf, qf)
 
 
 # ---------------------------------------------------------------------------

@@ -358,13 +358,13 @@ def _check_weight_monotonicity() -> tuple[float, str]:
     qs = (0.0, 0.5, 1.0, 1.5, 2.0)
     worst = 0.0
     for lam in (0.2, 0.5, 2.0, 5.0):
-        ws = [spc.spectral_weight(lam, q) for q in qs]
+        ws = [qa.spectral_weight(lam, q) for q in qs]
         diffs = np.diff(ws)
         if lam > 1.0:
             worst = max(worst, float(np.max(diffs, initial=-math.inf)))
         else:
             worst = max(worst, float(np.max(-diffs, initial=-math.inf)))
-    crossing = abs(spc.spectral_weight(1.0, 1.7) - 1.0)
+    crossing = abs(qa.spectral_weight(1.0, 1.7) - 1.0)
     worst = max(worst, crossing)
     return max(worst, 0.0), "lambda^(-q) ordered strictly by q on each side of 1"
 

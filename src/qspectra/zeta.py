@@ -12,7 +12,8 @@ Three model families are supported, one class each:
                    with a simple pole at s = 1 / alpha.
 
 Each class carries its kind tag, its pole, its bare zeta function and its
-power map; ZetaModel is their union.
+power map; ZetaModel is their union. spectrum (and numpy with it) is loaded
+only when a finite_diag model is built or ZetaModel is read.
 
 On top of zeta the finite-difference deformed log-determinant
 
@@ -32,12 +33,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import ClassVar
 
-import numpy as np
-
 from .errors import DomainError, PoleError, UnsupportedModelError
 from .errors import finite, nonzero_real, positive_int, positive_real
 from .qalgebra import QLike, QParam, as_qparam, theta_reparam
-from .spectrum import FiniteDiag
 
 __all__ = [
     "POLE_EPS",
@@ -114,21 +112,43 @@ class PowerSpectrum:
 
     def power(self, theta: float) -> PowerSpectrum:
         """alpha -> alpha theta with scale -> scale^theta; needs theta > 0
-        to keep alpha positive."""
+        to keep alpha positive. DomainError if either leaves float64
+        (overflows or rounds to 0)."""
         if theta <= 0.0:
             raise UnsupportedModelError(
                 f"power_spectrum models need theta > 0 to keep alpha positive, "
                 f"got {theta!r}"
             )
-        return PowerSpectrum(self.alpha * theta, self.scale**theta)
+        alpha = self.alpha * theta
+        try:
+            scale = self.scale**theta
+        except OverflowError:
+            scale = math.inf
+        if not (0.0 < alpha < math.inf and 0.0 < scale < math.inf):
+            raise DomainError(f"the power map A^theta leaves float64 at theta = {theta!r}")
+        return PowerSpectrum(alpha, scale)
 
 
-ZetaModel = FiniteDiag | ShiftedLinear | PowerSpectrum
+def __getattr__(name: str):
+    """ZetaModel, the union of the model classes, built on first access."""
+    if name != "ZetaModel":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .spectrum import FiniteDiag
+
+    globals()[name] = union = FiniteDiag | ShiftedLinear | PowerSpectrum
+    return union
+
 
 # constructor names that match the kind tags
-finite_diag = FiniteDiag
 shifted_linear = ShiftedLinear
 power_spectrum = PowerSpectrum
+
+
+def finite_diag(eigenvalues, scale: float = 1.0):
+    """The finite_diag model: spectrum.FiniteDiag(eigenvalues, scale)."""
+    from .spectrum import FiniteDiag
+
+    return FiniteDiag(eigenvalues, scale)
 
 
 def model_pole(model: ZetaModel) -> float | None:
@@ -216,6 +236,9 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 50) -> float:
     if abs(sf - 1.0) < POLE_EPS:
         raise PoleError(f"Hurwitz zeta has a simple pole at s = 1, got s = {sf!r}")
     n_direct = positive_int("n_direct", n_direct)
+
+    # the direct sum keeps numpy's pow: libm's differs in the last bit on some terms
+    import numpy as np
 
     points = af + np.arange(n_direct, dtype=float)
     try:
@@ -356,21 +379,24 @@ def theta_covariance_zeta(model: ZetaModel, q: QLike, theta: float) -> float:
 
 def model_to_json(model: ZetaModel) -> str:
     """JSON form with the kind tag and the model's fields (arrays as lists)."""
-    return json.dumps({"kind": model.kind, **asdict(model)}, default=np.ndarray.tolist)
+    return json.dumps({"kind": model.kind, **asdict(model)}, default=lambda arr: arr.tolist())
 
 
 def model_from_json(text: str) -> ZetaModel:
     return model_from_dict(json.loads(text))
 
 
-_MODELS = {cls.kind: cls for cls in (FiniteDiag, ShiftedLinear, PowerSpectrum)}
+_MODELS = {cls.kind: cls for cls in (ShiftedLinear, PowerSpectrum)}
 
 
 def model_from_dict(obj) -> ZetaModel:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("model JSON must be an object with a 'kind' tag")
     kind = obj["kind"]
-    cls = _MODELS.get(kind) if isinstance(kind, str) else None
+    if kind == "finite_diag":
+        from .spectrum import FiniteDiag as cls
+    else:
+        cls = _MODELS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise DomainError(f"unknown model kind {kind!r}")
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]

@@ -1,11 +1,15 @@
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 from conftest import run_cli
 
 from qspectra import spectrum as spc
 from qspectra import zeta as zt
+from qspectra.cli import _weight_lambdas
+from qspectra.geometry import MAX_RESOLUTION
 
 
 @pytest.fixture()
@@ -326,6 +330,8 @@ def test_geometry_rejects_resolution_above_bound():
     assert proc.returncode == 2
     assert proc.stderr == "error: resolution must be <= 1000, got 1001\n"
     assert proc.stdout == ""
+    # the help states the bound without loading geometry
+    assert f"1 to {MAX_RESOLUTION}" in run_cli("geometry", "--help").stdout
 
 
 def test_geometry_overflow_exits_cleanly():
@@ -365,12 +371,19 @@ def test_qdet_overflow_exits_cleanly(tmp_path):
 
 
 def test_qdet_power_map_overflow_exits_cleanly(tmp_path):
-    path = tmp_path / "wide.csv"
-    path.write_text("1e300\n2\n")
-    proc = run_cli("qdet", "--q", "0.5", "--theta", "2", "--input", str(path))
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == ["error: the power map A^theta leaves float64 at theta = 2.0"]
-    assert proc.stdout == ""
+    for text in (
+        "1e300\n2\n",
+        # scale^theta overflows (was a traceback, exit 1) or rounds to 0 (was
+        # refused as "scale must be a finite positive number, got 0.0")
+        '{"kind": "power_spectrum", "alpha": 1.0, "scale": 1e200}',
+        '{"kind": "power_spectrum", "alpha": 1.0, "scale": 1e-200}',
+    ):
+        path = tmp_path / "operand"
+        path.write_text(text)
+        proc = run_cli("qdet", "--q", "0.5", "--theta", "2", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: the power map A^theta leaves float64 at theta = 2.0"]
+        assert proc.stdout == ""
 
 
 def test_weight_defaults_cross_unit_point():
@@ -401,6 +414,28 @@ def test_weight_json_format():
     rows = json.loads(proc.stdout)
     assert rows[0]["lambda"] == pytest.approx(0.1, rel=1e-15)
     assert {"lambda", "q=0.5", "q=1", "q=2"} == set(rows[0])
+
+
+def _linspace_lambdas(lmin, lmax, samples):
+    """The weight grid as np.linspace builds it: the reference."""
+    exps = np.linspace(math.log10(lmin), math.log10(lmax), samples)
+    lams = {1.0 if abs(e) < 1e-12 else float(10.0**e) for e in exps}
+    if lmin < 1.0 < lmax:
+        lams.add(1.0)
+    return sorted(lams)
+
+
+def test_weight_grid_equals_linspace_bit_for_bit():
+    cases = [(0.1, 10.0, 101)]  # the CLI defaults
+    for lmin, lmax in ((0.1, 10.0), (0.03, 7.0), (1e-5, 1.0), (1.0, 50.0), (2.0, 3.0), (1e-3, 0.5)):
+        cases += [(lmin, lmax, n) for n in (2, 3, 101, 1000)]
+    rng = random.Random(1009)
+    for _ in range(2000):
+        lo, hi = sorted(rng.uniform(-300.0, 300.0) for _ in range(2))
+        cases.append((10.0**lo, 10.0**hi, rng.randint(2, 300)))
+    for lmin, lmax, samples in cases:
+        got = _weight_lambdas(lmin, lmax, samples)
+        assert list(map(float.hex, got)) == list(map(float.hex, _linspace_lambdas(lmin, lmax, samples)))
 
 
 def test_weight_rejects_bad_bounds():

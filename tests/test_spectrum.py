@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qspectra.errors import DomainError
-from qspectra.qalgebra import theta_reparam
+from qspectra.qalgebra import spectral_weight, theta_reparam
 from qspectra.spectrum import (
     FiniteDiag,
     Spectrum,
@@ -20,7 +20,6 @@ from qspectra.spectrum import (
     q_det,
     q_logdet,
     relative_q_logdet,
-    spectral_weight,
     spectrum_from_csv,
     spectrum_from_json,
     spectrum_to_csv,

@@ -251,6 +251,14 @@ def test_power_transform_model():
         power_transform_model(power_spectrum(1.0), -1.0)
     with pytest.raises(DomainError):
         power_transform_model(finite, 0.0)
+    # scale^theta or alpha theta beyond float64: was a raw OverflowError, or
+    # a refusal naming the scale 0.0 the power had rounded to
+    for alpha, scale, theta in ((1.0, 1e200, 2.0), (1.0, 1e-200, 2.0), (1e300, 1.0, 1e10), (1e-300, 1.0, 1e-30)):
+        message = rf"^the power map A\^theta leaves float64 at theta = {theta!r}$"
+        with pytest.raises(DomainError, match=message):
+            power_transform_model(power_spectrum(alpha, scale), theta)
+        with pytest.raises(DomainError, match=message):
+            theta_covariance_zeta(power_spectrum(alpha, scale), 0.5, theta)
 
 
 def test_power_transform_model_matches_spectrum_map():

@@ -18,7 +18,7 @@ import importlib
 __version__ = "0.1.0"
 
 # Searched in this order for a name; the modules that load without numpy
-# come first, so e.g. bernoulli_numbers loads zeta alone.
+# come first, so e.g. bernoulli_numbers loads no numpy.
 _MODULES = ("errors", "qalgebra", "zeta", "combinatorics", "spectrum", "geometry", "verify")
 
 

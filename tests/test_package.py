@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -13,11 +14,11 @@ _UNUSED = ("numpy", "qspectra.spectrum", "qspectra.geometry", "qspectra.combinat
 
 def _loaded_after(code: str) -> set:
     """Which of _UNUSED a fresh interpreter holds in sys.modules after code."""
-    probe = f"{code}\nimport sys\nprint(sorted(set({_UNUSED!r}) & set(sys.modules)))"
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(set({_UNUSED!r}) & set(sys.modules))))"
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return set(eval(proc.stdout.splitlines()[-1]))
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_every_exported_name_resolves():

@@ -14,11 +14,13 @@ Exit codes: 0 success, 1 verification failure, 2 input/domain error
 (including poles and argument errors). Numeric CSV cells carry 17
 significant digits so identical inputs give byte-identical files.
 
-Operand files are JSON objects ({"eigenvalues": [...], "scale": s} for
-spectra, {"kind": ..., ...} for zeta models) or plain one-column CSV of
-eigenvalues. Spectra load as Spectrum and are evaluated by q_logdet;
-model files, {"kind": "finite_diag", ...} included, are evaluated through
-their zeta function.
+Operand files are JSON objects ({"kind": ..., ...} for zeta models, and
+{"eigenvalues": [...], "scale": s} for spectra, which are finite_diag
+models without the tag) or plain one-column CSV of eigenvalues. Every
+JSON object is read by zeta.model_from_dict, which refuses missing and
+unknown fields. qdet routes on the operator's kind: a finite operator,
+from a spectrum file or a finite_diag file alike, is evaluated by
+q_logdet, and only the infinite models go through their zeta function.
 
 Each subcommand imports the modules it uses when it runs: ``weight``
 loads neither numpy nor the spectrum, geometry and verify modules, and a
@@ -50,11 +52,11 @@ _TOLERANCE_SCALE_VAR = "QSPECTRA_TOLERANCE_SCALE"
 
 
 def _load_operand(path: str):
-    """Read a Spectrum or another ZetaModel from a file, with whether the
-    file held a spectrum: (operand, is_spectrum).
+    """Read a ZetaModel from a file.
 
-    JSON objects are dispatched on their keys ('kind' marks a model);
-    anything else is parsed as one-column CSV of eigenvalues.
+    A JSON object is a model; without a 'kind' tag it is a spectrum, the
+    finite_diag model. Anything else is parsed as one-column CSV of
+    eigenvalues.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -65,15 +67,11 @@ def _load_operand(path: str):
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DomainError(f"{path!r}: invalid JSON: {exc}") from exc
-        if "kind" in obj:
-            return zt.model_from_dict(obj), False
-        from .spectrum import spectrum_from_json
-
-        return spectrum_from_json(text), True
+        return zt.model_from_dict({"kind": "finite_diag", **obj})
     from .spectrum import spectrum_from_csv
 
     try:
-        return spectrum_from_csv(text), True
+        return spectrum_from_csv(text)
     except DomainError as exc:
         raise DomainError(f"{path!r}: {exc}") from exc
 
@@ -119,19 +117,19 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_qdet(args: argparse.Namespace) -> int:
-    # a power map keeps a Spectrum a Spectrum, so the flags hold after it
-    operand, operand_is_spectrum = _load_operand(args.input)
-    loaded = [_load_operand(p) for p in args.input_ref]
-    refs = [ref for ref, _ in loaded]
-    refs_are_spectra = all(is_spectrum for _, is_spectrum in loaded)
+    operand = _load_operand(args.input)
+    refs = [_load_operand(p) for p in args.input_ref]
     if args.theta is not None:
         operand = zt.power_transform_model(operand, args.theta)
         refs = [zt.power_transform_model(r, args.theta) for r in refs]
     qp = QParam(args.q)
+    # kind is a class attribute, so routing on it imports no model module
+    operand_is_finite = operand.kind == "finite_diag"
+    refs_are_finite = all(ref.kind == "finite_diag" for ref in refs)
 
     if not refs:
         reference = None
-    elif refs_are_spectra:
+    elif refs_are_finite:
         from . import spectrum as spc
 
         reference = spc.concatenate(*refs)
@@ -142,7 +140,7 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
             "multiple --input-ref operators combine by direct sum, "
             "which needs finite spectra"
         )
-    if operand_is_spectrum and refs_are_spectra:
+    if operand_is_finite and refs_are_finite:
         from . import spectrum as spc
 
         method, absolute, relative = "q_logdet", spc.q_logdet, spc.relative_q_logdet
@@ -155,7 +153,7 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
         "command": "qdet",
         "q": qp.q,
         "theta": args.theta,
-        "operator": "spectrum" if operand_is_spectrum else "model",
+        "operator": "spectrum" if operand_is_finite else "model",
         "relative": bool(refs),
         "method": method,
         "value": value,
@@ -169,7 +167,7 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
-    model, _ = _load_operand(args.input)
+    model = _load_operand(args.input)
     if args.deriv0 == (args.s is not None):
         raise DomainError("exactly one of --s and --deriv0 is required")
     value = zt.zeta_deriv0(model) if args.deriv0 else zt.zeta_value(model, args.s)

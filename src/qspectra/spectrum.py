@@ -1,9 +1,9 @@
 """Finite positive spectra and their deformed determinants.
 
-A Spectrum is a finite list of positive eigenvalues with a reference scale
-mu; every operation consumes the dimensionless ratios lambda_k / mu. Its
-base class FiniteDiag is the same operator as the finite_diag zeta model,
-so every Spectrum also goes straight into the zeta functions. The
+A finite operator, FiniteDiag (also named Spectrum), is a list of
+positive eigenvalues with a reference scale mu; every operation consumes
+the dimensionless ratios lambda_k / mu. It is the finite_diag zeta model,
+so a spectrum also goes straight into the zeta functions, and its
 deformed log-determinant
 
     Gamma_q[A] = sum_k ln_q(lambda_k / mu)
@@ -11,7 +11,10 @@ deformed log-determinant
 is the finite-difference effective action of the operator: it reduces to
 ln det(A / mu) at q = 1, responds to eigenvalue perturbations through the
 weight (lambda / mu)^(-q), and transforms covariantly under spectral power
-maps A -> A^theta combined with q' = 1 + theta (q - 1).
+maps A -> A^theta combined with q' = 1 + theta (q - 1). Because its zeta
+function is entire, this sum is exactly the zeta quotient
+(zeta_A(q - 1) - zeta_A(0)) / (1 - q) of the zeta module, and the
+command line evaluates every finite operator through q_logdet.
 """
 
 from __future__ import annotations
@@ -32,9 +35,12 @@ from .qalgebra import (
     q_log_array,
     theta_reparam,
 )
+from .zeta import model_from_dict
 
-# An alias is listed before its target, so a tool that labels a function by
-# its last name in __all__ (the benchmark's tracer does) uses the target's.
+# A function alias is listed before its target, so a tool that labels a
+# function by its last name in __all__ (the benchmark's tracer does) uses the
+# target's. Spectrum, the finite operator's name from before it was one class
+# with FiniteDiag, stays exported so that code written against it keeps working.
 __all__ = [
     "FiniteDiag",
     "Spectrum",
@@ -63,9 +69,11 @@ class FiniteDiag:
     the input, so changing the caller's array later leaves the operator
     alone. Equality and hash follow the scale and the eigenvalue values.
 
-    This is the finite_diag zeta model. Its zeta function
+    This is the finite_diag zeta model and the one finite spectrum class;
+    Spectrum is a second name for it. Its zeta function
     mu^s sum_k lambda_k^(-s) is entire, so it has no pole, and the power
-    map A -> A^theta keeps it finite.
+    map A -> A^theta keeps it finite. Its determinant is taken directly as
+    sum_k ln_q(lambda_k / mu) by q_logdet, which equals the zeta quotient.
     """
 
     eigenvalues: np.ndarray
@@ -119,20 +127,12 @@ class FiniteDiag:
         return power_transform(self, theta)
 
 
-class Spectrum(FiniteDiag):
-    """Finite spectrum of positive eigenvalues with a positive scale.
-
-    eigenvalues is a read-only float64 array, copied from the input.
-    The same operator as its FiniteDiag model; the type marks that its
-    determinant is taken directly as sum_k ln_q(lambda_k / mu) (q_logdet)
-    rather than through the zeta function. The command line loads spectrum
-    files as Spectrum and {"kind": "finite_diag", ...} files as FiniteDiag.
-    """
+Spectrum = FiniteDiag
 
 
 @dataclass(frozen=True)
 class SpectrumVariation:
-    """Eigenvalue perturbations delta lambda_k, aligned with a Spectrum."""
+    """Eigenvalue perturbations delta lambda_k, aligned with a spectrum."""
 
     deltas: tuple[float, ...]
 
@@ -141,7 +141,7 @@ class SpectrumVariation:
         object.__setattr__(self, "deltas", tuple(deltas.tolist()))
 
 
-def _deltas_for(spec: Spectrum, variation) -> np.ndarray:
+def _deltas_for(spec: FiniteDiag, variation) -> np.ndarray:
     deltas = variation.deltas if isinstance(variation, SpectrumVariation) else variation
     arr = finite_vector("variation", deltas)
     if arr.shape != (len(spec),):
@@ -151,7 +151,7 @@ def _deltas_for(spec: Spectrum, variation) -> np.ndarray:
     return arr
 
 
-def concatenate(*specs: Spectrum) -> Spectrum:
+def concatenate(*specs: FiniteDiag) -> FiniteDiag:
     """Direct sum of spectra as one dimensionless spectrum.
 
     Each operand's scale is folded into its eigenvalues first, so the
@@ -159,10 +159,10 @@ def concatenate(*specs: Spectrum) -> Spectrum:
     """
     if not specs:
         raise DomainError("concatenate needs at least one spectrum")
-    return Spectrum(np.concatenate([s.dimensionless() for s in specs]), 1.0)
+    return FiniteDiag(np.concatenate([s.dimensionless() for s in specs]), 1.0)
 
 
-def q_logdet(spec: Spectrum, q: QLike) -> float:
+def q_logdet(spec: FiniteDiag, q: QLike) -> float:
     """Deformed log-determinant sum_k ln_q(lambda_k / scale).
 
     Each term goes through the stabilised q_log kernel and the terms are
@@ -178,7 +178,7 @@ def q_logdet(spec: Spectrum, q: QLike) -> float:
     return finite(exact_sum(terms), "q_logdet overflows float64 at q = {!r}", qp.q)
 
 
-def q_det(spec: Spectrum, q: QLike) -> ClampedValue:
+def q_det(spec: FiniteDiag, q: QLike) -> ClampedValue:
     """Deformed determinant exp_q(Gamma_q), with clamp flag.
 
     Equals the deformed product of the dimensionless eigenvalues; computed
@@ -189,7 +189,7 @@ def q_det(spec: Spectrum, q: QLike) -> ClampedValue:
     return q_exp(q_logdet(spec, qp), qp)
 
 
-def relative_q_logdet(spec: Spectrum, reference: Spectrum, q: QLike) -> float:
+def relative_q_logdet(spec: FiniteDiag, reference: FiniteDiag, q: QLike) -> float:
     """Gamma_q[A] - Gamma_q[B], the deformed log of a determinant ratio.
 
     For equal-sized spectra the constant reference terms cancel exactly;
@@ -200,7 +200,7 @@ def relative_q_logdet(spec: Spectrum, reference: Spectrum, q: QLike) -> float:
     return q_logdet(spec, qp) - q_logdet(reference, qp)
 
 
-def action_variation(spec: Spectrum, variation, q: QLike) -> float:
+def action_variation(spec: FiniteDiag, variation, q: QLike) -> float:
     """First variation of the action: sum_k (lambda_k/mu)^(-q) dlambda_k/mu.
 
     This is the exact directional derivative of q_logdet with respect to
@@ -225,7 +225,7 @@ flow_derivative = action_variation
 def power_transform(spec: FiniteDiag, theta: float) -> FiniteDiag:
     """Spectral power map A -> A^theta on the dimensionless operator.
 
-    Returns the operand's type with eigenvalues (lambda_k / mu)^theta and
+    Returns the operator with eigenvalues (lambda_k / mu)^theta and
     scale reset to 1; theta = 0 would collapse every eigenvalue to 1 and
     is rejected. An eigenvalue that overflows or underflows to 0 under the
     map raises DomainError.
@@ -235,10 +235,10 @@ def power_transform(spec: FiniteDiag, theta: float) -> FiniteDiag:
         eigs = spec.dimensionless() ** th
     if not (np.isfinite(eigs) & (eigs > 0.0)).all():
         raise DomainError(f"the power map A^theta leaves float64 at theta = {th!r}")
-    return type(spec)(eigs, 1.0)
+    return FiniteDiag(eigs, 1.0)
 
 
-def theta_covariance_residual(spec: Spectrum, q: QLike, theta: float) -> float:
+def theta_covariance_residual(spec: FiniteDiag, q: QLike, theta: float) -> float:
     """|Gamma_{q'}[A] - Gamma_q[A^theta] / theta| with q' = 1 + theta(q-1).
 
     Zero in exact arithmetic for every nonzero theta; the float residual
@@ -255,19 +255,22 @@ def theta_covariance_residual(spec: Spectrum, q: QLike, theta: float) -> float:
 # serialisation
 
 
-def spectrum_to_json(spec: Spectrum) -> str:
+def spectrum_to_json(spec: FiniteDiag) -> str:
     """JSON form {"eigenvalues": [...], "scale": s}; floats round-trip."""
     return json.dumps({"eigenvalues": spec.eigenvalues.tolist(), "scale": spec.scale})
 
 
-def spectrum_from_json(text: str) -> Spectrum:
+def spectrum_from_json(text: str) -> FiniteDiag:
+    """Read the JSON form: the finite_diag model, whose 'kind' tag may be
+    left out. zeta.model_from_dict checks the fields; a JSON value that is
+    not an object, or that is tagged with another kind, raises DomainError."""
     obj = json.loads(text)
-    if not isinstance(obj, dict) or "eigenvalues" not in obj:
-        raise DomainError("spectrum JSON must be an object with 'eigenvalues'")
-    return Spectrum(obj["eigenvalues"], obj.get("scale", 1.0))
+    if not isinstance(obj, dict) or obj.get("kind", "finite_diag") != "finite_diag":
+        raise DomainError("spectrum JSON must be an object with 'eigenvalues' and no other kind")
+    return model_from_dict({"kind": "finite_diag", **obj})
 
 
-def spectrum_to_csv(spec: Spectrum) -> str:
+def spectrum_to_csv(spec: FiniteDiag) -> str:
     """Single-column CSV of the dimensionless eigenvalues.
 
     CSV carries no scale field, so the scale is folded in on write and
@@ -277,7 +280,7 @@ def spectrum_to_csv(spec: Spectrum) -> str:
     return ("%.17g\n" * x.size) % tuple(x.tolist())
 
 
-def spectrum_from_csv(text: str) -> Spectrum:
+def spectrum_from_csv(text: str) -> FiniteDiag:
     """One number per line, each read as float() reads it; blank lines are
     skipped and any other line that is not a number raises DomainError."""
     lines = text.splitlines()
@@ -293,4 +296,4 @@ def spectrum_from_csv(text: str) -> Spectrum:
                 values.append(float(entry))
             except ValueError as exc:
                 raise DomainError(f"line {lineno}: not a number: {entry!r}") from exc
-    return Spectrum(values, 1.0)
+    return FiniteDiag(values, 1.0)

@@ -4,8 +4,8 @@ For an operator with spectrum {lambda_k} the zeta function is
 zeta_A(s) = sum_k (lambda_k / mu)^(-s) = mu^s sum_k lambda_k^(-s).
 Three model families are supported, one class each:
 
-* finite_diag      explicit eigenvalues (spectrum.FiniteDiag, of which
-                   every Spectrum is one); zeta is entire in s,
+* finite_diag      explicit eigenvalues (spectrum.FiniteDiag, also named
+                   Spectrum); zeta is entire in s,
 * shifted_linear   lambda_k = k - 1 + a; zeta is the Hurwitz zeta(s, a)
                    with a simple pole at s = 1,
 * power_spectrum   lambda_k = k^alpha; zeta is the Riemann zeta(alpha s)
@@ -14,6 +14,9 @@ Three model families are supported, one class each:
 Each class carries its kind tag, its pole, its bare zeta function and its
 power map; ZetaModel is their union. spectrum (and numpy with it) is loaded
 only when a finite_diag model is built or ZetaModel is read.
+model_from_dict is the one reader of the JSON forms, spectrum files
+included (a spectrum is a finite_diag object without its kind tag), and
+refuses a missing or unknown field with DomainError.
 
 On top of zeta the finite-difference deformed log-determinant
 
@@ -21,7 +24,9 @@ On top of zeta the finite-difference deformed log-determinant
 
 replaces the classical -zeta'_A(0) without differentiating the
 continuation; expanding zeta around s = 0 shows qdet -> -zeta'(0) as
-q -> 1, with the first correction -(q - 1) zeta''(0) / 2.
+q -> 1, with the first correction -(q - 1) zeta''(0) / 2. For a
+finite_diag model the quotient equals sum_k ln_q(lambda_k / mu), which
+spectrum.q_logdet evaluates term by term without the cancellation.
 """
 
 from __future__ import annotations
@@ -390,6 +395,9 @@ _MODELS = {cls.kind: cls for cls in (ShiftedLinear, PowerSpectrum)}
 
 
 def model_from_dict(obj) -> ZetaModel:
+    """The model a JSON object describes. DomainError names what is wrong:
+    no kind tag, an unknown kind, a missing field, or a field that the kind
+    does not have."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("model JSON must be an object with a 'kind' tag")
     kind = obj["kind"]
@@ -399,6 +407,10 @@ def model_from_dict(obj) -> ZetaModel:
         cls = _MODELS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise DomainError(f"unknown model kind {kind!r}")
+    names = [f.name for f in fields(cls)]
+    unknown = [key for key in obj if key != "kind" and key not in names]
+    if unknown:
+        raise DomainError(f"{kind} model has unknown field {unknown[0]!r}")
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
     if missing:
         raise DomainError(f"{kind} model needs {', '.join(missing)}")

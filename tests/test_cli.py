@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import run_cli
@@ -211,6 +212,9 @@ def test_zeta_accepts_spectrum_input(spectrum_csv):
         ('{"kind": "power_spectrum", "alpha": "x"}', "alpha"),
         ('{"kind": "shifted_linear", "a": 1.0, "scale": "abc"}', "scale"),
         ('{"kind": "shifted_linear", "a": 1.0, "scale": null}', "scale"),
+        # unknown fields, which were dropped so that the scale read as 1
+        ('{"kind": "power_spectrum", "alpha": 2.0, "scal": 3.0}', "unknown field 'scal'"),
+        ('{"eigenvalues": [2.0, 3.0], "sacle": 2.0}', "unknown field 'sacle'"),
     ),
 )
 def test_malformed_model_file_exits_2(tmp_path, text, field):
@@ -277,17 +281,44 @@ def test_zeta_at_large_s_is_evaluated(tmp_path):
     assert json.loads(proc.stdout)["value"] == 1.0
 
 
-def test_finite_diag_file_takes_the_zeta_route(tmp_path):
-    model = tmp_path / "model.json"
-    model.write_text('{"kind": "finite_diag", "eigenvalues": [0.5, 2.0, 3.5]}')
-    plain = tmp_path / "plain.csv"
-    plain.write_text("0.5\n2.0\n3.5\n")
-    via_model = json.loads(run_cli("qdet", "--q", "0.7", "--input", str(model)).stdout)
-    via_plain = json.loads(run_cli("qdet", "--q", "0.7", "--input", str(plain)).stdout)
-    assert (via_model["operator"], via_model["method"]) == ("model", "qdet_zeta")
-    assert (via_plain["operator"], via_plain["method"]) == ("spectrum", "q_logdet")
-    assert via_model["value"] == pytest.approx(via_plain["value"], abs=1e-12)
-    report = json.loads(run_cli("zeta", "--input", str(model), "--s", "1").stdout)
+def _finite_files(tmp_path, name, eigenvalues, scale):
+    """The same operator as a finite_diag model file and as a spectrum file."""
+    tagged, plain = tmp_path / f"{name}-model.json", tmp_path / f"{name}-spectrum.json"
+    tagged.write_text(json.dumps({"kind": "finite_diag", "eigenvalues": eigenvalues, "scale": scale}))
+    plain.write_text(json.dumps({"eigenvalues": eigenvalues, "scale": scale}))
+    return str(tagged), str(plain)
+
+
+def test_finite_diag_file_is_its_spectrum_twin(tmp_path, spectrum_csv):
+    # one finite operator, one route: a finite_diag file took the zeta quotient
+    eigenvalues = [0.01, 0.5, 3.0, 1000.0]
+    tagged, plain = _finite_files(tmp_path, "operand", eigenvalues, 1.5)
+    runs = [("--q", q) for q in ("-1", "0.7", "0.9999999", "1", "1.000000005", "2.4")]
+    runs += [("--q", "0.7", "--theta", "2"), ("--q", "0.7", "--format", "csv")]
+    for argv in runs:
+        via_tagged, via_plain = (run_cli("qdet", *argv, "--input", path) for path in (tagged, plain))
+        assert (via_tagged.returncode, via_tagged.stderr) == (0, "")
+        assert via_tagged.stdout == via_plain.stdout, argv
+    as_ref = [run_cli("qdet", "--q", "0.7", "--input", spectrum_csv, "--input-ref", path) for path in (tagged, plain)]
+    assert as_ref[0].returncode == 0 and as_ref[0].stdout == as_ref[1].stdout
+    assert json.loads(as_ref[0].stdout)["method"] == "q_logdet"
+
+    report = json.loads(run_cli("qdet", "--q", "0.9999999", "--input", tagged).stdout)
+    assert (report["operator"], report["method"]) == ("spectrum", "q_logdet")
+    with mp.workdps(40):
+        q = mp.mpf(0.9999999)
+        exact = mp.fsum((mp.power(mp.mpf(lam) / mp.mpf(1.5), 1 - q) - 1) / (1 - q) for lam in eigenvalues)
+        assert abs(report["value"] - exact) <= 1e-14 * abs(exact)  # the quotient was off by 8.7e-10
+
+    # finite_diag references combine by direct sum, as spectrum files do
+    refs = [_finite_files(tmp_path, "r1", [2.0, 5.0], 1.5)[0], _finite_files(tmp_path, "r2", [0.3], 1.0)[0]]
+    proc = run_cli("qdet", "--q", "0.7", "--input", plain, "--input-ref", refs[0], "--input-ref", refs[1])
+    assert proc.returncode == 0, proc.stderr
+    reference = spc.concatenate(spc.FiniteDiag((2.0, 5.0), 1.5), spc.FiniteDiag((0.3,), 1.0))
+    expected = spc.relative_q_logdet(spc.FiniteDiag(eigenvalues, 1.5), reference, 0.7)
+    assert json.loads(proc.stdout)["value"] == expected
+
+    report = json.loads(run_cli("zeta", "--input", tagged, "--s", "1").stdout)
     assert report["model_kind"] == "finite_diag"
 
 

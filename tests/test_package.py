@@ -50,6 +50,23 @@ def test_cli_jobs_without_arrays_load_no_numpy(tmp_path, argv):
     assert "numpy" not in _loaded_after(code)
 
 
+@pytest.mark.parametrize(
+    "model",
+    ('{"kind": "shifted_linear", "a": 1.0, "scale": 2.0}', '{"kind": "power_spectrum", "alpha": 2.0}'),
+)
+def test_qdet_on_infinite_models_loads_no_spectrum_module(tmp_path, model):
+    # qdet routes on the kind tag; an isinstance test against FiniteDiag
+    # would import the spectrum module (numpy comes in through hurwitz_zeta)
+    path = tmp_path / "model.json"
+    path.write_text(model)
+    code = (
+        "import contextlib, io, qspectra.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert qspectra.cli.main(['qdet', '--q', '0.5', '--input', {str(path)!r}]) == 0"
+    )
+    assert "qspectra.spectrum" not in _loaded_after(code)
+
+
 def test_star_import_gives_the_exported_names():
     namespace = {}
     exec("from qspectra import *", namespace)

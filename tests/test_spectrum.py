@@ -243,6 +243,19 @@ def test_json_round_trip():
         spectrum_from_json("[1, 2]")
 
 
+def test_spectrum_json_is_the_untagged_finite_diag_model():
+    spec = spectrum_from_json('{"kind": "finite_diag", "eigenvalues": [2.0, 3.0], "scale": 1.5}')
+    assert type(spec) is FiniteDiag and spec == Spectrum((2.0, 3.0), 1.5)
+    # another kind tag is refused, not overridden, and the fields are checked
+    for text, message in (
+        ('{"kind": "shifted_linear", "a": 1.0}', "no other kind"),
+        ('{"eigenvalues": [2.0, 3.0], "sacle": 2.0}', "finite_diag model has unknown field 'sacle'"),
+        ('{"scale": 2.0}', "finite_diag model needs eigenvalues"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            spectrum_from_json(text)
+
+
 def test_csv_round_trip_folds_scale():
     spec = Spectrum((2.0, 3.0), scale=2.0)
     text = spectrum_to_csv(spec)
@@ -299,8 +312,9 @@ def test_equality_and_hash_agree():
     assert a != Spectrum((2.0, 3.0), scale=1.0)
     assert a != Spectrum((2.0, 3.5), scale=1.5)
     assert a != Spectrum((2.0, 3.0, 4.0), scale=1.5)
-    # as for the frozen dataclasses before: equal values of another class differ
-    assert a != FiniteDiag((2.0, 3.0), scale=1.5)
+    # one finite class: Spectrum is a second name for FiniteDiag
+    assert Spectrum is FiniteDiag
+    assert a == FiniteDiag((2.0, 3.0), scale=1.5) and hash(a) == hash(FiniteDiag((2.0, 3.0), scale=1.5))
 
 
 positive_floats = st.floats(min_value=5e-324, max_value=1e300)

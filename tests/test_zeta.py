@@ -294,3 +294,17 @@ def test_model_json_round_trip():
         model_from_json('{"kind": "mystery"}')
     with pytest.raises(DomainError):
         model_from_json("[1, 2]")
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    (
+        ({"kind": "power_spectrum", "alpha": 2.0, "scal": 3.0}, "power_spectrum model has unknown field 'scal'"),
+        ({"kind": "finite_diag", "eigenvalues": [2.0, 3.0], "sacle": 2.0}, "finite_diag model has unknown field 'sacle'"),
+        ({"kind": "shifted_linear", "a": 1.0, "alpha": 2.0}, "shifted_linear model has unknown field 'alpha'"),
+    ),
+)
+def test_model_from_dict_refuses_unknown_fields(obj, message):
+    # each was built with the unknown field dropped
+    with pytest.raises(DomainError, match=message):
+        model_from_dict(obj)

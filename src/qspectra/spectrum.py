@@ -266,7 +266,7 @@ def spectrum_from_json(text: str) -> FiniteDiag:
     not an object, or that is tagged with another kind, raises DomainError."""
     obj = json.loads(text)
     if not isinstance(obj, dict) or obj.get("kind", "finite_diag") != "finite_diag":
-        raise DomainError("spectrum JSON must be an object with 'eigenvalues' and no other kind")
+        raise DomainError("spectrum JSON must be an object with no kind tag other than finite_diag")
     return model_from_dict({"kind": "finite_diag", **obj})
 
 

@@ -308,7 +308,7 @@ def test_finite_diag_file_is_its_spectrum_twin(tmp_path, spectrum_csv):
     with mp.workdps(40):
         q = mp.mpf(0.9999999)
         exact = mp.fsum((mp.power(mp.mpf(lam) / mp.mpf(1.5), 1 - q) - 1) / (1 - q) for lam in eigenvalues)
-        assert abs(report["value"] - exact) <= 1e-14 * abs(exact)  # the quotient was off by 8.7e-10
+        assert abs(report["value"] - exact) <= 1e-14 * abs(exact)  # the zeta quotient was off by 2.3e-9
 
     # finite_diag references combine by direct sum, as spectrum files do
     refs = [_finite_files(tmp_path, "r1", [2.0, 5.0], 1.5)[0], _finite_files(tmp_path, "r2", [0.3], 1.0)[0]]

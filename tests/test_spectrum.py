@@ -248,7 +248,7 @@ def test_spectrum_json_is_the_untagged_finite_diag_model():
     assert type(spec) is FiniteDiag and spec == Spectrum((2.0, 3.0), 1.5)
     # another kind tag is refused, not overridden, and the fields are checked
     for text, message in (
-        ('{"kind": "shifted_linear", "a": 1.0}', "no other kind"),
+        ('{"kind": "shifted_linear", "a": 1.0}', "no kind tag other than finite_diag"),
         ('{"eigenvalues": [2.0, 3.0], "sacle": 2.0}', "finite_diag model has unknown field 'sacle'"),
         ('{"scale": 2.0}', "finite_diag model needs eigenvalues"),
     ):

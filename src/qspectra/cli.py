@@ -22,10 +22,9 @@ unknown fields. qdet routes on the operator's kind: a finite operator,
 from a spectrum file or a finite_diag file alike, is evaluated by
 q_logdet, and only the infinite models go through their zeta function.
 
-Each subcommand imports the modules it uses when it runs: ``weight``
-loads neither numpy nor the spectrum, geometry and verify modules, and a
-shifted_linear or power_spectrum file loads numpy only when the Hurwitz
-direct sum runs.
+Each subcommand imports the modules it uses when it runs: ``weight``,
+and ``qdet`` and ``zeta`` on a shifted_linear or power_spectrum file, load
+neither numpy nor the spectrum, geometry and verify modules.
 """
 
 from __future__ import annotations

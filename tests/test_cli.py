@@ -215,6 +215,10 @@ def test_zeta_accepts_spectrum_input(spectrum_csv):
         # unknown fields, which were dropped so that the scale read as 1
         ('{"kind": "power_spectrum", "alpha": 2.0, "scal": 3.0}', "unknown field 'scal'"),
         ('{"eigenvalues": [2.0, 3.0], "sacle": 2.0}', "unknown field 'sacle'"),
+        # strings and booleans, which float() read as numbers
+        ('{"kind": "power_spectrum", "alpha": "2"}', "field 'alpha' must be a number"),
+        ('{"kind": "shifted_linear", "a": true}', "field 'a' must be a number"),
+        ('{"kind": "finite_diag", "eigenvalues": [true, 2.0]}', "'eigenvalues' entry 0 must be a number"),
     ),
 )
 def test_malformed_model_file_exits_2(tmp_path, text, field):
@@ -238,9 +242,9 @@ def test_malformed_model_file_exits_2(tmp_path, text, field):
             '"finite_diag", "eigenvalues": [1e-200], "scale": 1e200', "1.5", "zeta overflows",
             id="[1e-200]-1e200-1.5",
         ),
-        pytest.param(  # the Euler-Maclaurin terms (a + 50)^(1 - s) are beyond float64
-            '"shifted_linear", "a": 1.0', "-200", "Hurwitz zeta is not finite in",
-            id="shifted_linear-1.0--200",
+        pytest.param(  # the value itself, about 1.7e375, is beyond float64
+            '"shifted_linear", "a": 1.0', "-300.5", "Hurwitz zeta is not finite in",
+            id="shifted_linear-1.0--300.5",
         ),
     ),
 )

@@ -31,21 +31,38 @@ def test_import_and_scalar_calls_load_no_array_module():
     assert _loaded_after("import qspectra, qspectra.cli; qspectra.bernoulli_numbers(30)") == set()
 
 
+_MODELS = {
+    "SHIFTED": '{"kind": "shifted_linear", "a": 1.0, "scale": 2.0}',
+    "POWER": '{"kind": "power_spectrum", "alpha": 2.0, "scale": 1.5}',
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     (
         ["weight"],
-        ["qdet", "--q", "2", "--input", "MODEL"],  # the pole refusal
+        ["qdet", "--q", "2", "--input", "SHIFTED"],  # the pole refusal
+        # the Hurwitz continuation runs on math alone
+        ["qdet", "--q", "-3", "--input", "SHIFTED"],
+        ["qdet", "--q", "-3", "--input", "POWER"],
+        ["qdet", "--q", "1", "--input", "SHIFTED"],
+        ["qdet", "--q", "1", "--input", "POWER"],
+        ["qdet", "--q", "0.5", "--theta", "2", "--input", "POWER"],
+        ["zeta", "--s", "-2.5", "--input", "SHIFTED"],
+        ["zeta", "--s", "-2.5", "--input", "POWER"],
+        ["zeta", "--deriv0", "--input", "SHIFTED"],
+        ["zeta", "--deriv0", "--input", "POWER"],
     ),
 )
 def test_cli_jobs_without_arrays_load_no_numpy(tmp_path, argv):
-    model = tmp_path / "model.json"
-    model.write_text('{"kind": "shifted_linear", "a": 1.0, "scale": 2.0}')
-    argv = [str(model) if arg == "MODEL" else arg for arg in argv]
+    for kind, text in _MODELS.items():
+        (tmp_path / f"{kind}.json").write_text(text)
+    status = 2 if argv[1:3] == ["--q", "2"] else 0
+    argv = [str(tmp_path / f"{arg}.json") if arg in _MODELS else arg for arg in argv]
     code = (
         "import contextlib, io, qspectra.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    qspectra.cli.main({argv!r})"
+        f"    assert qspectra.cli.main({argv!r}) == {status}"
     )
     assert "numpy" not in _loaded_after(code)
 
@@ -56,7 +73,7 @@ def test_cli_jobs_without_arrays_load_no_numpy(tmp_path, argv):
 )
 def test_qdet_on_infinite_models_loads_no_spectrum_module(tmp_path, model):
     # qdet routes on the kind tag; an isinstance test against FiniteDiag
-    # would import the spectrum module (numpy comes in through hurwitz_zeta)
+    # would import the spectrum module, which loads numpy
     path = tmp_path / "model.json"
     path.write_text(model)
     code = (

@@ -1,10 +1,12 @@
 import json
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from qspectra import zeta
 from qspectra.errors import DomainError, PoleError, UnsupportedModelError
 from qspectra.spectrum import Spectrum, power_transform, q_logdet
 from qspectra.zeta import (
@@ -48,6 +50,22 @@ def test_model_pole_locations():
     assert model_pole(finite_diag((1.0, 2.0))) is None
     assert model_pole(shifted_linear(2.5)) == 1.0
     assert model_pole(power_spectrum(2.0)) == 0.5
+
+
+def _bernoulli_fractions(count):
+    """B_0 .. B_count from the defining recurrence sum_j C(m+1, j) B_j = 0."""
+    values = [Fraction(1)]
+    for m in range(1, count + 1):
+        values.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(values)) / (m + 1))
+    return values
+
+
+def test_bernoulli_table_matches_the_recurrence():
+    exact = _bernoulli_fractions(60)
+    assert [Fraction(n, d) for n, d in zeta._BERNOULLI] == exact
+    assert bernoulli_numbers(60) == [float(b) for b in exact]
+    # the Euler-Maclaurin coefficients B_2j / (2j)!, each rounded once
+    assert zeta._EM_COEF == tuple(float(exact[2 * j] / math.factorial(2 * j)) for j in range(1, 16))
 
 
 def test_bernoulli_numbers():
@@ -103,9 +121,11 @@ def test_hurwitz_zeta_domain_errors():
         hurwitz_zeta(2.0, 1.0, n_direct=0)
     with pytest.raises(DomainError):
         hurwitz_zeta(2.0, 1.0, n_direct=49.5)
-    # (a + 50)^(1 - s) is beyond float64
+    # a trivial zero of Riemann's zeta; mpmath gives exactly 0
+    assert hurwitz_zeta(-180.0, 1.0) == 0.0
+    # the true value, 1.68e375, is beyond float64
     with pytest.raises(DomainError, match="not finite in float64"):
-        hurwitz_zeta(-180.0, 1.0)
+        hurwitz_zeta(-300.5, 0.5)
     # s (s+1) ... overflows where x^(-s-1) has underflowed: the tail stops at
     # the first zero term instead of forming inf * 0
     assert hurwitz_zeta(1e11, 1.0) == 1.0
@@ -114,6 +134,57 @@ def test_hurwitz_zeta_domain_errors():
         for a in (0.5, 0.9, 1.0, 1.5, 2.5, 10.0):
             want = float(mp.zeta(s, a))
             assert hurwitz_zeta(s, a) == pytest.approx(want, rel=1e-14, abs=0.0), (s, a)
+
+
+# s over [-40, 30]: every negative integer and half-integer, the band near
+# s = -1.3 where the old continuation missed 1e-12, and a spread in between
+_SWEEP_S = (
+    [-float(n) for n in range(41)]
+    + [-n - 0.5 for n in range(40)]
+    + [-1.31, -1.3, -1.29, -2.7, -3.3]
+    + [-40.0 + 70.0 * (k + 0.37) / 24 for k in range(24)]
+)
+_SWEEP_A = (0.1, 0.37, 0.999, 1.0, 1.001, 2.5, 3.98, 6.23, 10.0)
+
+
+def test_hurwitz_zeta_value_within_contract_or_refused():
+    # the contract: error <= 1e-13 max(1, |value|), or DomainError
+    refused = []
+    for s in _SWEEP_S:
+        for a in _SWEEP_A:
+            want = mp.zeta(s, a)
+            try:
+                got = hurwitz_zeta(s, a)
+            except DomainError:
+                refused.append((s, a))
+                continue
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (s, a, got, float(want))
+    assert len(refused) <= len(_SWEEP_S) * len(_SWEEP_A) // 100, refused
+
+
+@pytest.mark.parametrize(
+    "s, a, want",
+    (
+        # values the old continuation got wrong
+        (-3.0, 1.0, 1 / 120),
+        (-5.0, 1.0, -1 / 252),
+        (-7.0, 1.0, 1 / 240),
+        (-8.0, 0.5, 0.0),  # was -0.03125
+        (-11.0, 1.0, 691 / 32760),  # was 0.0
+        (-25.0, 1.0, float(mp.zeta(-25))),
+        (-41.0, 1.0, float(mp.zeta(-41))),
+        (-12.5, 1.0, float(mp.zeta(-12.5))),  # was -1048576
+    ),
+)
+def test_hurwitz_zeta_pinned_rows(s, a, want):
+    assert hurwitz_zeta(s, a) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_qdet_zeta_far_below_the_band():
+    # (zeta(-41) - zeta(0)) / 41; was 0.0122
+    want = float((mp.zeta(-41) + 0.5) / 41)
+    assert want == pytest.approx(-4.89e14, rel=1e-3)
+    assert qdet_zeta(power_spectrum(1.0), -40.0) == pytest.approx(want, rel=1e-13)
 
 
 def test_riemann_constants():
@@ -306,5 +377,22 @@ def test_model_json_round_trip():
 )
 def test_model_from_dict_refuses_unknown_fields(obj, message):
     # each was built with the unknown field dropped
+    with pytest.raises(DomainError, match=message):
+        model_from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    (
+        ({"kind": "power_spectrum", "alpha": "2"}, "power_spectrum model field 'alpha' must be a number, got '2'"),
+        ({"kind": "shifted_linear", "a": True}, "shifted_linear model field 'a' must be a number, got True"),
+        ({"kind": "shifted_linear", "a": 1.0, "scale": False}, "field 'scale' must be a number, got False"),
+        ({"kind": "finite_diag", "eigenvalues": [True, 2.0]}, "'eigenvalues' entry 0 must be a number, got True"),
+        ({"kind": "finite_diag", "eigenvalues": [2.0, "3"]}, "'eigenvalues' entry 1 must be a number, got '3'"),
+        ({"kind": "finite_diag", "eigenvalues": "2.0"}, "'eigenvalues' must be a list, got '2.0'"),
+    ),
+)
+def test_model_from_dict_refuses_non_numbers(obj, message):
+    # each was read through float(): alpha 2, a = 1.0, the eigenvalue 1.0
     with pytest.raises(DomainError, match=message):
         model_from_dict(obj)

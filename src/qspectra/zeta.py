@@ -213,6 +213,8 @@ _ETA = 1e-16
 _LOG_ETA = math.log(_ETA)
 _U = 2.0**-53
 _LOG_TAU = math.log(math.tau)
+_TAU_ERR = 2.4492935982947064e-16  # 2 pi - math.tau
+_PI_ERR = 1.2246467991473532e-16  # pi - math.pi
 # Hurwitz's series needs a in (0, 1]; a beyond this takes too many shift terms
 _MAX_SHIFT = 2**20
 
@@ -311,16 +313,19 @@ def _euler_maclaurin(s: float, a: float, n_min: int = 1) -> tuple[float, float, 
 
 def _reflected(s: float) -> tuple[float, float, float]:
     """(sigma, 2 Gamma(sigma) / (2 pi)^sigma, relative error bound) for
-    sigma = 1 - s, s < -1. The bound covers gamma and the power, and the
-    rounding of 1 - s, which moves the factor by its log-derivative, below
-    ln(sigma) + 3."""
+    sigma = 1 - s, s < -1. math.tau and math.pi fall short of 2 pi and pi,
+    so their powers are corrected to first order; the factor is then within
+    8.3 u of mpmath for sigma up to 255, bounded by 12 u. The bound adds
+    the rounding of 1 - s, which moves the factor by its log-derivative,
+    below ln(sigma) + 3."""
     sigma, err = _two_sum(1.0, -s)
     if sigma < 171.0:
-        g = 2.0 * math.gamma(sigma) / math.tau**sigma
+        g = 2.0 * math.gamma(sigma) / math.tau**sigma * (1.0 - sigma * _TAU_ERR / math.tau)
     else:  # Legendre's duplication keeps both factors finite
         h = 0.5 * sigma
-        g = math.gamma(h) / math.pi**h * (math.gamma(h + 0.5) / math.pi**h) / math.sqrt(math.pi)
-    return sigma, g, (12.0 + sigma) * _U + abs(err) * (math.log(sigma) + 3.0)
+        c = 1.0 - h * _PI_ERR / math.pi
+        g = math.gamma(h) / math.pi**h * c * (math.gamma(h + 0.5) / math.pi**h * c) / math.sqrt(math.pi)
+    return sigma, g, 12.0 * _U + abs(err) * (math.log(sigma) + 3.0)
 
 
 def _riemann(t: float) -> tuple[float, float]:
@@ -348,27 +353,34 @@ def _fourier(s: float, a: float) -> tuple[float, float, int]:
     n < m are summed; from m on, J summations by parts give the tail
     z^m / (1-z) sum_{j<J} (z / (1-z))^j (Delta^j b)_m, with remainder at
     most (1-s)_(J-1) m^(2-s-J) / |1-z|^J (J = 0: the plain sum_{n>=m} b_n).
-    m and J minimise m + J; J is kept where the differences, formed by
-    subtraction, lose at most 2^10 in rounding. Returns (value, bound, m + J)."""
+    m and J minimise m + J while the differences, formed by subtraction,
+    carry rounding of about J u b_m (2 / |1-z|)^J / |1-z| within half the
+    target. Returns (value, bound, m + J)."""
     sigma, g, rel = _reflected(s)
     one_minus_z = 2.0 * _sin_pi(a)  # |1 - z|
     log_target = _LOG_ETA - math.log(min(g, 1.0))
     log_d = math.log(one_minus_z)
-    j_max = 30 if one_minus_z >= 2.0 else min(30, int(10.0 * math.log(2.0) / math.log(2.0 / one_minus_z)))
+    log_growth = math.log(2.0 / one_minus_z)  # of the differences' rounding, per order
     # J = 0: sum_{n>=m} b_n <= (m-1)^(1-sigma) / (sigma-1)
-    best = (2 + math.ceil(math.exp(min(700.0, -(log_target + math.log(sigma - 1.0)) / (sigma - 1.0)))), 0, 0.0)
-    log_poch = 0.0
-    for j in range(1, j_max + 1):
+    m_plain = math.exp(min(700.0, -(log_target + math.log(sigma - 1.0)) / (sigma - 1.0)))
+    plain = (2 + math.ceil(m_plain), 0, 0.0)
+    best, log_poch = None, 0.0
+    for j in range(1, 31):
         if j > 1:
             log_poch += math.log(sigma + j - 2)
         m = math.ceil(math.exp(min(700.0, (log_poch - j * log_d - log_target) / (sigma + j - 1))))
-        if m + j < best[0] + best[1]:
-            best = (m, j, log_poch)
-    m, j_terms, log_poch = best
+        if math.log(j * _U / one_minus_z) + j * log_growth - sigma * math.log(m) > log_target - 1.0:
+            break  # and so for every larger J, whose m is no larger
+        if best and m + j >= best[0] + best[1]:
+            break  # m + J has passed its least
+        best = (m, j, log_poch)
+    m, j_terms, log_poch = min(plain, best or plain, key=lambda c: c[0] + c[1])
     b = [n**-sigma for n in range(1, m + j_terms)]
     z = complex(_cos_pi(2.0 * a), _sin_pi(2.0 * a))
-    phase = math.fmod(0.5 * s, 2.0) + 2.0 * a  # e^(i pi phase) = e^(i pi s/2) z
-    zs = list(accumulate(repeat(z, m - 1), mul, initial=complex(_cos_pi(phase), _sin_pi(phase))))
+    # e^(i pi s/2) z = e^(i pi phase); the rounding of phase enters to first order
+    phase, phase_err = _two_sum(math.fmod(0.5 * s, 2.0), 2.0 * a)
+    first = complex(_cos_pi(phase), _sin_pi(phase)) * complex(1.0, math.pi * phase_err)
+    zs = list(accumulate(repeat(z, m - 1), mul, initial=first))
     series = math.fsum(map(mul, (zn.imag for zn in zs[: m - 1]), b[: m - 1]))
     if j_terms:
         diffs, tail, step = b[m - 1 :], 0.0, zs[m - 1] / (1.0 - z)
@@ -378,11 +390,12 @@ def _fourier(s: float, a: float) -> tuple[float, float, int]:
             diffs = [y - x for x, y in zip(diffs, diffs[1:])]
         series += tail.imag
         remainder = math.exp(log_poch - j_terms * log_d - (sigma + j_terms - 1) * math.log(m))
-        remainder += 2.0**10 * _U * b[m - 1] / one_minus_z * j_terms
+        remainder += j_terms * _U * b[m - 1] * math.exp(j_terms * log_growth) / one_minus_z
     else:
         remainder = (m - 1) ** (1.0 - sigma) / (sigma - 1.0)
-    # the rotated z^n drift by about 4 n u: sum n b_n <= zeta(sigma - 1)
-    rounding = 8.0 * _U * (1.0 + 1.0 / (sigma - 2.0))
+    # z^1 is off by at most 4 u (sin, cos and the phase), and each rotation
+    # adds at most 6 u
+    rounding = _U * math.fsum((6 * n - 2) * bn for n, bn in enumerate(b, 1))
     value = g * series
     return value, g * (remainder + rounding) + (rel + _U) * abs(value), m + j_terms
 
@@ -390,13 +403,13 @@ def _fourier(s: float, a: float) -> tuple[float, float, int]:
 def _taylor_at_one(s: float, h: float) -> tuple[float, float, int]:
     """zeta(s, 1 + h) = sum_k (-h)^k (s)_k / k! zeta(s + k), for small |h|,
     from Riemann zeta values. Stops once the terms, whose ratio is then
-    below |h|, fall under _ETA / 1000. Returns (value, bound, terms)."""
+    below |h|, fall under _ETA. Returns (value, bound, terms)."""
     terms, bound, coef, k = [], 0.0, 1.0, 0
     while True:
         z, z_bound = _riemann(s + k)
         terms.append(coef * z)
         bound += abs(coef) * z_bound
-        if k > 2.0 - s and abs(terms[-1]) <= 1e-3 * _ETA:
+        if k > 2.0 - s and abs(terms[-1]) <= _ETA:
             break
         coef *= -h * (s + k) / (k + 1)
         k += 1
@@ -468,16 +481,16 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 1) -> float:
 
     Measured against mpmath over s in [-40, 30] and a in [0.1, 10], the
     error relative to max(1, |value|) is at most 3.1e-14, on the
-    Euler-Maclaurin route near s = -3, and 7.2e-15 on the others. A value
+    Euler-Maclaurin route near s = -3, and 6.0e-15 on the others. A value
     beyond float64 raises DomainError ("not finite in float64"), as does a
     bound that misses the contract: near a zero of zeta(s, .) far below
     s = 0, where the value is small against 2 Gamma(1-s) / (2 pi)^(1-s)
-    (1 of 3,000 sweep points, at s = -36). For large s the sum stops at its
-    first correction that underflows to 0, so a large s is refused only
-    where a^(-s) overflows (a < 1): the value is 1.0 at a = 1 and 0.0 for
-    a > 1 once a^(-s) underflows. An n_direct above the bound's N is
-    honoured after the contract is judged at the bound's own N; for s < 0
-    it grows the rounding like (a + N)^(1-s).
+    (2 of about 9,000 sweep points, near s = -35). For large s the sum
+    stops at its first correction that underflows to 0, so a large s is
+    refused only where a^(-s) overflows (a < 1): the value is 1.0 at a = 1
+    and 0.0 for a > 1 once a^(-s) underflows. An n_direct above the
+    bound's N is honoured after the contract is judged at the bound's own
+    N; for s < 0 it grows the rounding like (a + N)^(1-s).
     """
     sf = float(s)
     af = positive_real("a", a)
@@ -661,5 +674,7 @@ def model_from_dict(obj) -> ZetaModel:
             raise DomainError(f"{kind} model field 'eigenvalues' must be a list, got {value!r}")
         elif not set(map(type, value)) <= _JSON_NUMBERS:  # one C-level scan
             i = next(i for i, v in enumerate(value) if type(v) not in _JSON_NUMBERS)
-            raise DomainError(f"{kind} model field 'eigenvalues' entry {i} must be a number, got {value[i]!r}")
+            raise DomainError(
+                f"{kind} model field 'eigenvalues' entry {i} must be a number, got {value[i]!r}"
+            )
     return cls(**values)

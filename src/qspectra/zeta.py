@@ -473,7 +473,7 @@ def hurwitz_zeta(s: float, a: float, *, n_direct: int = 1) -> float:
     * s >= -1, and down to s = -3 where its bound allows:
       Euler-Maclaurin, with N from Johansson's remainder bound (Numer.
       Algorithms 69, 2015) at M = 9 Bernoulli terms (15 below s = -1);
-      N is at most 8 at a in [0.2, 8] on s in [-1, 3].
+      N is at most 9 at a in [0.2, 8] on s in [-1, 3].
     * otherwise a moves into (0, 1] by DLMF 25.11.3 and, for a = 1,
       Riemann's zeta takes its functional equation; for a within 0.05 of
       0 or 1 and s > -7, a Taylor series in a around 1; else Hurwitz's

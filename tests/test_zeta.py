@@ -393,6 +393,7 @@ def test_model_from_dict_refuses_unknown_fields(obj, message):
     ),
 )
 def test_model_from_dict_refuses_non_numbers(obj, message):
-    # each was read through float(): alpha 2, a = 1.0, the eigenvalue 1.0
+    # float() read the strings and booleans as numbers (alpha 2, a = 1.0,
+    # the eigenvalue 1.0); a string of eigenvalues is refused by name too
     with pytest.raises(DomainError, match=message):
         model_from_dict(obj)

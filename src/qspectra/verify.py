@@ -10,7 +10,9 @@ that the deformed-multinomial remainder decays like n^(1-q). That holds
 for q <= 1, but for q > 1 the Euler-Maclaurin constant
 (m - 1) zeta(q - 1) / (q - 1) survives in the remainder, so the q = 1.5
 check fails by mathematical necessity. It is kept, and kept failing,
-because silencing it would misreport what the measurement shows.
+because silencing it would misreport what the measurement shows. Next to
+it, combinatorics.remainder_second_order_q1.5 subtracts that constant and
+measures the decay that is left, with the expected slope 1 - q.
 """
 
 from __future__ import annotations
@@ -227,14 +229,15 @@ def _check_q0_remainder() -> tuple[float, str]:
     return worst, "remainder vanishes identically at q = 0"
 
 
-def _remainder_slope(q: float) -> float:
+def _remainder_slope(q: float, limit: float = 0.0) -> float:
+    """Fitted log-log slope of |remainder - limit| against n = 2^6..2^14."""
     ns = [2**k for k in range(6, 15)]
     logs_n, logs_r = [], []
     for n in ns:
         part = comb.Partition(n, (n // 2, n // 2))
         rem = comb.asymptotic_remainder(part, q)
         logs_n.append(math.log(n))
-        logs_r.append(math.log(abs(rem)))
+        logs_r.append(math.log(abs(rem - limit)))
     slope = np.polyfit(logs_n, logs_r, 1)[0]
     return float(slope)
 
@@ -242,6 +245,15 @@ def _remainder_slope(q: float) -> float:
 def _check_remainder_scaling(q: float) -> tuple[float, str]:
     return _remainder_slope(q), (
         f"log-log slope of |remainder| vs n for p = (1/2, 1/2) at q = {q:g}"
+    )
+
+
+def _check_remainder_second_order() -> tuple[float, str]:
+    q = 1.5
+    limit = zt.hurwitz_zeta(q - 1.0, 1.0) / (q - 1.0)  # (m - 1) zeta(q-1)/(q-1), m = 2
+    return _remainder_slope(q, limit), (
+        "log-log slope of |remainder - zeta(q-1)/(q-1)| vs n for p = (1/2, 1/2) "
+        "at q = 1.5, expected 1 - q"
     )
 
 
@@ -429,14 +441,16 @@ def _check_scale_covariance() -> tuple[float, str]:
     return worst, "zeta_{A/mu}(s) = mu^s zeta_A(s) and the folded-scale qdet"
 
 
+# every pair takes the Euler-Maclaurin route, whose cutoff n_direct moves;
+# the integers s <= 0 take the exact Bernoulli values instead
 _EM_PAIRS = (
-    (-3.0, 1.0),
-    (-3.0, 2.5),
-    (-1.0, 0.1),
-    (-1.0, 1.0),
+    (-2.9, 2.5),
+    (-2.5, 0.6),
+    (-0.9, 0.1),
+    (-0.9, 1.0),
     (-0.5, 0.5),
-    (0.0, 0.1),
-    (0.0, 7.0),
+    (-0.1, 0.1),
+    (0.1, 7.0),
     (0.5, 2.0),
     (2.0, 0.1),
     (2.0, 1.0),
@@ -575,6 +589,8 @@ _REGISTRY: tuple[tuple[str, float, object], ...] = (
     ("combinatorics.remainder_scaling_q0.5", 0.65, lambda: _check_remainder_scaling(0.5)),
     ("combinatorics.remainder_scaling_q1.0", 0.15, lambda: _check_remainder_scaling(1.0)),
     ("combinatorics.remainder_scaling_q1.5", -0.35, lambda: _check_remainder_scaling(1.5)),
+    # measured slope -0.4995; the bound leaves a margin of 0.05
+    ("combinatorics.remainder_second_order_q1.5", -0.45, _check_remainder_second_order),
     ("combinatorics.tsallis_shannon_limit", 0.625, _check_tsallis_limit),
     ("spectrum.ordering_invariance", 1e-12, _check_ordering_invariance),
     ("spectrum.classical_product", 1e-12, _check_classical_product),

@@ -613,8 +613,20 @@ def theta_covariance_zeta(model: ZetaModel, q: QLike, theta: float) -> float:
 
     Only power_spectrum models stay in the family under A -> A^theta
     (alpha -> alpha theta, scale -> scale^theta), and only for theta > 0;
-    other models and theta < 0 raise UnsupportedModelError. The residual is
-    zero in exact arithmetic and stays at rounding level (<= 1e-8 contract).
+    other models and theta < 0 raise UnsupportedModelError.
+
+    The residual is zero in exact arithmetic. In float64 the rounding of
+    alpha theta, scale^theta and q' moves the zeta argument
+    sigma = alpha (q' - 1) by a few ulp, so the residual is relative, not
+    absolute (the determinants reach 1e140 at q = -40): it is at most
+    2e-12 max(1, |qdet(A, q')|, E), where E = 2 Gamma(1 - sigma) /
+    (2 pi)^(1 - sigma) scale^(q'-1) / |1 - q'| for sigma < -1, and 0 above,
+    is the scale of Hurwitz's series. E exceeds |qdet(A, q')| only near a
+    trivial zero sigma = -2, -4, ...; elsewhere the bound reads
+    2e-12 max(1, |qdet(A, q')|). Measured on 24,000 random points with
+    alpha in [0.5, 2.5], scale in [0.5, 2], q in [-40, 4] and theta in
+    [0.5, 2]: at most 6.2e-13 of that scale (up to 8.1e-11 of
+    max(1, |qdet(A, q')|) alone, next to a trivial zero).
     """
     if not isinstance(model, PowerSpectrum):
         raise UnsupportedModelError(

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,6 +17,47 @@ from qspectra.combinatorics import (
     tsallis_entropy,
 )
 from qspectra.errors import DomainError
+from qspectra.qalgebra import as_qparam, q_log_array
+
+EPS = 2.0**-52
+
+
+def _mp_hurwitz_tail(s, a):
+    """Asymptotic part of zeta(s, a) for a >= 256, |s| <= 7, at 40 digits:
+    a^(1-s)/(s-1) + a^(-s)/2 + sum_j B_2j/(2j)! (s)_(2j-1) a^(1-s-2j); the
+    constant zeta(s) is left out, as it cancels in differences."""
+    total = a ** (1 - s) / (s - 1) + a ** (-s) / 2
+    poch = s
+    for j in range(1, 31):
+        term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * poch * a ** (-s - 2 * j + 1)
+        total += term
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+    assert abs(term) < mp.mpf(10) ** -35 * max(1, abs(total))
+    return total
+
+
+def mp_range(a, b, q):
+    """sum_{a<k<=b} ln_q k in mpmath: term by term up to k = 256, then a
+    difference of Hurwitz tails (digamma at q = 2, loggamma at q = 1)."""
+    with mp.workdps(40):
+        if abs(q - 1.0) < 1e-8:
+            return mp.loggamma(b + 1) - mp.loggamma(a + 1)
+        r = 1 - mp.mpf(q)
+        head = mp.fsum((mp.mpf(k) ** r - 1) / r for k in range(a + 1, min(b, max(a, 256)) + 1))
+        a = max(a, 256)
+        if b <= a:
+            return head
+        if q == 2.0:
+            return head + (b - a) - (mp.digamma(b + 1) - mp.digamma(a + 1))
+        power_sum = _mp_hurwitz_tail(-r, mp.mpf(a + 1)) - _mp_hurwitz_tail(-r, mp.mpf(b + 1))
+        return head + (power_sum - (b - a)) / r
+
+
+def factorial_tol(n, q, value):
+    """The accuracy q_factorial_log documents (bench/oracle.q_factorial_tol)."""
+    if abs(q - 1.0) < 1e-8:
+        return 8 * EPS * max(1.0, abs(value))
+    return 2 * EPS * (3 + abs(1.0 - q) * math.log(n)) * abs(value)
 
 
 def test_partition_validation():
@@ -136,6 +178,47 @@ def test_q_factorial_log_frozen_oracles():
     assert q_factorial_log(9, 0.0) == pytest.approx(36.0, rel=1e-14)
 
 
+_KERNEL_QS = (
+    -5.0, -2.0, 0.0, 0.5, 0.999, 1.0 - 2e-8, 1.0, 1.0 + 2e-8,
+    1.5, 1.9, 1.999, 1.99999, 2.0, 2.0001, 2.5, 3.9,
+)
+# around the direct head (16 terms) and the direct-sum limit (128 terms)
+_KERNEL_NS = (1, 15, 16, 17, 127, 128, 129, *(2**k for k in range(6, 21)), 2**30, 2**40)
+
+
+@pytest.mark.parametrize("q", _KERNEL_QS)
+def test_q_factorial_log_against_mpmath(q):
+    for n in _KERNEL_NS:
+        want = mp_range(0, n, q)
+        got = q_factorial_log(n, q)
+        assert abs(got - want) <= factorial_tol(n, q, float(want)), (n, got, want)
+
+
+@pytest.mark.parametrize("q", (-4.5, 0.3, 0.9999999, 1.4, 2.0, 3.9))
+def test_q_factorial_log_short_sums_stay_term_by_term(q):
+    # up to 128 terms: each through the array q_log kernel, rounded once
+    qp = as_qparam(q)
+    for n in range(1, 129):
+        terms = q_log_array(np.arange(1, n + 1, dtype=float), qp)
+        assert q_factorial_log(n, q) == math.fsum(terms.tolist())
+
+
+def test_q_factorial_log_extreme_q_is_finite_or_refused():
+    # no OverflowError from a power, no RuntimeWarning, no inf or nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (-1e300, -1e6, -1000.0, -300.0, -100.0, -40.0, 40.0, 1100.0, 1e6, 1e300):
+            for n in (2, 129, 1000, 2**20, 2**40):
+                try:
+                    value = q_factorial_log(n, q)
+                except DomainError as exc:
+                    assert "overflows float64" in str(exc)
+                    continue
+                assert math.isfinite(value) and value > 0.0
+    # the terms tend to 1/(q-1) for k >= 2
+    assert q_factorial_log(2**40, 1e300) == pytest.approx((2**40 - 1) / 1e300, rel=1e-15)
+
+
 def test_q_factorial_small_values():
     assert q_factorial(3, 1.0).value == pytest.approx(6.0, rel=1e-12)
     res = q_factorial(4, 0.0)  # exp_0(u) = 1 + u, u = 0+1+2+3
@@ -153,6 +236,37 @@ def test_q_multinomial_log_classical_matches_binomial():
 def test_q_multinomial_log_frozen_oracle():
     value = q_multinomial_log(Partition(10, (3, 3, 4)), 1.5)
     assert value == pytest.approx(4.664746503671707, rel=1e-14)
+
+
+def _multinomial_bound(parts, q):
+    """q_multinomial_log's documented bound: the tolerance of each piece,
+    S(n_1, n] and the factorials of the other parts, added up."""
+    n, (largest, *rest) = sum(parts), sorted(parts, reverse=True)
+    pieces = [(n, mp_range(largest, n, q))] + [(ni, mp_range(0, ni, q)) for ni in rest]
+    return sum(factorial_tol(n, q, float(v)) for _, v in pieces)
+
+
+@pytest.mark.parametrize(
+    "q,n",
+    [(1.0 - 2e-8, 2**20), (1.0, 2**20), (-2.0, 2**20), (0.7, 2**16), (1.5, 2**30), (0.5, 2**40)],
+)
+def test_q_multinomial_one_off_partition_against_mpmath(q, n):
+    # (n-1, 1) is ln_q n; the old difference of two totals was off by
+    # 9.2e-11 at q = 1 - 2e-8, 6.1e-11 at q = 1, 1.5e-11 at q = -2 and
+    # 8.0e-12 at q = 0.7
+    want = mp_range(n - 1, n, q)
+    got = q_multinomial_log((n - 1, 1), q)
+    assert abs(got - want) <= _multinomial_bound((n - 1, 1), q)
+
+
+@pytest.mark.parametrize("q", (-2.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.9))
+def test_q_multinomial_log_against_mpmath(q):
+    n = 2**20
+    for parts in ((n - 300, 300), (n - 5, 3, 2), (n // 2, n // 2), (n // 4, n // 4, n // 2), (n // 3, n // 3, n - 2 * (n // 3))):
+        with mp.workdps(40):
+            want = mp_range(0, n, q) - mp.fsum(mp_range(0, ni, q) for ni in parts)
+        got = q_multinomial_log(parts, q)
+        assert abs(got - want) <= _multinomial_bound(parts, q), (parts, got, want)
 
 
 def test_q_multinomial_accepts_raw_parts():

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from qspectra.verify import CheckResult, check_names, run_checks
+from qspectra import zeta
+from qspectra.verify import _EM_PAIRS, CheckResult, check_names, run_checks
 
 # the deformed-multinomial remainder tends to a nonzero zeta constant for
 # q > 1, so this slope check cannot pass; see the module docstring
@@ -63,3 +64,10 @@ def test_tolerance_scale_multiplies(results):
 def test_unknown_override_rejected():
     with pytest.raises(KeyError, match="no.such.check"):
         run_checks(overrides={"no.such.check": 1.0})
+
+
+def test_doubling_pairs_take_the_euler_maclaurin_route():
+    # the exact Bernoulli route (M = 0) ignores n_direct, which would make
+    # zeta.euler_maclaurin_doubling compare a value with itself
+    for s, a in _EM_PAIRS:
+        assert zeta._hurwitz(s, a)[3] > 0, (s, a)

@@ -86,12 +86,8 @@ def test_bernoulli_numbers():
 def test_hurwitz_zeta_against_mpmath(s, a):
     want = float(mp.zeta(s, a))
     got = hurwitz_zeta(s, a)
-    # for s < 1 the partial sum cancels against a tail of size
-    # (a+N)^(1-s)/|s-1|; that intermediate bounds the float accuracy
-    scale = max(1.0, abs(want))
-    if s < 1.0:
-        scale = max(scale, (a + 50.0) ** (1.0 - s) / abs(s - 1.0))
-    assert got == pytest.approx(want, abs=1e-13 * scale)
+    # the documented contract
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_hurwitz_zeta_special_rows():
@@ -347,6 +343,31 @@ def test_theta_covariance_zeta():
         theta_covariance_zeta(shifted_linear(1.0), 1.2, 2.0)
     with pytest.raises(UnsupportedModelError):
         theta_covariance_zeta(power_spectrum(1.0), 1.2, -2.0)
+
+
+def test_theta_covariance_zeta_relative_contract():
+    """The docstring contract, residual <= 2e-12 max(1, |qdet(A, q')|, E),
+    on a seeded subset of the box it was measured on."""
+    rng = np.random.default_rng(5)
+    checked = 0
+    for alpha, scale, q, theta in rng.uniform((0.5, 0.5, -40.0, 0.5), (2.5, 2.0, 4.0, 2.0), (300, 4)):
+        model = power_spectrum(alpha, scale)
+        q_prime = 1.0 + theta * (q - 1.0)
+        try:
+            residual = theta_covariance_zeta(model, q, theta)
+            det = qdet_zeta(model, q_prime)
+        except (DomainError, PoleError):
+            continue
+        sigma = alpha * (q_prime - 1.0)
+        # the scale of Hurwitz's series, 2 Gamma(1-sigma) / (2 pi)^(1-sigma)
+        log_series = (
+            math.log(2.0) + math.lgamma(1.0 - sigma) - (1.0 - sigma) * math.log(2.0 * math.pi)
+            + (q_prime - 1.0) * math.log(scale) - math.log(abs(1.0 - q_prime))
+        )
+        series = math.exp(min(log_series, 700.0)) if sigma < -1.0 else 0.0
+        assert residual <= 2e-12 * max(1.0, abs(det), series)
+        checked += 1
+    assert checked >= 290
 
 
 def test_model_json_round_trip():

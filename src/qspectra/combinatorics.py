@@ -223,12 +223,12 @@ def q_factorial_log(n: int, q: QLike) -> float:
 
     Equals (H(n, 1-q) - n) / (1-q) away from q = 1 and ln n! at q = 1,
     where it is math.lgamma(n + 1). Elsewhere it is the range kernel
-    S(0, n]: up to 128 terms are each evaluated through the stabilised q_log
-    kernel, so no cancellation appears near the classical point, and
-    rounded once; beyond that K <= 16 terms (more only for |q| large) are
-    summed directly and the Euler-Maclaurin tail adds the rest, its
-    truncation bounded by 1e-16 of the value. Measured against mpmath for q
-    in [-5, 4] and n up to 2^40, the error is within
+    S(0, n]: up to 128 terms are each evaluated through the stabilised
+    q_log kernel, so no cancellation appears near the classical point, and
+    rounded once; beyond that K = 16 terms (more only for |q| large: 64 at
+    q = -100) are summed directly and the Euler-Maclaurin tail adds the
+    rest, its truncation bounded by 1e-16 of the value. Measured against
+    mpmath for q in [-5, 4] and n up to 2^40, the error is within
     2 eps (3 + |1-q| ln n) |value|. A value beyond float64 raises
     DomainError.
     """

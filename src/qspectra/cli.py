@@ -33,7 +33,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -42,8 +41,6 @@ from .errors import DomainError, PoleError, UnsupportedModelError, positive_real
 from .qalgebra import QParam, q_exp, spectral_weight
 
 __all__ = ["main", "build_parser"]
-
-_TOLERANCE_SCALE_VAR = "QSPECTRA_TOLERANCE_SCALE"
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +243,8 @@ def _cmd_weight(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_checks
 
-    scale = positive_real(_TOLERANCE_SCALE_VAR, os.environ.get(_TOLERANCE_SCALE_VAR, "1"))
     try:
-        results = run_checks(scale, dict(args.tolerance))
+        results = run_checks(dict(args.tolerance))
     except KeyError as exc:
         raise DomainError(str(exc)) from exc
 
@@ -262,7 +258,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failures = [res.name for res in results if not res.passed]
     report = {
         "command": "verify",
-        "tolerance_scale": scale,
         "passed": not failures,
         "failures": failures,
         "checks": [dataclasses.asdict(res) for res in results],

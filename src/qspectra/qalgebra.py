@@ -210,7 +210,9 @@ def q_log_array(x, qp: QParam) -> np.ndarray:
     """Vectorised q_log kernel for strictly positive arrays.
 
     Internal helper shared by the spectrum and combinatorics aggregates;
-    positivity is the caller's responsibility.
+    positivity is the caller's responsibility. It is within 2 ulp of
+    q_log, not bit for bit: np.expm1 and math.expm1 round differently,
+    and about 8% of points differ (x in [0.1, 100], q in [-3, 3]).
     """
     import numpy as np
 

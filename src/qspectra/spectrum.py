@@ -20,6 +20,7 @@ command line evaluates every finite operator through q_logdet.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -122,6 +123,14 @@ class FiniteDiag:
         with np.errstate(all="ignore"):
             terms = self.eigenvalues ** (-s)
         return finite(exact_sum(terms), "finite_diag zeta overflows float64 at s = {!r}", s)
+
+    def jet0(self) -> tuple[float, float, float]:
+        """(zeta(0), zeta'(0), zeta''(0)) of the rescaled operator:
+        (N, -sum ln x_k, sum ln^2 x_k), each sum exactly rounded. ln x_k is
+        taken as ln lambda_k - ln mu, which is ln lambda_k itself at mu = 1
+        and stays defined where lambda_k / mu leaves float64."""
+        logs = np.log(self.eigenvalues) - math.log(self.scale)
+        return float(len(self)), -exact_sum(logs), exact_sum(logs * logs)
 
     def power(self, theta: float) -> FiniteDiag:
         return power_transform(self, theta)

@@ -8,14 +8,13 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     """Run ``python -m qspectra`` on these sources. numpy RuntimeWarnings
     are raised as errors, as the pytest filter does in-process, so a
     warning on stderr fails the run instead of passing unseen. No run may
     end in a traceback: every error is reported as one ``error:`` line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.update(env_extra or {})
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "qspectra", *args],
         capture_output=True,

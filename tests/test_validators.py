@@ -171,6 +171,8 @@ def _finite_or_refused(call) -> None:
 @example(ShiftedLinear(1e305), ShiftedLinear(1.0), Spectrum((1e308, 2.0), 0.5), [2.0], 1.0)
 @example(ShiftedLinear(1e305), ShiftedLinear(1.0), Spectrum((2.0,), 0.5), [2.0], 1.000000001)
 @example(ShiftedLinear(1e307), ShiftedLinear(1.0), Spectrum((2.0,), 0.5), [1e154] * 4, -1.0)
+# math.lgamma raised OverflowError in zeta'(0) = ln Gamma(a) - ln(2 pi)/2
+@example(ShiftedLinear(1e307), ShiftedLinear(1.0), Spectrum((2.0,), 0.5), [2.0], 1.0)
 def test_results_are_finite_or_refused(model, reference, spec, factors, q):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -99,11 +99,8 @@ def test_hurwitz_zeta_special_rows():
             -(a * a - a + 1 / 6) / 2, abs=1e-12
         )
     assert hurwitz_zeta(3.0, 2.5) == pytest.approx(0.1181020258208637, rel=1e-13)
-    # a short direct sum keeps the cancelling intermediates small, which
-    # is what this tiny negative-s value needs
-    assert hurwitz_zeta(-2.5, 0.3, n_direct=10) == pytest.approx(
-        -0.00949638093151452, abs=1e-12
-    )
+    # a tiny value at negative s, held to the 1e-13 max(1, |value|) contract
+    assert abs(hurwitz_zeta(-2.5, 0.3) - -0.00949638093151452) <= 1e-13
 
 
 def test_hurwitz_zeta_domain_errors():
@@ -113,10 +110,6 @@ def test_hurwitz_zeta_domain_errors():
         hurwitz_zeta(1.0 + 0.5 * POLE_EPS, 1.0)
     with pytest.raises(DomainError):
         hurwitz_zeta(2.0, 0.0)
-    with pytest.raises(DomainError):
-        hurwitz_zeta(2.0, 1.0, n_direct=0)
-    with pytest.raises(DomainError):
-        hurwitz_zeta(2.0, 1.0, n_direct=49.5)
     # a trivial zero of Riemann's zeta; mpmath gives exactly 0
     assert hurwitz_zeta(-180.0, 1.0) == 0.0
     # the true value, 1.68e375, is beyond float64
@@ -217,17 +210,11 @@ def test_zeta_pole_refusal():
 
 
 def test_zeta_deriv0():
-    assert zeta_deriv0(shifted_linear(1.0)) == pytest.approx(
-        -HALF_LN_2PI, abs=1e-8
-    )
+    assert zeta_deriv0(shifted_linear(1.0)) == pytest.approx(-HALF_LN_2PI, rel=1e-14)
     # frozen: mpmath derivative of zeta(s, 0.7) at s = 0
-    assert zeta_deriv0(shifted_linear(0.7)) == pytest.approx(
-        -0.6580712866730062, abs=1e-8
-    )
+    assert zeta_deriv0(shifted_linear(0.7)) == pytest.approx(-0.6580712866730062, rel=1e-14)
     # zeta_{k^2}(s) = zeta(2s), so the derivative doubles
-    assert zeta_deriv0(power_spectrum(2.0)) == pytest.approx(
-        -2.0 * HALF_LN_2PI, abs=1e-8
-    )
+    assert zeta_deriv0(power_spectrum(2.0)) == pytest.approx(-2.0 * HALF_LN_2PI, rel=1e-14)
 
 
 def test_zeta_deriv0_scale_shift():
@@ -236,21 +223,89 @@ def test_zeta_deriv0_scale_shift():
     base = shifted_linear(1.0)
     scaled = shifted_linear(1.0, scale=mu)
     want = zeta_deriv0(base) + math.log(mu) * zeta_value(base, 0.0)
-    assert zeta_deriv0(scaled) == pytest.approx(want, abs=1e-8)
+    assert zeta_deriv0(scaled) == pytest.approx(want, rel=1e-14)
+
+
+def test_riemann_zeta_second_derivative_at_zero():
+    # mpmath: zeta''(0) = -2.0063564559085848512...
+    assert power_spectrum(1.0).jet0()[2] == pytest.approx(-2.0063564559085848512, rel=1e-15)
+
+
+def _mp_jet(derivs, log_mu):
+    """(Z(0), Z'(0), Z''(0)) of Z(s) = e^(s log_mu) f(s) from f's jet at 0."""
+    d0, d1, d2 = derivs
+    return d0, d1 + log_mu * d0, d2 + 2 * log_mu * d1 + log_mu**2 * d0
+
+
+def _jet_models():
+    """(model, mpmath jet) for the three kinds, the scale included."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for mu in (0.3, 1.0, 5.0):
+        log_mu = mp.log(mu)
+        for a in np.geomspace(0.1, 1e4, 9).tolist():
+            derivs = [mp.zeta(0, a, k) for k in range(3)]
+            cases.append((shifted_linear(a, scale=mu), _mp_jet(derivs, log_mu)))
+        for alpha in np.linspace(0.5, 2.5, 9).tolist():
+            derivs = [alpha**k * mp.zeta(0, 1, k) for k in range(3)]
+            cases.append((power_spectrum(alpha, scale=mu), _mp_jet(derivs, log_mu)))
+        eigs = rng.uniform(0.05, 100.0, 200)
+        logs = [mp.log(mp.mpf(x) / mu) for x in eigs]
+        cases.append((Spectrum(eigs, mu), (len(eigs), -mp.fsum(logs), mp.fsum(v * v for v in logs))))
+    # large logarithms of the scale or of an eigenvalue, where the
+    # five-point stencil of earlier versions was off by up to 5.4e-4
+    for mu in (1e20, 1e100):
+        derivs = [mp.zeta(0, 1, k) for k in range(3)]
+        cases.append((shifted_linear(1.0, scale=mu), _mp_jet(derivs, mp.log(mu))))
+    for eigs, mu in (((1e100, 2.0, 0.5), 1.0), ((1e308, 2.0), 0.5)):
+        logs = [mp.log(mp.mpf(x) / mp.mpf(mu)) for x in eigs]
+        cases.append((Spectrum(eigs, mu), (len(eigs), -mp.fsum(logs), mp.fsum(v * v for v in logs))))
+    return cases
+
+
+def test_jets_against_mpmath():
+    with mp.workdps(30):
+        for model, want in _jet_models():
+            got = model.jet0()
+            # zeta(0) rounded once; zeta'(0) and the band of qdet within
+            # 1e-14 max(1, |value|); zeta''(0) within 2e-14
+            for k, tol in ((0, 2.0**-53), (1, 1e-14), (2, 2e-14)):
+                assert abs(got[k] - want[k]) <= tol * max(1, abs(want[k])), (model, k)
+            assert abs(zeta_deriv0(model) - want[1]) <= 1e-14 * max(1, abs(want[1])), model
+            for q in (1.0, 1.0 + 5e-9, 1.0 - 5e-9):
+                band = -want[1] - (mp.mpf(q) - 1) / 2 * want[2]
+                assert abs(qdet_zeta(model, q) - band) <= 1e-14 * max(1, abs(band)), (model, q)
+
+
+def test_hurwitz_second_derivative_at_zero_against_mpmath():
+    rng = np.random.default_rng(31)
+    points = np.concatenate((np.geomspace(1e-6, 1e6, 40), rng.uniform(0.01, 20.0, 200)))
+    with mp.workdps(30):
+        for a in points.tolist():
+            want = mp.zeta(0, a, 2)
+            got = shifted_linear(a).jet0()[2]
+            assert abs(got - want) <= 2e-14 * max(1, abs(want)), a
 
 
 def test_zeta_differences_beyond_float64_are_refused():
-    # every zeta value is finite; the stencil and the quotient overflow
-    # (were inf, -inf and nan)
+    # Lerch's ln Gamma(a) - ln(2 pi)/2 is finite at a = 1e305, and so is the
+    # band value at q = 1; zeta''(0), about -a ln(a)^2, is not
     huge, one = shifted_linear(1e305), shifted_linear(1.0)
-    with pytest.raises(DomainError, match=r"^zeta'\(0\) is not finite in float64$"):
-        zeta_deriv0(huge)
-    for q in (1.0, 1.0 + 1e-9, 1.0 - 1e-9):
+    assert zeta_deriv0(huge) == 7.01288453363184e307
+    assert qdet_zeta(huge, 1.0) == -7.01288453363184e307
+    for q in (1.0 + 1e-9, 1.0 - 1e-9):
         for call in (lambda: qdet_zeta(huge, q), lambda: relative_qdet_zeta(huge, one, q)):
             with pytest.raises(DomainError, match=f"^the zeta determinant is not finite in float64 at q = {q!r}$"):
                 call()
+    # math.lgamma overflows at a = 1e307
+    beyond = shifted_linear(1e307)
+    with pytest.raises(DomainError, match=r"^zeta'\(0\) is not finite in float64$"):
+        zeta_deriv0(beyond)
+    for call in (lambda: qdet_zeta(beyond, 1.0), lambda: relative_qdet_zeta(beyond, one, 1.0)):
+        with pytest.raises(DomainError, match="^the zeta determinant is not finite in float64 at q = 1.0$"):
+            call()
     with pytest.raises(DomainError, match="^the zeta determinant is not finite in float64 at q = 1.00000002$"):
-        qdet_zeta(shifted_linear(1e307), 1.00000002)
+        qdet_zeta(beyond, 1.00000002)
 
 
 def test_qdet_zeta_finite_matches_spectrum_route():

@@ -243,11 +243,7 @@ def _cmd_weight(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_checks
 
-    try:
-        results = run_checks(dict(args.tolerance))
-    except KeyError as exc:
-        raise DomainError(str(exc)) from exc
-
+    results = run_checks()
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(
@@ -268,16 +264,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _tolerance_override(text: str) -> tuple[str, float]:
-    name, sep, value = text.partition("=")
-    if not sep or not name:
-        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
-    try:
-        return name, float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid tolerance {value!r}") from exc
 
 
 def _add_io_flags(sub: argparse.ArgumentParser, default_format: str) -> None:
@@ -349,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_weight.set_defaults(func=_cmd_weight)
 
     p_verify = sub.add_parser("verify", help="run the invariant battery")
-    p_verify.add_argument(
-        "--tolerance", action="append", type=_tolerance_override, default=[],
-        metavar="NAME=VALUE", help="override one check's tolerance; repeatable",
-    )
     p_verify.add_argument("--out", default=None, help="report file (default stdout)")
     p_verify.set_defaults(func=_cmd_verify)
 

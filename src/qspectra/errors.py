@@ -30,7 +30,7 @@ def positive_real(name: str, value) -> float:
     finite real number > 0."""
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int beyond float64
         x = math.nan
     if not 0.0 < x < math.inf:
         raise DomainError(f"{name} must be a finite positive number, got {value!r}")
@@ -55,7 +55,7 @@ def nonzero_real(name: str, value) -> float:
     finite real number != 0."""
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int beyond float64
         x = math.nan
     if not (math.isfinite(x) and x != 0.0):
         raise DomainError(f"{name} must be finite and nonzero, got {value!r}")

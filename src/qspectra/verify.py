@@ -10,7 +10,8 @@ that the deformed-multinomial remainder decays like n^(1-q). That holds
 for q <= 1, but for q > 1 the Euler-Maclaurin constant
 (m - 1) zeta(q - 1) / (q - 1) survives in the remainder, so the q = 1.5
 check fails by mathematical necessity. It is kept, and kept failing,
-because silencing it would misreport what the measurement shows. Next to
+because silencing it would misreport what the measurement shows; every
+tolerance is a constant of the registry, so no caller can waive it. Next to
 it, combinatorics.remainder_second_order_q1.5 subtracts that constant and
 measures the decay that is left, with the expected slope 1 - q.
 """
@@ -618,20 +619,14 @@ def check_names() -> list[str]:
     return [name for name, _, _ in _REGISTRY]
 
 
-def run_checks(overrides: dict[str, float] | None = None) -> list[CheckResult]:
-    """Run the full battery.
+def run_checks() -> list[CheckResult]:
+    """Run the full battery, each check at its fixed tolerance.
 
-    ``overrides`` replaces the default tolerance of individual checks by
-    name. A check that raises is reported as failed with an infinite
-    residual; no failure stops the rest of the battery.
+    A check that raises is reported as failed with an infinite residual;
+    no failure stops the rest of the battery.
     """
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - set(check_names())
-    if unknown:
-        raise KeyError(f"unknown check names: {sorted(unknown)}")
     results = []
     for name, tol, fn in _REGISTRY:
-        tol = float(overrides.get(name, tol))
         try:
             residual, detail = fn()
         except Exception as exc:  # noqa: BLE001 - the battery must not abort

@@ -70,8 +70,9 @@ __all__ = [
     "model_from_json",
 ]
 
-# Evaluations closer than this to a pole are refused rather than returned
-# as huge, meaningless floats.
+# Hurwitz arguments closer than this to the pole at 1 are refused rather
+# than returned as huge, meaningless floats: s for shifted_linear, alpha s
+# for power_spectrum.
 POLE_EPS = 1e-6
 
 
@@ -527,19 +528,15 @@ def hurwitz_zeta(s: float, a: float) -> float:
 def zeta_value(model: ZetaModel, s: float) -> float:
     """zeta_A(s) for the rescaled operator: scale^s times the bare zeta.
 
-    Raises PoleError when s falls within 1e-6 of the model's pole, and
-    DomainError when the value is beyond float64.
+    Raises PoleError when the argument of the Hurwitz zeta behind the
+    model falls within POLE_EPS of its pole at 1 (s for shifted_linear,
+    alpha s for power_spectrum; finite_diag has no pole), and DomainError
+    when the value is beyond float64.
 
     >>> zeta_value(finite_diag((2.0, 3.0)), 1.0)
     0.8333333333333333
     """
     sf = float(s)
-    pole = model.pole
-    if pole is not None and abs(sf - pole) < POLE_EPS:
-        raise PoleError(
-            f"zeta of this {model.kind} model has a pole at s = {pole!r}, "
-            f"got s = {sf!r}"
-        )
     try:  # scale**s is exactly 1.0 at scale 1
         value = model.zeta(sf) * model.scale**sf
     except OverflowError:
@@ -632,9 +629,10 @@ def qdet_zeta(model: ZetaModel, q: QLike) -> float:
     quotient would cancel catastrophically, so the expansion around s = 0
     is used instead: -zeta'(0) - (q - 1) zeta''(0) / 2, with both
     derivatives from the model's exact jet (model.jet0()); there it is
-    within 1e-14 max(1, |value|) of mpmath. Evaluations that
-    land on a pole of zeta (q = 2 for shifted_linear, q = 1 + 1/alpha for
-    power_spectrum) raise PoleError.
+    within 1e-14 max(1, |value|) of mpmath. Off the band, q within
+    POLE_EPS of the pole of the Hurwitz argument raises PoleError: near
+    q = 2 for shifted_linear, alpha (q - 1) near 1 (q = 1 + 1/alpha) for
+    power_spectrum.
     """
     qp = as_qparam(q)
     return _qdet_combine(qp, *_qdet_parts(model, qp))

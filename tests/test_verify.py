@@ -46,20 +46,6 @@ def test_battery_is_deterministic(results):
     ]
 
 
-def test_tolerance_override_forces_failure():
-    picked = "spectrum.theta_covariance"
-    results = run_checks(overrides={picked: 1e-30})
-    failures = {r.name for r in results if not r.passed}
-    assert failures == EXPECTED_FAILURES | {picked}
-    (forced,) = [r for r in results if r.name == picked]
-    assert forced.tolerance == 1e-30
-
-
-def test_unknown_override_rejected():
-    with pytest.raises(KeyError, match="no.such.check"):
-        run_checks(overrides={"no.such.check": 1.0})
-
-
 def test_doubling_pairs_take_the_euler_maclaurin_route():
     # zeta.euler_maclaurin_doubling moves the cutoff of this route; off it
     # (M = 0) the check would compare two methods, not two cutoffs

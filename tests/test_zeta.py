@@ -207,6 +207,14 @@ def test_zeta_pole_refusal():
         zeta_value(shifted_linear(1.0), 1.0)
     # just outside the guard band evaluates fine
     assert math.isfinite(zeta_value(shifted_linear(1.0), 1.0 + 2 * POLE_EPS))
+    # the band is taken in the Hurwitz argument alpha s, not in s
+    with pytest.raises(PoleError):
+        zeta_value(power_spectrum(2.0), 0.5 + 0.4 * POLE_EPS)
+    s = 0.5 + 0.6 * POLE_EPS
+    exact = float(mp.zeta(2 * mp.mpf(s)))
+    assert zeta_value(power_spectrum(2.0), s) == pytest.approx(exact, rel=1e-13)
+    # the pole 1 / alpha = 5e-7 lies within 1e-6 of s = 0, alpha s does not
+    assert zeta_value(power_spectrum(2e6), 0.0) == -0.5
 
 
 def test_zeta_deriv0():
@@ -339,8 +347,11 @@ def test_qdet_zeta_classical_limit():
 def test_qdet_zeta_pole():
     with pytest.raises(PoleError):
         qdet_zeta(shifted_linear(1.0), 2.0)
-    with pytest.raises(PoleError):
-        qdet_zeta(power_spectrum(2.0), 1.5)
+    for alpha in (0.5, 2.0, 2e6):
+        with pytest.raises(PoleError):
+            qdet_zeta(power_spectrum(alpha), 1.0 + 1.0 / alpha)
+    # (zeta_R(1e6) - zeta_R(0)) / (1 - 1.5); mpmath: -3.0
+    assert qdet_zeta(power_spectrum(2e6), 1.5) == -3.0
 
 
 def test_relative_qdet_zeta():

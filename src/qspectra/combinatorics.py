@@ -293,11 +293,16 @@ def _entropy_kernel(values: np.ndarray, index: QParam) -> np.ndarray:
 
 
 def tsallis_entropy(p, q: QLike) -> float:
-    """Nonextensive entropy H_q(p) = (sum p_i^q - 1) / (1 - q).
+    """Nonextensive entropy H_q(p), computed as
+    (sum p_i^q - sum p_i) / (1 - q) = sum p_i ln_q(1/p_i).
 
-    Entries with p_i = 0 contribute nothing (the 0 ln 0 = 0 convention);
-    at q = 1 this is the Shannon entropy in nats. A value beyond float64
-    raises DomainError.
+    This is the textbook (sum p_i^q - 1) / (1 - q) when the p_i sum to 1
+    exactly. Input whose sum is within 1e-12 of 1 is accepted; on it the
+    textbook form would add (sum p_i - 1) / (1 - q), which has no bound
+    as q -> 1, while the computed form tends to -sum p_i ln p_i. Entries
+    with p_i = 0 contribute nothing (the 0 ln 0 = 0 convention); at q = 1
+    this is the Shannon entropy in nats. A value beyond float64 raises
+    DomainError.
 
     >>> tsallis_entropy((0.5, 0.5), 2.0)
     0.5

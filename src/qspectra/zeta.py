@@ -528,10 +528,10 @@ def hurwitz_zeta(s: float, a: float) -> float:
 def zeta_value(model: ZetaModel, s: float) -> float:
     """zeta_A(s) for the rescaled operator: scale^s times the bare zeta.
 
-    Raises PoleError when the argument of the Hurwitz zeta behind the
-    model falls within POLE_EPS of its pole at 1 (s for shifted_linear,
-    alpha s for power_spectrum; finite_diag has no pole), and DomainError
-    when the value is beyond float64.
+    Raises PoleError, naming s and the model's pole, when the argument of
+    the Hurwitz zeta behind the model falls within POLE_EPS of its pole at
+    1 (s for shifted_linear, alpha s for power_spectrum; finite_diag has
+    no pole), and DomainError when the value is beyond float64.
 
     >>> zeta_value(finite_diag((2.0, 3.0)), 1.0)
     0.8333333333333333
@@ -541,6 +541,10 @@ def zeta_value(model: ZetaModel, s: float) -> float:
         value = model.zeta(sf) * model.scale**sf
     except OverflowError:
         value = math.inf
+    except PoleError:
+        raise PoleError(
+            f"zeta of this {model.kind} model has a pole at s = {model.pole!r}, got s = {sf!r}"
+        ) from None
     return finite(value, "zeta overflows float64 at s = {!r}", sf)
 
 
@@ -604,10 +608,17 @@ def zeta_deriv0(model: ZetaModel) -> float:
 
 
 def _qdet_parts(model: ZetaModel, qp: QParam) -> tuple[float, float]:
-    """(zeta(q-1), zeta(0)); inside the classical band (zeta'(0), zeta''(0))."""
+    """(zeta(q-1), zeta(0)); inside the classical band (zeta'(0), zeta''(0)).
+    A pole refusal names q, the caller's point."""
     if qp.is_classical:
         return model.jet0()[1:]
-    return zeta_value(model, qp.q - 1.0), zeta_value(model, 0.0)
+    try:
+        return zeta_value(model, qp.q - 1.0), zeta_value(model, 0.0)
+    except PoleError:
+        raise PoleError(
+            f"the zeta determinant of this {model.kind} model has a pole at "
+            f"q = {1.0 + model.pole!r}, got q = {qp.q!r}"
+        ) from None
 
 
 def _qdet_combine(qp: QParam, a: float, b: float) -> float:
@@ -630,9 +641,9 @@ def qdet_zeta(model: ZetaModel, q: QLike) -> float:
     is used instead: -zeta'(0) - (q - 1) zeta''(0) / 2, with both
     derivatives from the model's exact jet (model.jet0()); there it is
     within 1e-14 max(1, |value|) of mpmath. Off the band, q within
-    POLE_EPS of the pole of the Hurwitz argument raises PoleError: near
-    q = 2 for shifted_linear, alpha (q - 1) near 1 (q = 1 + 1/alpha) for
-    power_spectrum.
+    POLE_EPS of the pole of the Hurwitz argument raises PoleError, naming
+    q: near q = 2 for shifted_linear, alpha (q - 1) near 1
+    (q = 1 + 1/alpha) for power_spectrum.
     """
     qp = as_qparam(q)
     return _qdet_combine(qp, *_qdet_parts(model, qp))
@@ -643,7 +654,8 @@ def relative_qdet_zeta(model: ZetaModel, reference: ZetaModel, q: QLike) -> floa
 
     The same double difference as qdet_zeta(model) - qdet_zeta(reference),
     but assembled from zeta values of both models first so the shared
-    reference terms cancel before the division by 1 - q.
+    reference terms cancel before the division by 1 - q. A pole of
+    either model raises PoleError naming q, as in qdet_zeta.
     """
     qp = as_qparam(q)
     (a, b), (ra, rb) = _qdet_parts(model, qp), _qdet_parts(reference, qp)

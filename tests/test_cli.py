@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -144,6 +145,39 @@ def test_qdet_model_pole_exits_2(shifted_json):
     proc = run_cli("qdet", "--q", "2", "--input", shifted_json)
     assert proc.returncode == 2
     assert "pole" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    (
+        (
+            ("qdet", "--q", "1.5"),
+            "the zeta determinant of this power_spectrum model has a pole at q = 1.5, got q = 1.5",
+        ),
+        (
+            ("zeta", "--s", "0.5"),
+            "zeta of this power_spectrum model has a pole at s = 0.5, got s = 0.5",
+        ),
+    ),
+)
+def test_pole_refusal_names_the_callers_point(tmp_path, args, message):
+    # the Hurwitz argument here is alpha s = 1.0, which the message must not
+    # pass off as the point the caller gave
+    path = tmp_path / "lattice.json"
+    path.write_text('{"kind": "power_spectrum", "alpha": 2.0}')
+    proc = run_cli(*args, "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
+
+
+def test_shifted_linear_pole_refusal_names_q(shifted_json):
+    proc = run_cli("qdet", "--q", "2", "--input", shifted_json)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: the zeta determinant of this shifted_linear model has a pole at "
+        "q = 2.0, got q = 2.0\n"
+    )
 
 
 def test_qdet_theta_transforms_input(tmp_path):
@@ -395,6 +429,28 @@ def test_geometry_overflow_exits_cleanly():
     assert lines[0].startswith("error:") and "overflows float64" in lines[0]
     assert "RuntimeWarning" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# sha256 of the CSV text, as written when each row was evaluated and
+# formatted on its own; orbit evaluation and the per-column writer keep it
+@pytest.mark.parametrize(
+    "args, digest",
+    (
+        ((), "0e4de67b49ee21d55bdfff7a379c1b9b3c405f8dda588f66deaf56ac0b44e715"),
+        (
+            ("--q", "0.7", "--resolution", "150"),
+            "592222080563c5e0e22aa9d86558808d3022d518eebd727046dd638456c1fea4",
+        ),
+        (
+            ("--q", "-0.5", "--resolution", "300", "--margin", "0.01"),
+            "aeab45363cc1c9eda1ad6ffc67bfda7fb18acff4fc96218ea25733c5ea8718c7",
+        ),
+    ),
+)
+def test_geometry_csv_bytes_are_pinned(args, digest):
+    proc = run_cli("geometry", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("q", ("12", "40", "-40"))

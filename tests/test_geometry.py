@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -259,14 +260,41 @@ def test_grid_field_rejections():
         grid_field(MAX_RESOLUTION + 1, 1.4, 1e-3)
 
 
-@pytest.mark.parametrize("resolution", (1, 7, 25))
+@pytest.mark.parametrize("resolution", (1, 7, 25, 60))
 @pytest.mark.parametrize("q", (-1.5, 0.0, 0.5, 1.0, 1.0 + 1e-10, 1.4, 2.0, 3.0))
 def test_grid_field_rows_equal_pointwise_calls(resolution, q):
-    field = grid_field(resolution, q, 1e-3)
-    phi = [potential(row, q) for row in field.points]
-    vol = [volume_element(row, q) for row in field.points]
-    assert np.array_equal(field.phi, phi)
-    assert np.array_equal(field.volume, vol)
+    # margin 0.05 drops the rows nearest the boundary from R = 25 on
+    for margin in (1e-3, 0.05):
+        field = grid_field(resolution, q, margin)
+        phi = [potential(row, q) for row in field.points]
+        vol = [volume_element(row, q) for row in field.points]
+        assert np.array_equal(field.phi, phi)
+        assert np.array_equal(field.volume, vol)
+
+
+def _symmetry_points():
+    rng = np.random.default_rng(59)
+    eps = 1e-3
+    yield (eps, eps, 1 - 2 * eps)
+    yield (eps, (1 - eps) / 2, (1 - eps) / 2)
+    yield (0.2, 0.2, 0.6)
+    yield (1 / 62, 30 / 62, 31 / 62)
+    for m in (3, 4, 5):
+        for _ in range(3):
+            yield tuple((eps + (1 - m * eps) * rng.dirichlet(np.ones(m))).tolist())
+        yield (eps,) * (m - 1) + (1 - (m - 1) * eps,)
+        yield (0.5 / (m - 1),) * (m - 1) + (0.5,)
+
+
+@pytest.mark.parametrize("q", (-40.0, -1.5, 0.0, 0.5, 1.0, 1.0 + 1e-10, 1.4, 2.0, 3.0, 40.0))
+def test_row_kernels_are_bitwise_symmetric(q):
+    # grid_field evaluates one row per permutation orbit and copies it to
+    # the others, which is exact only if every permutation gives the same bits
+    for p in _symmetry_points():
+        phi, vol = potential(p, q), volume_element(p, q)
+        for perm in itertools.permutations(p):
+            assert potential(perm, q) == phi, (p, perm)
+            assert volume_element(perm, q) == vol, (p, perm)
 
 
 def test_field_csv_reads_back_exactly():
@@ -280,9 +308,53 @@ def test_field_csv_reads_back_exactly():
     assert np.array_equal(table[:, 4], field.volume)
 
 
+def _csv_reference(field):
+    """The CSV text written cell by cell, each cell '%.17g' of its float."""
+    table = np.column_stack([field.points, field.phi, field.volume])
+    rows = (",".join("%.17g" % x for x in row) + "\n" for row in table.tolist())
+    return "p1,p2,p3,phi,sqrt_det_g\n" + "".join(rows)
+
+
+@pytest.mark.parametrize(
+    "resolution, q, margin",
+    ((1, 1.4, 1e-3), (7, -1.5, 1e-3), (25, 2.0, 0.05), (60, 0.0, 1e-3), (150, 0.7, 1e-3)),
+)
+def test_field_csv_equals_cell_by_cell_text(resolution, q, margin):
+    field = grid_field(resolution, q, margin)
+    assert field_to_csv(field) == _csv_reference(field)
+
+
+def test_field_csv_of_a_hand_built_field():
+    # repeated values, both zeros, the extremes of float64, and non-finite phi
+    points = np.array(
+        [
+            [0.2, 0.3, 0.5],
+            [0.5, 0.3, 0.2],
+            [1e-300, 0.5, 0.5],
+            [0.2, -0.0, 0.0],
+            [1e300, 5e-324, 2.2250738585072014e-308],
+            [0.2, 0.3, 0.5],
+        ]
+    )
+    phi = np.array([0.0, -0.0, 1e300, -1e-300, math.nan, -math.inf])
+    volume = np.array([1.0, 1e-300, 1e300, 1.0, 1.7976931348623157e308, 1.0])
+    field = MetricField(points, phi, volume, q=QParam(1.4))
+    text = field_to_csv(field)
+    assert text == _csv_reference(field)
+    lines = text.splitlines()
+    assert lines[1].split(",")[3] == "0" and lines[2].split(",")[3] == "-0"
+    # integer arrays are written as their float values
+    ints = MetricField(np.array([[1, 1, 2**60 + 1]]), np.array([-3]), np.array([7]), q=QParam(0.0))
+    assert field_to_csv(ints) == _csv_reference(ints)
+
+
 def test_metric_field_validation():
     with pytest.raises(DomainError):
         MetricField(np.zeros((2, 3)), np.zeros(1), np.ones(2), q=QParam(1.0))
+    # the writers label exactly three point columns
+    for points in (np.zeros((2, 2)), np.zeros(6)):
+        with pytest.raises(DomainError):
+            MetricField(points, np.zeros(2), np.ones(2), q=QParam(1.0))
 
 
 def test_field_csv_layout():

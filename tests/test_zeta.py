@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -198,7 +199,7 @@ def test_zeta_value_finite_diag():
 def test_zeta_value_power_spectrum():
     model = power_spectrum(2.0)
     assert zeta_value(model, 1.0) == pytest.approx(math.pi**2 / 6, abs=1e-10)
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match=r"pole at s = 0\.5, got s = 0\.5$"):
         zeta_value(model, 0.5)
 
 
@@ -345,11 +346,15 @@ def test_qdet_zeta_classical_limit():
 
 
 def test_qdet_zeta_pole():
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match=r"pole at q = 2\.0, got q = 2\.0$"):
         qdet_zeta(shifted_linear(1.0), 2.0)
     for alpha in (0.5, 2.0, 2e6):
-        with pytest.raises(PoleError):
-            qdet_zeta(power_spectrum(alpha), 1.0 + 1.0 / alpha)
+        q = 1.0 + 1.0 / alpha
+        # the refusal names q, not the Hurwitz argument alpha (q - 1)
+        with pytest.raises(PoleError, match=f"got q = {re.escape(repr(q))}$"):
+            qdet_zeta(power_spectrum(alpha), q)
+    with pytest.raises(PoleError, match=r"power_spectrum model .* got q = 1\.5$"):
+        relative_qdet_zeta(shifted_linear(1.0), power_spectrum(2.0), 1.5)
     # (zeta_R(1e6) - zeta_R(0)) / (1 - 1.5); mpmath: -3.0
     assert qdet_zeta(power_spectrum(2e6), 1.5) == -3.0
 

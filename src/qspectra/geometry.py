@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainError, finite, finite_vector, positive_int, positive_real
 from .combinatorics import _check_simplex_sum, _entropy_kernel
+from .g17 import _G17_BLOCK, g17_cells
 from .qalgebra import QLike, QParam, as_qparam
 
 __all__ = [
@@ -267,21 +268,29 @@ def _field_table(field: MetricField) -> np.ndarray:
 
 
 def field_to_csv(field: MetricField) -> str:
-    """CSV with columns p1,p2,p3,phi,sqrt_det_g, 17 significant digits,
+    """CSV with columns p1,p2,p3,phi,sqrt_det_g, one '%.17g' per cell,
     '\\n' line endings; byte-stable for identical inputs."""
     # as floats: the bits of integer cells would be misread below
     table = _field_table(field).astype(float, copy=False)
-    cells = np.empty(table.shape, dtype=object)
-    for col, column in enumerate(table.T):
-        # each distinct float of a column is formatted once, keyed on its
-        # bits so that -0.0 and 0.0 stay apart
+    # each distinct float of a column is formatted once, keyed on its bits so
+    # that -0.0 and 0.0 stay apart; one kernel call takes every column's
+    # distinct values, and a gather puts their cells back in row order
+    distinct, index, offset = [], [], 0
+    for column in table.T:
         bits, where = np.unique(column.view(np.uint64), return_inverse=True)
-        cell = "%.17g\n" if col == table.shape[1] - 1 else "%.17g,"
-        cells[:, col] = np.array([cell % x for x in bits.view(float).tolist()], dtype=object)[where]
-    # the header joins the cells, so that the text is built once: header +
-    # body would hold a second full-size copy for a moment
-    pieces = cells.ravel().tolist()
-    pieces.insert(0, ",".join(_FIELD_COLUMNS) + "\n")
+        distinct.append(bits)
+        index.append(where + offset)
+        offset += bits.size
+    cells = g17_cells(np.concatenate(distinct).view(float), b",")
+    cells[offset - bits.size :, -1] = ord("\n")  # the last column ends the line
+    cells = cells.view(f"V{cells.shape[1]}").ravel()  # one item per cell: take copies whole cells
+    index = np.column_stack(index)
+    # text in blocks of about _G17_BLOCK cells, so no full-size padded copy is held
+    step = max(1, _G17_BLOCK // index.shape[1])
+    pieces = [",".join(_FIELD_COLUMNS) + "\n"]
+    for start in range(0, len(index), step):
+        block = cells.take(index[start : start + step]).tobytes()
+        pieces.append(block.translate(None, b"\0").decode("ascii"))
     return "".join(pieces)
 
 

@@ -220,8 +220,12 @@ def q_log_array(x, qp: QParam) -> np.ndarray:
     if qp.is_classical:
         return np.log(arr)
     r = qp.rate
+    t = np.log(arr)  # one buffer: expm1(r ln x) / r in place
     with np.errstate(over="ignore"):
-        return np.expm1(r * np.log(arr)) / r
+        t *= r
+        np.expm1(t, out=t)
+        t /= r
+    return t
 
 
 # exact_sum hands up to _SMALL entries to math.fsum, which is faster there. It

@@ -690,7 +690,14 @@ def theta_covariance_zeta(model: ZetaModel, q: QLike, theta: float) -> float:
     qp = as_qparam(q)
     qprime = theta_reparam(qp, theta)
     transformed = power_transform_model(model, theta)
-    return abs(qdet_zeta(model, qprime) - qdet_zeta(transformed, qp) / float(theta))
+    try:
+        return abs(qdet_zeta(model, qprime) - qdet_zeta(transformed, qp) / float(theta))
+    except PoleError:  # both determinants meet the pole at q'; name the caller's q
+        raise PoleError(
+            f"the zeta determinant of this {model.kind} model has a pole at "
+            f"q' = {1.0 + model.pole!r}, got q = {qp.q!r}, theta = {float(theta)!r}, "
+            f"q' = 1 + theta (q - 1) = {qprime.q!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,18 @@ def test_field_csv_of_a_hand_built_field():
     assert field_to_csv(ints) == _csv_reference(ints)
 
 
+def test_field_csv_at_the_edges_of_the_array_route():
+    # powers of ten with both neighbours (the exponent fix-up) and exact
+    # half-way ties (round half to even), each column holding repeats
+    p = np.array([float(f"1e{k}") for k in range(-8, 19)])
+    ties = np.arange(2**17 + 1, 2**17 + 601, 2) / 2**17
+    edges = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, math.inf), ties])
+    values = np.random.default_rng(3).permutation(np.resize(np.concatenate([edges, -edges]), 5 * 600))
+    table = values.reshape(600, 5)
+    field = MetricField(table[:, :3], table[:, 3], np.abs(table[:, 4]), q=QParam(0.5))
+    assert field_to_csv(field) == _csv_reference(field)
+
+
 def test_metric_field_validation():
     with pytest.raises(DomainError):
         MetricField(np.zeros((2, 3)), np.zeros(1), np.ones(2), q=QParam(1.0))

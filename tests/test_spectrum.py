@@ -294,6 +294,25 @@ def test_eigenvalues_are_a_read_only_array():
     assert spec.dimensionless().tolist() == [1.0, 1.5]
 
 
+@pytest.mark.parametrize("scale", (1.0, 0.3))
+def test_aggregates_keep_their_bits_and_ratios_refuse_writes(scale):
+    rng = np.random.default_rng(17)
+    eigs = rng.uniform(0.05, 50.0, 4000)
+    deltas = rng.normal(size=eigs.size)
+    spec = Spectrum(eigs, scale)
+    ratios = spec.dimensionless()
+    with pytest.raises(ValueError):
+        ratios[0] = 5.0
+    assert spec.dimensionless().tolist() == (eigs / scale).tolist()
+    for q in (-1.5, 0.0, 0.5, 1.0, 2.5):
+        # each aggregate as one fresh expression over a fresh ratio array
+        x = eigs / scale
+        terms = np.log(x) if q == 1.0 else np.expm1((1.0 - q) * np.log(x)) / (1.0 - q)
+        assert q_logdet(spec, q).hex() == math.fsum(terms.tolist()).hex()
+        weighted = x ** (-q) * (deltas / scale)
+        assert action_variation(spec, deltas, q).hex() == math.fsum(weighted.tolist()).hex()
+
+
 def test_the_callers_array_is_copied_not_aliased():
     values = np.array([1.0, 2.0, 3.0, 4.0])
     spec = Spectrum(values)

@@ -355,6 +355,13 @@ def test_qdet_zeta_pole():
             qdet_zeta(power_spectrum(alpha), q)
     with pytest.raises(PoleError, match=r"power_spectrum model .* got q = 1\.5$"):
         relative_qdet_zeta(shifted_linear(1.0), power_spectrum(2.0), 1.5)
+    # theta_covariance_zeta meets the pole at q' = 1 + theta (q - 1) = 1.5 and
+    # names the caller's q and theta along with that q'
+    with pytest.raises(
+        PoleError,
+        match=r"pole at q' = 1\.5, got q = 1\.25, theta = 2\.0, q' = 1 \+ theta \(q - 1\) = 1\.5$",
+    ):
+        theta_covariance_zeta(power_spectrum(2.0), 1.25, 2.0)
     # (zeta_R(1e6) - zeta_R(0)) / (1 - 1.5); mpmath: -3.0
     assert qdet_zeta(power_spectrum(2e6), 1.5) == -3.0
 

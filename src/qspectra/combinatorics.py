@@ -16,7 +16,9 @@ ranges sum a head of K terms and add the Euler-Maclaurin tail from a + K to
 b, with K and the number M of Bernoulli corrections chosen from Johansson's
 remainder bound (Numer. Algorithms 69, 2015) so that the truncation stays
 below 1e-16 of the tail. Against mpmath the kernel is within
-2 eps (3 + |1-q| ln b) |value| for q in [-5, 4] and b up to 2^40.
+2 eps (3 + |1-q| ln b) |value| for q in [-5, 4] and b up to 2^40. The
+planner and the correction polynomial are zeta's, which also sums the
+unbounded (regularised) tails of its determinants with them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, finite, finite_vector, positive_int
 from .qalgebra import _EXP_MAX, ClampedValue, QLike, QParam, as_qparam, exact_sum, q_exp, q_log_array
-from .zeta import _EM_COEF, _ETA, _M_MAX
+from .zeta import _em_correction, _em_plan, _ln_q
 
 __all__ = [
     "Partition",
@@ -129,30 +131,6 @@ _DIRECT = 128
 _HEAD = 16
 
 
-def _em_plan(a: int, b: int, q: float) -> tuple[int, int]:
-    """(c, M): the tail of S(a, b] from c = max(a, _HEAD), doubled as needed,
-    with M Bernoulli corrections. Johansson's bound
-    |R| <= 4 / (2 pi)^2M int_c^b |f^(2M)| with f^(2M)(x) = -(q)_(2M-1) x^(1-q-2M),
-    against ln_q x >= x^(1-q) ln_(2-q) c on [c, b], puts the remainder below
-    4 |(q)_(2M-1)| / ((2 pi c)^2M ln_(2-q) c) of the tail. (b, 0) if the
-    bound holds for no c < b."""
-    c = max(a, _HEAD)
-    while c < b:
-        log_c = math.log(c)
-        t = (q - 1.0) * log_c
-        if t > _EXP_MAX:  # ln_(2-q) c beyond float64: the bound is 0
-            return c, 1
-        weight = math.expm1(t) / (q - 1.0) if t else log_c
-        w = (math.tau * c) ** 2
-        bound = 4.0 * abs(q) / (w * weight)
-        for m in range(1, _M_MAX + 1):
-            if bound <= _ETA:
-                return c, m
-            bound *= abs((q + 2 * m - 1) * (q + 2 * m)) / w
-        c *= 2
-    return b, 0
-
-
 def _em_tail(c: int, b: int, q: float, m: int) -> list[float]:
     """Terms adding to S(c, b] by Euler-Maclaurin summation:
 
@@ -166,10 +144,7 @@ def _em_tail(c: int, b: int, q: float, m: int) -> list[float]:
     divides by a factor that stays away from 0 on its side."""
     r = 1.0 - q
     d, u = float(b - c), math.log1p((b - c) / c)
-    if r:
-        lb, lc = math.expm1(r * math.log(b)) / r, math.expm1(r * math.log(c)) / r
-    else:
-        lb, lc = math.log(b), math.log(c)
+    lb, lc = _ln_q(b, q), _ln_q(c, q)
     if q < 1.5:
         e = math.expm1(r * u) / r if r else u
         integral = (d * (lb - 1.0) + c ** (2.0 - q) * e) / (2.0 - q)
@@ -177,21 +152,7 @@ def _em_tail(c: int, b: int, q: float, m: int) -> list[float]:
         s = 2.0 - q
         e = math.expm1(s * u) / s if s else u
         integral = (c**s * e - d) / r
-    # the corrections at x are x^-q P(1/x^2), P's coefficients B_2j/(2j)! (q)_(2j-2)
-    coefs, poch = [], 1.0
-    for j, coef in enumerate(_EM_COEF[:m]):
-        coefs.append(coef * poch)
-        poch *= (q + 2 * j) * (q + 2 * j + 1)
-    corrections = []
-    for x in (b, c):
-        p = float(x) ** -q
-        if p:  # else each correction underflows to 0
-            y, acc = 1.0 / (float(x) * x), 0.0
-            for coef in reversed(coefs):
-                acc = acc * y + coef
-            p *= acc
-        corrections.append(p)
-    return [integral, 0.5 * lb, -0.5 * lc, corrections[0], -corrections[1]]
+    return [integral, 0.5 * lb, -0.5 * lc, _em_correction(q, m, b), -_em_correction(q, m, c)]
 
 
 def _range_sum(a: int, b: int, qp: QParam) -> float:
@@ -208,8 +169,8 @@ def _range_sum(a: int, b: int, qp: QParam) -> float:
             # the largest term ln_q b must be finite; this also bounds the head
             if (1.0 - q) * math.log(b) > _EXP_MAX:
                 raise OverflowError
-            c, m = _em_plan(a, b, q)
-        terms = q_log_array(np.arange(a + 1, c + 1, dtype=float), qp).tolist() if c > a else []
+            c, m = _em_plan(max(a, _HEAD), b, q)
+        terms = q_log_array(np.arange(a + 1, c + 1, dtype=float), q).tolist() if c > a else []
         if c < b:
             terms += _em_tail(c, b, q, m)
         value = math.fsum(terms)

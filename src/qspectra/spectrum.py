@@ -74,8 +74,9 @@ class FiniteDiag:
     This is the finite_diag zeta model and the one finite spectrum class;
     Spectrum is a second name for it. Its zeta function
     mu^s sum_k lambda_k^(-s) is entire, so it has no pole, and the power
-    map A -> A^theta keeps it finite. Its determinant is taken directly as
-    sum_k ln_q(lambda_k / mu) by q_logdet, which equals the zeta quotient.
+    map A -> A^theta keeps it finite. Its determinant, the zeta quotient,
+    is the sum_k ln_q(lambda_k / mu): q_logdet takes it with the classical
+    band, zeta.qdet_zeta at the exact q.
     """
 
     eigenvalues: np.ndarray
@@ -131,13 +132,16 @@ class FiniteDiag:
             terms = self.eigenvalues ** (-s)
         return finite(exact_sum(terms), "finite_diag zeta overflows float64 at s = {!r}", s)
 
-    def jet0(self) -> tuple[float, float, float]:
-        """(zeta(0), zeta'(0), zeta''(0)) of the rescaled operator:
-        (N, -sum ln x_k, sum ln^2 x_k), each sum exactly rounded. ln x_k is
-        taken as ln lambda_k - ln mu, which is ln lambda_k itself at mu = 1
-        and stays defined where lambda_k / mu leaves float64."""
-        logs = np.log(self.eigenvalues) - math.log(self.scale)
-        return float(len(self)), -exact_sum(logs), exact_sum(logs * logs)
+    def jet0(self) -> tuple[float, float]:
+        """(zeta(0), zeta'(0)) of the rescaled operator: (N, -sum ln x_k),
+        the sum exactly rounded, over log_ratios()."""
+        return float(len(self)), -exact_sum(self.log_ratios())
+
+    def log_ratios(self) -> np.ndarray:
+        """ln x_k = ln(lambda_k / mu), taken as ln lambda_k - ln mu: that is
+        ln lambda_k itself at mu = 1, and stays defined where lambda_k / mu
+        leaves float64."""
+        return np.log(self.eigenvalues) - math.log(self.scale)
 
     def power(self, theta: float) -> FiniteDiag:
         return power_transform(self, theta)
@@ -184,13 +188,15 @@ def q_logdet(spec: FiniteDiag, q: QLike) -> float:
     Each term goes through the stabilised q_log kernel and the terms are
     summed exactly, with one rounding at the end (the same bits as
     math.fsum), so the value is independent of the eigenvalue ordering.
-    A value beyond float64 raises DomainError.
+    Inside the classical band |q - 1| < 1e-8 each term is ln, as in q_log;
+    zeta.qdet_zeta takes the same sum at the exact q. A value beyond
+    float64 raises DomainError.
 
     >>> q_logdet(Spectrum((1.0, 4.0)), 0.0)
     3.0
     """
     qp = as_qparam(q)
-    terms = q_log_array(spec.dimensionless(), qp)
+    terms = q_log_array(spec.dimensionless(), 1.0 if qp.is_classical else qp.q)
     return finite(exact_sum(terms), "q_logdet overflows float64 at q = {!r}", qp.q)
 
 

@@ -13,7 +13,7 @@ Three model families are supported, one class each:
 
 Each class carries its kind tag, its pole, its bare zeta function, its
 power map and its jet at s = 0: jet0() returns the exact
-(zeta_A(0), zeta_A'(0), zeta_A''(0)) of the rescaled operator. ZetaModel
+(zeta_A(0), zeta_A'(0)) of the rescaled operator. ZetaModel
 is their union. spectrum (and numpy with it) is loaded
 only when a finite_diag model is built or ZetaModel is read; hurwitz_zeta,
 behind the two infinite families, runs on math alone.
@@ -27,13 +27,12 @@ On top of zeta the finite-difference deformed log-determinant
     qdet(A, q) = (zeta_A(q - 1) - zeta_A(0)) / (1 - q)
 
 replaces the classical -zeta'_A(0) without differentiating the
-continuation; expanding zeta around s = 0 shows qdet -> -zeta'(0) as
-q -> 1, with the first correction -(q - 1) zeta''(0) / 2. Inside the
-classical band that expansion is evaluated from the jet, in closed form
-(finite sums of logs for finite_diag, Lerch's ln Gamma(a) - ln(2 pi)/2
-for the Hurwitz families), so the band evaluates no zeta value. For a
-finite_diag model the quotient equals sum_k ln_q(lambda_k / mu), which
-spectrum.q_logdet evaluates term by term without the cancellation.
+continuation; qdet -> -zeta'(0) as q -> 1. Term by term it is the
+(regularised) sum of ln_q(lambda_k / mu), and that sum is what qdet_zeta
+evaluates wherever it is the more accurate: exactly for finite_diag, and
+for the Hurwitz families as the Euler-Maclaurin finite part (Hardy,
+Divergent Series (1949), ch. XIII) near q = 1, where the quotient would
+cancel. No classical band enters: the sum is taken at the exact q.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import ClassVar
 
 from .errors import DomainError, PoleError, UnsupportedModelError
 from .errors import finite, nonzero_real, positive_real
-from .qalgebra import QLike, QParam, as_qparam, theta_reparam
+from .qalgebra import _EXP_MAX, QLike, as_qparam, exact_sum, q_log_of_logs, theta_reparam
 
 __all__ = [
     "POLE_EPS",
@@ -76,25 +75,45 @@ __all__ = [
 POLE_EPS = 1e-6
 
 
+class _HurwitzFamily:
+    """lambda_k = (k - 1 + a)^alpha for k = 1, 2, ...: zeta is the Hurwitz
+    zeta(alpha s, a), with its pole at s = 1 / alpha. Each family holds one
+    of a and alpha as a field and the other at 1."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, positive_real(f.name, getattr(self, f.name)))
+
+    @property
+    def pole(self) -> float:
+        return 1.0 / self.alpha
+
+    def zeta(self, s: float) -> float:
+        return hurwitz_zeta(self.alpha * s, self.a)
+
+    def jet0(self) -> tuple[float, float]:
+        """(zeta_A(0), zeta_A'(0)) of zeta_A(s) = scale^s zeta(alpha s, a):
+        (z0, alpha z1 + ln(scale) z0) with z0 = 1/2 - a and Lerch's
+        z1 = ln Gamma(a) - ln(2 pi)/2 (DLMF 25.11.18); at scale 1, ln 1 = 0
+        adds no rounding. A derivative beyond float64 comes back as +-inf,
+        for the caller to refuse."""
+        try:
+            z1 = math.lgamma(self.a) - 0.5 * _LOG_TAU
+        except OverflowError:
+            z1 = math.inf
+        z0 = 0.5 - self.a
+        return z0, self.alpha * z1 + math.log(self.scale) * z0
+
+
 @dataclass(frozen=True)
-class ShiftedLinear:
+class ShiftedLinear(_HurwitzFamily):
     """lambda_k = k - 1 + a for k = 1, 2, ...; zeta is the Hurwitz zeta(s, a)."""
 
     a: float
     scale: float = 1.0
 
     kind: ClassVar[str] = "shifted_linear"
-    pole: ClassVar[float] = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", positive_real("a", self.a))
-        object.__setattr__(self, "scale", positive_real("scale", self.scale))
-
-    def zeta(self, s: float) -> float:
-        return hurwitz_zeta(s, self.a)
-
-    def jet0(self) -> tuple[float, float, float]:
-        return _hurwitz_jet0(self.a, 1.0, self.scale)
+    alpha: ClassVar[float] = 1.0
 
     def power(self, theta: float):
         raise UnsupportedModelError(
@@ -103,27 +122,14 @@ class ShiftedLinear:
 
 
 @dataclass(frozen=True)
-class PowerSpectrum:
+class PowerSpectrum(_HurwitzFamily):
     """lambda_k = k^alpha for k = 1, 2, ...; zeta is the Riemann zeta(alpha s)."""
 
     alpha: float
     scale: float = 1.0
 
     kind: ClassVar[str] = "power_spectrum"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", positive_real("alpha", self.alpha))
-        object.__setattr__(self, "scale", positive_real("scale", self.scale))
-
-    @property
-    def pole(self) -> float:
-        return 1.0 / self.alpha
-
-    def zeta(self, s: float) -> float:
-        return hurwitz_zeta(self.alpha * s, 1.0)
-
-    def jet0(self) -> tuple[float, float, float]:
-        return _hurwitz_jet0(1.0, self.alpha, self.scale)
+    a: ClassVar[float] = 1.0
 
     def power(self, theta: float) -> PowerSpectrum:
         """alpha -> alpha theta with scale -> scale^theta; needs theta > 0
@@ -548,56 +554,9 @@ def zeta_value(model: ZetaModel, s: float) -> float:
     return finite(value, "zeta overflows float64 at s = {!r}", sf)
 
 
-# zeta''(0, a) is summed directly up to x = a + N >= _JET_X; Euler-Maclaurin
-# with _JET_M Bernoulli corrections then leaves a remainder below 1e-18
-_JET_X = 8.0
-_JET_M = 12
-# (2 B_2j / (2j (2j - 1)), the harmonic number H_(2j-2)) for j = 1 .. _JET_M
-_JET_TERMS = tuple(
-    (2.0 * n / (d * 2 * j * (2 * j - 1)), math.fsum(1.0 / i for i in range(1, 2 * j - 1)))
-    for j, (n, d) in enumerate(_BERNOULLI[2 : 2 * _JET_M + 1 : 2], 1)
-)
-
-
-def _hurwitz_derivs0(a: float) -> tuple[float, float, float]:
-    """(zeta(0, a), zeta'(0, a), zeta''(0, a)): 1/2 - a, Lerch's
-    ln Gamma(a) - ln(2 pi)/2 (DLMF 25.11.18), and Euler-Maclaurin
-    differentiated twice at s = 0, with x = a + N >= 8 and L = ln x:
-
-        sum_{k<N} ln^2(a+k) - x (L^2 - 2L + 2) + L^2/2
-          + sum_{j=1..12} 2 B_2j / (2j (2j-1)) x^(1-2j) (H_(2j-2) - L).
-
-    A derivative beyond float64 comes back as +-inf, for the caller to refuse."""
-    try:
-        d1 = math.lgamma(a) - 0.5 * _LOG_TAU
-    except OverflowError:
-        d1 = math.inf
-    n = max(0, math.ceil(_JET_X - a))
-    x = a + n
-    log_x = math.log(x)
-    terms = [math.log(a + k) ** 2 for k in range(n)]
-    terms += [-x * (log_x * (log_x - 2.0) + 2.0), 0.5 * log_x * log_x]
-    terms += [c * x ** (1 - 2 * j) * (h - log_x) for j, (c, h) in enumerate(_JET_TERMS, 1)]
-    return 0.5 - a, d1, math.fsum(terms)
-
-
-# (zeta_R(0), zeta_R'(0), zeta_R''(0)), shared by power_spectrum and a = 1
-_RIEMANN_DERIVS0 = _hurwitz_derivs0(1.0)
-
-
-def _hurwitz_jet0(a: float, alpha: float, scale: float) -> tuple[float, float, float]:
-    """(zeta_A(0), zeta_A'(0), zeta_A''(0)) for zeta_A(s) = scale^s zeta(alpha s, a).
-    With z_k = alpha^k zeta^(k)(0, a) and L = ln scale this is
-    (z0, z1 + L z0, z2 + 2 L z1 + L^2 z0); at scale 1, L = 0 adds no rounding."""
-    z0, z1, z2 = _RIEMANN_DERIVS0 if a == 1.0 else _hurwitz_derivs0(a)
-    z1, z2 = alpha * z1, alpha * alpha * z2
-    log_mu = math.log(scale)
-    return z0, z1 + log_mu * z0, z2 + 2.0 * log_mu * z1 + log_mu * log_mu * z0
-
-
 def zeta_deriv0(model: ZetaModel) -> float:
     """zeta'_A(0) of the rescaled operator, read from the model's exact
-    jet (zeta(0), zeta'(0), zeta''(0)): -sum_k ln(lambda_k / mu) for
+    jet (zeta(0), zeta'(0)): -sum_k ln(lambda_k / mu) for
     finite_diag; Lerch's ln Gamma(a) - ln(2 pi)/2 for shifted_linear and
     -alpha ln(2 pi)/2 for power_spectrum, each plus ln(mu) zeta(0) for
     the scale. Within 1e-14 max(1, |value|) of mpmath (measured at most
@@ -607,59 +566,148 @@ def zeta_deriv0(model: ZetaModel) -> float:
     return finite(model.jet0()[1], "zeta'(0) is not finite in float64")
 
 
-def _qdet_parts(model: ZetaModel, qp: QParam) -> tuple[float, float]:
-    """(zeta(q-1), zeta(0)); inside the classical band (zeta'(0), zeta''(0)).
-    A pole refusal names q, the caller's point."""
-    if qp.is_classical:
-        return model.jet0()[1:]
-    try:
-        return zeta_value(model, qp.q - 1.0), zeta_value(model, 0.0)
-    except PoleError:
-        raise PoleError(
-            f"the zeta determinant of this {model.kind} model has a pole at "
-            f"q = {1.0 + model.pole!r}, got q = {qp.q!r}"
-        ) from None
+def _ln_q(x: float, q: float) -> float:
+    """ln_q x = expm1((1-q) ln x) / (1-q) at the exact q (ln x at q == 1)."""
+    r = 1.0 - q
+    return math.expm1(r * math.log(x)) / r if r else math.log(x)
 
 
-def _qdet_combine(qp: QParam, a: float, b: float) -> float:
-    """(a - b) / (1 - q); inside the classical band -a - (q - 1) b / 2.
-    DomainError if the result is not finite in float64."""
-    if not qp.is_classical:
-        value = (a - b) / qp.rate
-    else:
-        # at q = 1 itself b is left out, so a non-finite zeta''(0) cannot make it nan
-        value = -a if qp.q == 1.0 else -a - 0.5 * (qp.q - 1.0) * b
-    return finite(value, "the zeta determinant is not finite in float64 at q = {!r}", qp.q)
+def _em_plan(c: float, b: float, q: float) -> tuple[float, int]:
+    """(c, M): an Euler-Maclaurin tail of sum ln_q k from c, doubled as
+    needed, to b, with M Bernoulli corrections. Johansson's bound
+    |R| <= 4 / (2 pi)^2M int_c^b |f^(2M)| with f^(2M)(x) = -(q)_(2M-1) x^(1-q-2M)
+    decides. For finite b, against ln_q x >= x^(1-q) ln_(2-q) c on [c, b],
+    it puts the remainder below 4 |(q)_(2M-1)| / ((2 pi c)^2M ln_(2-q) c) of
+    the tail; for b = inf, the regularised tail, the remainder is below
+    4 |(q)_(2M-1)| c^(2-q) / ((2 pi c)^2M (2M+q-2)). Either must be below
+    _ETA. (b, 0) if the bound holds for no c < b."""
+    while c < b:
+        log_c = math.log(c)
+        t = (q - 1.0) * log_c
+        if b == math.inf:
+            weight = math.exp(t - log_c)  # c^(q-2)
+        elif t > _EXP_MAX:  # ln_(2-q) c beyond float64: the bound is 0
+            return c, 1
+        else:
+            weight = math.expm1(t) / (q - 1.0) if t else log_c
+        w = (math.tau * c) ** 2
+        bound = 4.0 * abs(q) / (w * weight)
+        for m in range(1, _M_MAX + 1):
+            if bound <= _ETA * (q + 2 * m - 2 if b == math.inf else 1.0):
+                return c, m
+            bound *= abs((q + 2 * m - 1) * (q + 2 * m)) / w
+        c *= 2
+    return b, 0
+
+
+def _em_correction(q: float, m: int, x: float) -> float:
+    """The Euler-Maclaurin correction sum_{j=1..M} B_2j/(2j)! f^(2j-1)(x) of
+    f = ln_q: x^-q P(1/x^2), P's coefficients B_2j/(2j)! (q)_(2j-2)."""
+    coefs, poch = [], 1.0
+    for j, coef in enumerate(_EM_COEF[:m]):
+        coefs.append(coef * poch)
+        poch *= (q + 2 * j) * (q + 2 * j + 1)
+    p = float(x) ** -q
+    if p:  # else each correction underflows to 0
+        y, acc = 1.0 / (float(x) * x), 0.0
+        for coef in reversed(coefs):
+            acc = acc * y + coef
+        p *= acc
+    return p
+
+
+def _ln_q_sum(a: float, q: float) -> float:
+    """The zeta-regularised sum_{n>=0} ln_q(a + n), which is
+    (zeta(q-1, a) - zeta(0, a)) / (1 - q): its Euler-Maclaurin finite part
+    (Hardy, Divergent Series (1949), ch. XIII), with x = a + N,
+
+        sum_{n<N} ln_q(a+n) - x (ln_q x - 1)/(2-q) + ln_q x / 2
+          - sum_{j=1..M} B_2j/(2j)! (q)_(2j-2) x^(2-q-2j).
+
+    The head runs to x >= 6 at least: a short head with many corrections
+    rounds least. N and M then come from _em_plan's bound for the unbounded
+    tail; that bound falls with x, so it is taken at x <= 1e100, where
+    (2 pi x)^2 stays finite."""
+    c, m = _em_plan(min(max(a, 6.0), 1e100), math.inf, q)
+    n = max(0, math.ceil(c - a))
+    x = a + n
+    lx = _ln_q(x, q)
+    terms = [_ln_q(a + k, q) for k in range(n)]
+    terms += [-x * (lx - 1.0) / (2.0 - q), 0.5 * lx, -_em_correction(q, m, x)]
+    return math.fsum(terms)
+
+
+def _hurwitz_qdet(model: ShiftedLinear | PowerSpectrum, q: float) -> float:
+    """qdet of lambda_k = (k - 1 + a)^alpha at scale mu, on the route its
+    Hurwitz index q_R = 1 + alpha (q - 1) chooses: for q_R in [0, 1.5] the
+    power map gives alpha times the regularised sum at q_R, and the scale
+    mu^(q-1) (that - zeta(0) ln_q mu); elsewhere the quotient of zeta
+    values."""
+    q_r = q if model.alpha == 1.0 else 1.0 + model.alpha * (q - 1.0)
+    if not 0.0 <= q_r <= 1.5:
+        return (zeta_value(model, q - 1.0) - zeta_value(model, 0.0)) / (1.0 - q)
+    lead = model.alpha * _ln_q_sum(model.a, q_r)
+    return model.scale ** (q - 1.0) * (lead - (0.5 - model.a) * _ln_q(model.scale, q))
 
 
 def qdet_zeta(model: ZetaModel, q: QLike) -> float:
     """Finite-difference deformed log-determinant
-    (zeta_A(q-1) - zeta_A(0)) / (1 - q).
+    (zeta_A(q-1) - zeta_A(0)) / (1 - q), the regularised sum of
+    ln_q(lambda_k / mu).
 
-    Inside the classical band |q - 1| < NEAR_ONE_EPS the difference
-    quotient would cancel catastrophically, so the expansion around s = 0
-    is used instead: -zeta'(0) - (q - 1) zeta''(0) / 2, with both
-    derivatives from the model's exact jet (model.jet0()); there it is
-    within 1e-14 max(1, |value|) of mpmath. Off the band, q within
-    POLE_EPS of the pole of the Hurwitz argument raises PoleError, naming
-    q: near q = 2 for shifted_linear, alpha (q - 1) near 1
-    (q = 1 + 1/alpha) for power_spectrum.
+    Each kind takes the route that is accurate at q, without a classical
+    band:
+
+    * q == 1: -zeta'(0) from the model's exact jet (model.jet0()).
+    * finite_diag: sum_k ln_q(x_k) at the exact q, with ln x_k taken as
+      ln lambda_k - ln mu (so lambda_k / mu need not fit in float64), and
+      summed exactly.
+    * shifted_linear(a) and power_spectrum(alpha), with the Hurwitz index
+      q_R = 1 + alpha (q - 1) in [0, 1.5]: the power map gives alpha times
+      the regularised sum of ln_(q_R)(a + n), and the scale mu enters as
+      mu^(q-1) (Gamma - zeta(0) ln_q mu). It is within
+      1e-14 max(1, |value|) of mpmath (measured at most 5.4e-15, scales
+      0.3 to 5, from q = 1 +- 1e-16 out to q_R = 0 and 1.5).
+    * the Hurwitz families elsewhere: the quotient of zeta values, the more
+      accurate far below q_R = 0, where the sum's head terms grow like
+      x^(1-q). From hurwitz_zeta's contract its error is at most
+      [1e-13 (mu^(q-1) max(1, |zeta(alpha (q-1), a)|) + max(1, |1/2 - a|))
+      + 4 eps |zeta_A(q-1)|] / |1 - q|; q within POLE_EPS of the
+      pole of the Hurwitz argument raises PoleError, naming q: near q = 2
+      for shifted_linear, alpha (q - 1) near 1 (q = 1 + 1/alpha) for
+      power_spectrum.
+
+    A value beyond float64 raises DomainError.
     """
-    qp = as_qparam(q)
-    return _qdet_combine(qp, *_qdet_parts(model, qp))
+    q = as_qparam(q).q
+    try:
+        if q == 1.0:
+            value = -model.jet0()[1]
+        elif model.kind == "finite_diag":
+            value = exact_sum(q_log_of_logs(model.log_ratios(), q))
+        else:
+            value = _hurwitz_qdet(model, q)
+    except OverflowError:  # a power beyond float64
+        value = math.inf
+    except PoleError:
+        raise PoleError(
+            f"the zeta determinant of this {model.kind} model has a pole at "
+            f"q = {1.0 + model.pole!r}, got q = {q!r}"
+        ) from None
+    return finite(value, "the zeta determinant is not finite in float64 at q = {!r}", q)
 
 
 def relative_qdet_zeta(model: ZetaModel, reference: ZetaModel, q: QLike) -> float:
-    """Deformed log of a determinant ratio built from zeta differences.
-
-    The same double difference as qdet_zeta(model) - qdet_zeta(reference),
-    but assembled from zeta values of both models first so the shared
-    reference terms cancel before the division by 1 - q. A pole of
-    either model raises PoleError naming q, as in qdet_zeta.
+    """Deformed log of a determinant ratio,
+    qdet_zeta(model, q) - qdet_zeta(reference, q): each determinant is
+    taken on its own route, so the difference adds one rounding, of the
+    larger one, to their errors. A pole of either model raises PoleError
+    naming q, as in qdet_zeta; a difference beyond float64 raises
+    DomainError.
     """
-    qp = as_qparam(q)
-    (a, b), (ra, rb) = _qdet_parts(model, qp), _qdet_parts(reference, qp)
-    return _qdet_combine(qp, a - ra, b - rb)
+    q = as_qparam(q).q
+    value = qdet_zeta(model, q) - qdet_zeta(reference, q)
+    return finite(value, "the zeta determinant is not finite in float64 at q = {!r}", q)
 
 
 def theta_covariance_zeta(model: ZetaModel, q: QLike, theta: float) -> float:

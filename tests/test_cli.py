@@ -298,11 +298,11 @@ def test_zeta_overflow_exits_cleanly(tmp_path, model, s, message):
 
 @pytest.mark.parametrize(
     "a, argv, message",
-    (  # ln Gamma(a) overflows at a = 1e307; zeta''(0), about -a ln(a)^2, at
-        # a = 1e305; and the difference of finite zeta values at a = 1e307
+    (  # ln Gamma(a) overflows at a = 1e307, and so does the regularised
+        # ln_q sum, about -a ln a, next to q = 1 and at q = 1.00000002
         ("1e307", ("zeta", "--deriv0"), "zeta'(0) is not finite in float64"),
         ("1e307", ("qdet", "--q", "1"), "the zeta determinant is not finite in float64 at q = 1.0"),
-        ("1e305", ("qdet", "--q", "1.000000001"), "the zeta determinant is not finite in float64 at q = 1.000000001"),
+        ("1e307", ("qdet", "--q", "1.000000001"), "the zeta determinant is not finite in float64 at q = 1.000000001"),
         ("1e307", ("qdet", "--q", "1.00000002"), "the zeta determinant is not finite in float64 at q = 1.00000002"),
     ),
 )
@@ -314,6 +314,17 @@ def test_zeta_differences_beyond_float64_exit_cleanly(tmp_path, a, argv, message
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: {message}"]
     assert proc.stdout == ""
+
+
+def test_qdet_at_large_shift_next_to_one_is_finite(tmp_path):
+    # refused while the band needed zeta''(0), about -a ln(a)^2 = -4.9e310
+    path = tmp_path / "model.json"
+    path.write_text('{"kind": "shifted_linear", "a": 1e305}')
+    proc = run_cli("qdet", "--q", "1.000000001", "--input", str(path))
+    assert proc.returncode == 0, proc.stderr
+    value = json.loads(proc.stdout)["value"]
+    assert value == zt.qdet_zeta(zt.shifted_linear(1e305), 1.000000001)
+    assert math.isfinite(value)
 
 
 def test_zeta_deriv0_at_large_shift_is_finite(tmp_path):

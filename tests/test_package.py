@@ -47,6 +47,11 @@ _MODELS = {
         ["qdet", "--q", "-3", "--input", "POWER"],
         ["qdet", "--q", "1", "--input", "SHIFTED"],
         ["qdet", "--q", "1", "--input", "POWER"],
+        # the regularised ln_q sum, next to q = 1 and away from it
+        ["qdet", "--q", "1.000000005", "--input", "SHIFTED"],
+        ["qdet", "--q", "1.000000005", "--input", "POWER"],
+        ["qdet", "--q", "0.9", "--input", "SHIFTED"],
+        ["qdet", "--q", "0.9", "--input", "POWER"],
         ["qdet", "--q", "0.5", "--theta", "2", "--input", "POWER"],
         ["zeta", "--s", "-2.5", "--input", "SHIFTED"],
         ["zeta", "--s", "-2.5", "--input", "POWER"],

@@ -235,77 +235,75 @@ def test_zeta_deriv0_scale_shift():
     assert zeta_deriv0(scaled) == pytest.approx(want, rel=1e-14)
 
 
-def test_riemann_zeta_second_derivative_at_zero():
-    # mpmath: zeta''(0) = -2.0063564559085848512...
-    assert power_spectrum(1.0).jet0()[2] == pytest.approx(-2.0063564559085848512, rel=1e-15)
-
-
-def _mp_jet(derivs, log_mu):
-    """(Z(0), Z'(0), Z''(0)) of Z(s) = e^(s log_mu) f(s) from f's jet at 0."""
-    d0, d1, d2 = derivs
-    return d0, d1 + log_mu * d0, d2 + 2 * log_mu * d1 + log_mu**2 * d0
+def _mp_quotient(zeta_fn, q):
+    """(Z(q-1) - Z(0)) / (1 - q) in mpmath, for the working precision."""
+    q = mp.mpf(q)
+    return (zeta_fn(q - 1) - zeta_fn(0)) / (1 - q)
 
 
 def _jet_models():
-    """(model, mpmath jet) for the three kinds, the scale included."""
+    """(model, mpmath (Z(0), Z'(0)), mpmath s -> Z(s)) for the three kinds,
+    the scale included."""
     rng = np.random.default_rng(29)
     cases = []
-    for mu in (0.3, 1.0, 5.0):
+
+    def hurwitz(model, a, alpha, mu):
         log_mu = mp.log(mu)
+        z0, z1 = mp.zeta(0, a), alpha * mp.zeta(0, a, 1)
+        cases.append((model, (z0, z1 + log_mu * z0), lambda s: mp.mpf(mu) ** s * mp.zeta(alpha * s, a)))
+
+    def finite(eigs, mu):
+        logs = [mp.log(mp.mpf(x) / mp.mpf(mu)) for x in eigs]
+        jet = (len(eigs), -mp.fsum(logs))
+        cases.append((Spectrum(eigs, mu), jet, lambda s: mp.fsum(mp.exp(-s * v) for v in logs)))
+
+    for mu in (0.3, 1.0, 5.0):
         for a in np.geomspace(0.1, 1e4, 9).tolist():
-            derivs = [mp.zeta(0, a, k) for k in range(3)]
-            cases.append((shifted_linear(a, scale=mu), _mp_jet(derivs, log_mu)))
+            hurwitz(shifted_linear(a, scale=mu), a, 1, mu)
         for alpha in np.linspace(0.5, 2.5, 9).tolist():
-            derivs = [alpha**k * mp.zeta(0, 1, k) for k in range(3)]
-            cases.append((power_spectrum(alpha, scale=mu), _mp_jet(derivs, log_mu)))
-        eigs = rng.uniform(0.05, 100.0, 200)
-        logs = [mp.log(mp.mpf(x) / mu) for x in eigs]
-        cases.append((Spectrum(eigs, mu), (len(eigs), -mp.fsum(logs), mp.fsum(v * v for v in logs))))
+            hurwitz(power_spectrum(alpha, scale=mu), 1, alpha, mu)
+        finite(rng.uniform(0.05, 100.0, 200), mu)
     # large logarithms of the scale or of an eigenvalue, where the
     # five-point stencil of earlier versions was off by up to 5.4e-4
     for mu in (1e20, 1e100):
-        derivs = [mp.zeta(0, 1, k) for k in range(3)]
-        cases.append((shifted_linear(1.0, scale=mu), _mp_jet(derivs, mp.log(mu))))
+        hurwitz(shifted_linear(1.0, scale=mu), 1, 1, mu)
     for eigs, mu in (((1e100, 2.0, 0.5), 1.0), ((1e308, 2.0), 0.5)):
-        logs = [mp.log(mp.mpf(x) / mp.mpf(mu)) for x in eigs]
-        cases.append((Spectrum(eigs, mu), (len(eigs), -mp.fsum(logs), mp.fsum(v * v for v in logs))))
+        finite(eigs, mu)
     return cases
 
 
 def test_jets_against_mpmath():
     with mp.workdps(30):
-        for model, want in _jet_models():
+        for model, want, zeta_fn in _jet_models():
             got = model.jet0()
-            # zeta(0) rounded once; zeta'(0) and the band of qdet within
-            # 1e-14 max(1, |value|); zeta''(0) within 2e-14
-            for k, tol in ((0, 2.0**-53), (1, 1e-14), (2, 2e-14)):
+            assert len(got) == 2
+            # zeta(0) rounded once; zeta'(0) within 1e-14 max(1, |value|)
+            for k, tol in ((0, 2.0**-53), (1, 1e-14)):
                 assert abs(got[k] - want[k]) <= tol * max(1, abs(want[k])), (model, k)
             assert abs(zeta_deriv0(model) - want[1]) <= 1e-14 * max(1, abs(want[1])), model
-            for q in (1.0, 1.0 + 5e-9, 1.0 - 5e-9):
-                band = -want[1] - (mp.mpf(q) - 1) / 2 * want[2]
-                assert abs(qdet_zeta(model, q) - band) <= 1e-14 * max(1, abs(band)), (model, q)
-
-
-def test_hurwitz_second_derivative_at_zero_against_mpmath():
-    rng = np.random.default_rng(31)
-    points = np.concatenate((np.geomspace(1e-6, 1e6, 40), rng.uniform(0.01, 20.0, 200)))
-    with mp.workdps(30):
-        for a in points.tolist():
-            want = mp.zeta(0, a, 2)
-            got = shifted_linear(a).jet0()[2]
-            assert abs(got - want) <= 2e-14 * max(1, abs(want)), a
+            assert qdet_zeta(model, 1.0) == -got[1]
+            # next to q = 1 the determinant is mpmath's exact quotient
+            for q in (1.0 + 5e-9, 1.0 - 5e-9):
+                exact = _mp_quotient(zeta_fn, q)
+                assert abs(qdet_zeta(model, q) - exact) <= 1e-14 * max(1, abs(exact)), (model, q)
 
 
 def test_zeta_differences_beyond_float64_are_refused():
     # Lerch's ln Gamma(a) - ln(2 pi)/2 is finite at a = 1e305, and so is the
-    # band value at q = 1; zeta''(0), about -a ln(a)^2, is not
+    # determinant next to q = 1, the regularised sum of ln_q(a + n)
     huge, one = shifted_linear(1e305), shifted_linear(1.0)
     assert zeta_deriv0(huge) == 7.01288453363184e307
     assert qdet_zeta(huge, 1.0) == -7.01288453363184e307
-    for q in (1.0 + 1e-9, 1.0 - 1e-9):
-        for call in (lambda: qdet_zeta(huge, q), lambda: relative_qdet_zeta(huge, one, q)):
-            with pytest.raises(DomainError, match=f"^the zeta determinant is not finite in float64 at q = {q!r}$"):
-                call()
+    with mp.workdps(30):
+        # ln_q x = sum_k (1-q)^(k-1) ln^k x / k!, and the regularised sum of
+        # ln^k(a + n) is (-1)^k zeta^(k)(0, a); four terms leave 1e-19 here.
+        # (mpmath's zeta(s, 1e305) itself takes minutes at s < 0.)
+        derivs = [mp.zeta(0, mp.mpf(1e305), k) for k in range(1, 5)]
+        for q in (1.0 + 1e-9, 1.0 - 1e-9):
+            r = 1 - mp.mpf(q)
+            want = mp.fsum(r ** (k - 1) / mp.factorial(k) * (-1) ** k * d for k, d in enumerate(derivs, 1))
+            assert abs(qdet_zeta(huge, q) - want) <= 1e-14 * abs(want), q
+            assert abs(relative_qdet_zeta(huge, one, q) - want) <= 1e-14 * abs(want), q
     # math.lgamma overflows at a = 1e307
     beyond = shifted_linear(1e307)
     with pytest.raises(DomainError, match=r"^zeta'\(0\) is not finite in float64$"):
@@ -340,7 +338,7 @@ def test_qdet_zeta_classical_limit():
     for dq in (1e-2, 1e-3, 1e-4, 1e-6):
         err = abs(qdet_zeta(model, 1.0 + dq) - HALF_LN_2PI)
         assert err <= 2.0 * dq
-    # inside the classical band the series expansion takes over smoothly
+    # and next to q = 1, where the regularised sum runs, as smoothly
     inside = qdet_zeta(model, 1.0 + 1e-9)
     assert inside == pytest.approx(HALF_LN_2PI, abs=1e-8)
 
@@ -378,6 +376,88 @@ def test_relative_qdet_zeta():
             )
     infinite = shifted_linear(1.0)
     assert relative_qdet_zeta(infinite, infinite, 1.5) == 0.0
+
+
+# |q - 1| log-spaced from 1e-16 to 0.5 on both sides (1 + 1e-16 rounds to
+# q = 1 itself), and points far from 1 on either route
+_SWEEP_QS = sorted(
+    {1.0 + sign * d for d in np.geomspace(1e-16, 0.5, 18).tolist() for sign in (1.0, -1.0)}
+    | {-3.0, -1.0, 0.0, 1.9, 2.5, 4.0}
+)
+_EPS = 2.0**-53
+
+
+def _sweep_models():
+    """(model, its Hurwitz (a, alpha), or None for finite_diag): two seeded
+    models of each kind at each scale."""
+    rng = np.random.default_rng(1817)
+    models = []
+    for mu in (0.3, 1.0, 5.0):
+        for _ in range(2):
+            a, alpha = math.exp(rng.uniform(math.log(0.05), math.log(50.0))), rng.uniform(0.5, 2.5)
+            models.append((shifted_linear(a, mu), (a, 1.0)))
+            models.append((power_spectrum(alpha, mu), (1.0, alpha)))
+            models.append((Spectrum(np.exp(rng.uniform(math.log(0.05), math.log(100.0), 40)), mu), None))
+    return models
+
+
+def _mp_qdet(model, hurwitz, q):
+    """The determinant at working precision: the exact sum of ln_q(x_k) for
+    finite_diag, the zeta quotient (its limit -Z'(0) at q = 1) otherwise."""
+    r = 1 - mp.mpf(q)
+    if hurwitz is None:
+        logs = [mp.log(mp.mpf(x)) - mp.log(mp.mpf(model.scale)) for x in model.eigenvalues.tolist()]
+        return mp.fsum(mp.expm1(r * v) / r if r else v for v in logs)
+    a, alpha = hurwitz
+    mu = mp.mpf(model.scale)
+    if not r:
+        return -(alpha * mp.zeta(0, a, 1) + mp.log(mu) * mp.zeta(0, a))
+    return (mu ** (-r) * mp.zeta(-alpha * r, a) - mp.zeta(0, a)) / r
+
+
+def _qdet_bound(model, hurwitz, q, value):
+    """The error bound qdet_zeta's docstring states on the route taken at q."""
+    if hurwitz is None or q == 1.0 or 0.0 <= 1.0 + hurwitz[1] * (q - 1.0) <= 1.5:
+        return 1e-14 * max(1.0, abs(value))
+    a, alpha = hurwitz
+    head = model.scale ** (q - 1.0) * max(1.0, abs(hurwitz_zeta(alpha * (q - 1.0), a)))
+    quotient = 1e-13 * (head + max(1.0, abs(0.5 - a))) + 4 * _EPS * abs(zeta_value(model, q - 1.0))
+    return quotient / abs(1.0 - q)
+
+
+def test_qdet_zeta_sweep_against_mpmath():
+    """Every kind and scale, from q = 1 +- 1e-16 to +-0.5 and far from 1:
+    within 1e-14 max(1, |value|) on the sum route, which covers the former
+    classical band, and within the quotient's stated bound elsewhere; and
+    relative_qdet_zeta within the sum of both bounds."""
+    models = _sweep_models()
+    checked = 0
+    with mp.workdps(50):
+        for q in _SWEEP_QS:
+            values = []
+            for model, hurwitz in models:
+                if model.pole is not None and abs(q - 1.0 - model.pole) < 1e-3:
+                    continue
+                want = _mp_qdet(model, hurwitz, q)
+                got = qdet_zeta(model, q)
+                bound = _qdet_bound(model, hurwitz, q, got)
+                assert abs(got - want) <= bound, (model, q, float(abs(got - want)), bound)
+                values.append((model, want, bound))
+                checked += 1
+            # each model against the next one in the list, of another kind
+            for (model, want, bound), (ref, ref_want, ref_bound) in zip(values, values[1:]):
+                got = relative_qdet_zeta(model, ref, q)
+                assert abs(got - (want - ref_want)) <= bound + ref_bound + _EPS * abs(got), (model, ref, q)
+    assert checked >= 750
+
+
+def test_qdet_zeta_power_spectrum_large_alpha():
+    # the power map alpha qdet(shifted_linear(1), q_R) at q_R = 1 + 1e-2:
+    # the first-order band expansion was 1.1e-4 off here
+    q = 1.0 + 5e-9
+    with mp.workdps(50):
+        want = _mp_quotient(lambda s: mp.zeta(2e6 * s), q)
+    assert abs(qdet_zeta(power_spectrum(2e6), q) - want) <= 1e-14 * abs(want)
 
 
 def test_power_transform_model():

@@ -14,6 +14,7 @@ ternary (m = 3) simplex, ready for ternary plotting.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -188,6 +189,9 @@ class MetricField:
     phi: np.ndarray
     volume: np.ndarray
     q: QParam
+    # the CSV columns as _csv_columns returns them, where the builder knows
+    # them (grid_field); else _csv_columns finds them
+    _columns: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if np.shape(self.points)[1:] != (3,):
@@ -222,7 +226,10 @@ def grid_field(resolution: int, q: QLike, margin: float) -> MetricField:
     the exported field byte for byte. All R (R + 1) / 2 points are held as
     one array. The row kernels of potential and volume_element run once
     per orbit of the parts (i, j, k) under permutation, about one row in
-    six, and each value is copied to every row of its orbit. That is
+    six, and each value is copied to every row of its orbit. The orbits
+    are counted, not sorted: a flag table over the key (smallest part,
+    largest part) and its running sum number them in key order, and each
+    is evaluated at its first row, the one with i <= j <= k. Copying is
     exact: the rows of an orbit are permutations of the same three floats,
     _volume_rows sorts each row before it computes, and _potential_rows is
     elementwise log and expm1 followed by one correctly rounded math.fsum
@@ -247,14 +254,27 @@ def grid_field(resolution: int, q: QLike, margin: float) -> MetricField:
     keep = low / total >= margin
     if not keep.any():
         raise DomainError("margin excludes every lattice point")
-    points = np.column_stack([i, j, k])[keep] / total
+    parts = np.column_stack([i, j, k])[keep]
+    points = parts / total
     # the smallest and largest part name the orbit of (i, j, k) under
-    # permutation; each orbit is evaluated once, at its first row
-    high = np.maximum(np.maximum(i, j), k)
-    _, first_row, orbit = np.unique((low * total + high)[keep], return_index=True, return_inverse=True)
-    phi = _potential_rows(points[first_row], qp)[orbit]
-    vol = _volume_rows(points[first_row], qp.q)[orbit]
-    return MetricField(points, phi, vol, qp)
+    # permutation; orbits are numbered in the order of that key, and the
+    # first row of each in lexicographic order is its one with i <= j <= k
+    key = (low * total + np.maximum(np.maximum(i, j), k))[keep]
+    seen = np.zeros(total * total, dtype=bool)
+    seen[key] = True
+    orbit = (np.cumsum(seen, dtype=np.int32) - 1)[key]
+    firsts = np.flatnonzero(((i <= j) & (j <= k))[keep])
+    first_row = np.empty_like(firsts)
+    first_row[orbit[firsts]] = firsts
+    phi = _potential_rows(points[first_row], qp)
+    vol = _volume_rows(points[first_row], qp.q)
+    # a point cell is the fraction of its part, by the division that made
+    # points; phi and sqrt_det_g cells are the values of the row's orbit.
+    # The field holds these indices, so they are narrow: parts stay below
+    # MAX_RESOLUTION + 2, and the orbits number fewer than R^2
+    fractions = first / total
+    columns = tuple((fractions, (part - 1).astype(np.int16)) for part in parts.T) + ((phi, orbit), (vol, orbit))
+    return MetricField(points, phi[orbit], vol[orbit], qp, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -267,29 +287,36 @@ def _field_table(field: MetricField) -> np.ndarray:
     return np.column_stack([field.points, field.phi, field.volume])
 
 
+def _csv_columns(field: MetricField) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Each column of the CSV table as (floats, index): row r's cell is
+    floats[index[r]]. grid_field passes its lattice fractions and orbit
+    values; for any other field the floats are the column's distinct
+    values, keyed on their bits so that -0.0 and 0.0 stay apart."""
+    if field._columns is not None:
+        return field._columns
+    # as floats: the bits of integer cells would be misread
+    table = _field_table(field).astype(float, copy=False)
+    distinct = (np.unique(column.view(np.uint64), return_inverse=True) for column in table.T)
+    return tuple((bits.view(float), where) for bits, where in distinct)
+
+
 def field_to_csv(field: MetricField) -> str:
     """CSV with columns p1,p2,p3,phi,sqrt_det_g, one '%.17g' per cell,
     '\\n' line endings; byte-stable for identical inputs."""
-    # as floats: the bits of integer cells would be misread below
-    table = _field_table(field).astype(float, copy=False)
-    # each distinct float of a column is formatted once, keyed on its bits so
-    # that -0.0 and 0.0 stay apart; one kernel call takes every column's
-    # distinct values, and a gather puts their cells back in row order
-    distinct, index, offset = [], [], 0
-    for column in table.T:
-        bits, where = np.unique(column.view(np.uint64), return_inverse=True)
-        distinct.append(bits)
-        index.append(where + offset)
-        offset += bits.size
-    cells = g17_cells(np.concatenate(distinct).view(float), b",")
-    cells[offset - bits.size :, -1] = ord("\n")  # the last column ends the line
+    # each float of a column's encoding is formatted once; one kernel call
+    # takes every column's floats, and a gather puts their cells in row order
+    columns = _csv_columns(field)
+    floats = [values for values, _ in columns]
+    offsets = np.cumsum([0] + [values.size for values in floats])
+    cells = g17_cells(np.concatenate(floats), b",")
+    cells[offsets[-2] :, -1] = ord("\n")  # the last column ends the line
     cells = cells.view(f"V{cells.shape[1]}").ravel()  # one item per cell: take copies whole cells
-    index = np.column_stack(index)
-    # text in blocks of about _G17_BLOCK cells, so no full-size padded copy is held
-    step = max(1, _G17_BLOCK // index.shape[1])
+    # text in blocks of about _G17_BLOCK cells, so no full-size index or padded copy is held
+    step = max(1, _G17_BLOCK // len(columns))
     pieces = [",".join(_FIELD_COLUMNS) + "\n"]
-    for start in range(0, len(index), step):
-        block = cells.take(index[start : start + step]).tobytes()
+    for start in range(0, len(field), step):
+        index = np.column_stack([where[start : start + step] for _, where in columns]) + offsets[:-1]
+        block = cells.take(index).tobytes()
         pieces.append(block.translate(None, b"\0").decode("ascii"))
     return "".join(pieces)
 

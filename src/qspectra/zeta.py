@@ -233,7 +233,8 @@ _U = 2.0**-53
 _LOG_TAU = math.log(math.tau)
 _TAU_ERR = 2.4492935982947064e-16  # 2 pi - math.tau
 _PI_ERR = 1.2246467991473532e-16  # pi - math.pi
-# Hurwitz's series needs a in (0, 1]; a beyond this takes too many shift terms
+# Most terms a route sums directly: Hurwitz's series needs a in (0, 1], and a
+# beyond this takes too many shift terms; Euler-Maclaurin gives up past it
 _MAX_SHIFT = 2**20
 
 
@@ -302,12 +303,15 @@ def _euler_maclaurin(s: float, a: float, n_min: int = 1) -> tuple[float, float, 
     then the least that meets Johansson's bound
     |R| <= 4 |(s)_2M| / (2 pi)^2M x^(1-s-2M) / (s+2M-1) with the target
     _ETA, taken relative to a^(-s) (a lower bound of the value) for s > 1.
-    Returns (value, bound, N, M)."""
+    An N above _MAX_SHIFT is not summed: the route then returns the value
+    nan with the bound inf. Returns (value, bound, N, M)."""
     log_target = _LOG_ETA - s * math.log(a) if s > 1.0 else _LOG_ETA
     m = 9 if s >= -1.0 else _M_MAX
     e = s + 2 * m - 1
     log_c = math.log(4.0 / e) + math.lgamma(e + 1.0) - math.lgamma(s) - 2 * m * _LOG_TAU
     n = max(n_min, math.ceil(math.exp(min((log_c - log_target) / e, 700.0)) - a))
+    if n > _MAX_SHIFT:  # N grows without bound as s + 2M - 1 nears 0 (s near -29)
+        return math.nan, math.inf, n, m
     x, x_err = _two_sum(a, n)
     p = -s
     direct = [(a + k) ** p for k in range(n)]
@@ -486,10 +490,13 @@ def hurwitz_zeta(s: float, a: float) -> float:
 
     * s = 0, -1, ..., -59: the exact -B_{n+1}(a)/(n+1) (DLMF 25.11.14),
       rounded once, so zeta(-8, 0.5) = 0 exactly.
-    * s >= -1, and down to s = -3 where its bound allows:
-      Euler-Maclaurin, with N from Johansson's remainder bound (Numer.
-      Algorithms 69, 2015) at M = 9 Bernoulli terms (15 below s = -1);
-      N is at most 9 at a in [0.2, 8] on s in [-1, 3].
+    * s >= -1, and for a not an integer down to s = -3 (s = -29 for
+      a >= 16) where its bound allows: Euler-Maclaurin, with N from
+      Johansson's remainder bound (Numer. Algorithms 69, 2015) at M = 9
+      Bernoulli terms (15 below s = -1). N is at most 9 at a in [0.2, 8]
+      on s in [-1, 3]. The route runs only where N <= 2^20: below about
+      s = -26.02, where N grows without bound towards s = -29, the next
+      route is taken.
     * otherwise a moves into (0, 1] by DLMF 25.11.3 and, for a = 1,
       Riemann's zeta takes its functional equation; for a within 0.05 of
       0 or 1 and s > -7, a Taylor series in a around 1; else Hurwitz's

@@ -12,6 +12,7 @@ from qspectra.geometry import (
     MAX_RESOLUTION,
     MetricField,
     SimplexPoint,
+    _csv_columns,
     field_to_csv,
     field_to_json,
     grid_field,
@@ -272,6 +273,17 @@ def test_grid_field_rows_equal_pointwise_calls(resolution, q):
         assert np.array_equal(field.volume, vol)
 
 
+@pytest.mark.parametrize("resolution", (1, 2, 7, 60, 300))
+@pytest.mark.parametrize("margin", (1e-3, 0.05))
+def test_grid_field_columns_decode_to_its_arrays(resolution, margin):
+    # the CSV writer reads grid_field's own encoding of its columns: lattice
+    # fractions by part and orbit values by orbit
+    field = grid_field(resolution, 1.3, margin)
+    decoded = np.column_stack([values[where] for values, where in _csv_columns(field)])
+    table = np.column_stack([field.points, field.phi, field.volume])
+    assert np.array_equal(decoded.view(np.uint64), table.view(np.uint64))
+
+
 def _symmetry_points():
     rng = np.random.default_rng(59)
     eps = 1e-3
@@ -317,7 +329,15 @@ def _csv_reference(field):
 
 @pytest.mark.parametrize(
     "resolution, q, margin",
-    ((1, 1.4, 1e-3), (7, -1.5, 1e-3), (25, 2.0, 0.05), (60, 0.0, 1e-3), (150, 0.7, 1e-3)),
+    (
+        (1, 1.4, 1e-3),
+        (7, -1.5, 1e-3),
+        (25, 2.0, 0.05),
+        (60, 0.0, 1e-3),
+        (150, 0.7, 1e-3),
+        (300, -3.0, 1e-3),
+        (150, 0.7, 0.02),
+    ),
 )
 def test_field_csv_equals_cell_by_cell_text(resolution, q, margin):
     field = grid_field(resolution, q, margin)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -124,6 +125,19 @@ def test_hurwitz_zeta_domain_errors():
         for a in (0.5, 0.9, 1.0, 1.5, 2.5, 10.0):
             want = float(mp.zeta(s, a))
             assert hurwitz_zeta(s, a) == pytest.approx(want, rel=1e-14, abs=0.0), (s, a)
+
+
+@pytest.mark.parametrize("s", (-28.95, -28.5, -27.5, -26.5))
+@pytest.mark.parametrize("a", (16.5, 100.25))
+def test_hurwitz_zeta_euler_maclaurin_terms_are_capped(s, a):
+    # Euler-Maclaurin plans 6.9e7 (s = -26.5) to 1e304 (s = -28.95) terms
+    # here; past 2^20 it sums none and the shift route answers
+    assert zeta._euler_maclaurin(s, a)[1] == math.inf
+    start = time.perf_counter()
+    got = hurwitz_zeta(s, a)
+    assert time.perf_counter() - start < 1.0
+    want = mp.zeta(s, a)
+    assert abs(got - want) <= 1e-13 * abs(want), (got, float(want))
 
 
 # s over [-40, 30]: every negative integer and half-integer, the band near

@@ -13,12 +13,13 @@ measures everything beyond that leading term.
 Both rest on one range kernel, S(a, b] = sum_{a<k<=b} ln_q k, evaluated in
 O(1): up to _DIRECT terms are summed one by one and rounded once; longer
 ranges sum a head of K terms and add the Euler-Maclaurin tail from a + K to
-b, with K and the number M of Bernoulli corrections chosen from Johansson's
-remainder bound (Numer. Algorithms 69, 2015) so that the truncation stays
-below 1e-16 of the tail. Against mpmath the kernel is within
-2 eps (3 + |1-q| ln b) |value| for q in [-5, 4] and b up to 2^40. The
-planner and the correction polynomial are zeta's, which also sums the
-unbounded (regularised) tails of its determinants with them.
+b, with K and the number M <= 30 of Bernoulli corrections chosen from
+Johansson's remainder bound (Numer. Algorithms 69, 2015) so that the
+truncation stays below 1e-16 of the tail. Against mpmath the kernel is
+within 2 eps (3 + |1-q| ln b) |value| for q in [-5, 4] and b up to 2^40.
+The planner and the correction polynomial are zeta's: the same two sum the
+unbounded (regularised) tails of its determinants and the power sums of
+hurwitz_zeta, whose x^-s is 1 - s ln_(s+1) x.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, finite, finite_vector, positive_int
 from .qalgebra import _EXP_MAX, ClampedValue, QLike, QParam, as_qparam, exact_sum, q_exp, q_log_array
-from .zeta import _em_correction, _em_plan, _ln_q
+from .zeta import _em_plan, _em_terms, _ln_q
 
 __all__ = [
     "Partition",
@@ -152,7 +153,7 @@ def _em_tail(c: int, b: int, q: float, m: int) -> list[float]:
         s = 2.0 - q
         e = math.expm1(s * u) / s if s else u
         integral = (c**s * e - d) / r
-    return [integral, 0.5 * lb, -0.5 * lc, _em_correction(q, m, b), -_em_correction(q, m, c)]
+    return [integral, 0.5 * lb, -0.5 * lc, *_em_terms(q, m, b), *_em_terms(q, m, c, -1.0)]
 
 
 def _range_sum(a: int, b: int, qp: QParam) -> float:
@@ -186,7 +187,7 @@ def q_factorial_log(n: int, q: QLike) -> float:
     where it is math.lgamma(n + 1). Elsewhere it is the range kernel
     S(0, n]: up to 128 terms are each evaluated through the stabilised
     q_log kernel, so no cancellation appears near the classical point, and
-    rounded once; beyond that K = 16 terms (more only for |q| large: 64 at
+    rounded once; beyond that K = 16 terms (more only for |q| large: 32 at
     q = -100) are summed directly and the Euler-Maclaurin tail adds the
     rest, its truncation bounded by 1e-16 of the value. Measured against
     mpmath for q in [-5, 4] and n up to 2^40, the error is within

@@ -216,8 +216,8 @@ _BERNOULLI_MAX = len(_BERNOULLI) - 1
 _BERNOULLI_LCM = math.lcm(*(d for _, d in _BERNOULLI))
 _BERNOULLI_SCALED = tuple(n * (_BERNOULLI_LCM // d) for n, d in _BERNOULLI)
 
-# Euler-Maclaurin correction terms B_2j / (2j)!, j = 1 .. M, with M <= 15
-_M_MAX = 15
+# Euler-Maclaurin correction terms B_2j / (2j)!, j = 1 .. M, with M <= 30
+_M_MAX = 30
 _EM_COEF = tuple(
     n / (d * math.factorial(2 * j))
     for j, (n, d) in enumerate(_BERNOULLI[2 : 2 * _M_MAX + 1 : 2], 1)
@@ -292,45 +292,100 @@ def _bernoulli_zeta(n: int, a: float) -> float:
     return -acc / (_BERNOULLI_LCM * m << e * m)
 
 
-def _euler_maclaurin(s: float, a: float, n_min: int = 1) -> tuple[float, float, int, int]:
-    """zeta(s, a) for s > -29 by Euler-Maclaurin summation with x = a + N:
+def _em_plan(c: float, b: float, q: float, log_target: float = _LOG_ETA) -> tuple[float, int]:
+    """(x, M): where the Euler-Maclaurin tail of a sum of f, f' = x^-q,
+    starts (x >= c) on its way to b, and its number M <= 30 of Bernoulli
+    corrections, for q > -58. f is ln_q x, or the Hurwitz
+    x^-s = 1 - s ln_(s+1) x. Johansson's bound
+    |R| <= 4 / (2 pi)^2M int_x^b |f^(2M)| with f^(2M)(x) = -(q)_(2M-1) x^(1-q-2M)
+    decides.
 
-        sum_{k<N} (a+k)^(-s) + x^(1-s)/(s-1) + x^(-s)/2
-          + sum_{j=1..M} B_2j/(2j)! (s)_(2j-1) x^(1-s-2j) + R.
+    For b = inf, the regularised tail, the remainder is below
+    4 |(q)_(2M-1)| x^(2-q) / ((2 pi x)^2M (2M+q-2)), which must be below
+    exp(log_target). M is 15 below q = 2, where the regularised sum cancels
+    against its head and a short head rounds least, and 9 from q = 2 on,
+    where nothing cancels and N + M is least; it is raised where
+    2M + q - 2 would not be positive. x is then the least point that meets
+    the bound, in closed form, or c if that is larger.
 
-    M is 9 for s >= -1, which keeps N + M least there, and 15 below, where
-    a larger x would grow the cancelling terms like x^(1-s). N >= n_min is
-    then the least that meets Johansson's bound
-    |R| <= 4 |(s)_2M| / (2 pi)^2M x^(1-s-2M) / (s+2M-1) with the target
-    _ETA, taken relative to a^(-s) (a lower bound of the value) for s > 1.
-    An N above _MAX_SHIFT is not summed: the route then returns the value
-    nan with the bound inf. Returns (value, bound, N, M)."""
-    log_target = _LOG_ETA - s * math.log(a) if s > 1.0 else _LOG_ETA
-    m = 9 if s >= -1.0 else _M_MAX
-    e = s + 2 * m - 1
-    log_c = math.log(4.0 / e) + math.lgamma(e + 1.0) - math.lgamma(s) - 2 * m * _LOG_TAU
-    n = max(n_min, math.ceil(math.exp(min((log_c - log_target) / e, 700.0)) - a))
-    if n > _MAX_SHIFT:  # N grows without bound as s + 2M - 1 nears 0 (s near -29)
-        return math.nan, math.inf, n, m
+    For finite b, against ln_q x >= x^(1-q) ln_(2-q) c on [c, b], the
+    remainder is below 4 |(q)_(2M-1)| / ((2 pi c)^2M ln_(2-q) c) of the
+    tail, which must be below _ETA. M is the least that meets it at c, and c
+    doubles while none does; (b, 0) if none does below b."""
+    if b == math.inf:
+        m = 9 if q >= 2.0 else max(15, math.floor(1.0 - 0.5 * q) + 1)
+        if not q:  # (q)_(2M-1) = 0, and so is the bound
+            return c, m
+        e = q + 2 * m - 2
+        log_c = math.log(4.0 / e) + math.lgamma(e + 1.0) - math.lgamma(q) - 2 * m * _LOG_TAU
+        return max(c, math.exp(min((log_c - log_target) / e, _EXP_MAX))), m
+    while c < b:
+        log_c = math.log(c)
+        t = (q - 1.0) * log_c
+        if t > _EXP_MAX:  # ln_(2-q) c beyond float64: the bound is 0
+            return c, 1
+        weight = math.expm1(t) / (q - 1.0) if t else log_c
+        w = (math.tau * c) ** 2
+        bound = 4.0 * abs(q) / (w * weight)
+        for m in range(1, _M_MAX + 1):
+            if bound <= _ETA:
+                return c, m
+            bound *= abs((q + 2 * m - 1) * (q + 2 * m)) / w
+        c *= 2
+    return b, 0
+
+
+def _em_terms(q: float, m: int, x: float, scale: float = 1.0) -> list[float]:
+    """scale times the Euler-Maclaurin corrections B_2j/(2j)! f^(2j-1)(x),
+    j = 1 .. M, of f = ln_q: B_2j/(2j)! (q)_(2j-2) x^(2-q-2j). Empty where
+    x^-q underflows, and so every term, while (q)_(2j-2) may overflow."""
+    x = float(x)
+    p = scale * x**-q
+    if not p:
+        return []
+    y = 1.0 / (x * x)
+    steps = [y * (q + 2 * j) * (q + 2 * j + 1) for j in range(m - 1)]
+    return list(map(mul, _EM_COEF, accumulate(steps, mul, initial=p)))
+
+
+def _euler_maclaurin(s: float, a: float, n_min: int = 0) -> tuple[float, float, int, int]:
+    """zeta(s, a) for s > -59 by Euler-Maclaurin summation with x = a + N:
+
+        sum_{k<N} (a+k)^(-s) + x^(1-s)/(s-1) + x^(-s)/2 + s C + R,
+
+    where C sums the M corrections _em_terms gives at q = s + 1: as
+    x^-s = 1 - s ln_(s+1) x, the corrections and Johansson's bound on R are s
+    times those of the ln_q sums. N >= n_min and M <= 30 come from _em_plan,
+    aimed at _ETA times the value's scale L: a^(-s) for s > 1 (a lower bound
+    of the value), max(1, a^(1-s)/(1-s)) below (its size at large a). Where
+    L overstates the value, the bound then misses the contract and the
+    caller refuses the route. An N above _MAX_SHIFT is not summed: the route
+    then returns the value nan with the bound inf. Returns
+    (value, bound, N, M)."""
+    p, q = -s, s + 1.0
+    log_a = math.log(a)
+    log_scale = p * log_a if s > 1.0 else max(0.0, (1.0 - s) * log_a - math.log(1.0 - s))
+    c = a + n_min
+    x, m = _em_plan(c, math.inf, q, _LOG_ETA + log_scale - math.log(abs(s)))
+    if not x - c <= _MAX_SHIFT:  # N grows without bound as s + 2M - 1 nears 0
+        return math.nan, math.inf, _MAX_SHIFT + 1, m
+    n = n_min + math.ceil(x - c)
     x, x_err = _two_sum(a, n)
-    p = -s
     direct = [(a + k) ** p for k in range(n)]
     if s < 0.0:  # the terms grow: fold the rounding of a + k back in
         direct = [t * (1.0 + p * _two_sum(a, k)[1] / (a + k)) for k, t in enumerate(direct)]
     x_pow = x**p
-    tail = [x * x_pow / (s - 1.0) * (1.0 + (p + 1.0) * x_err / x), 0.5 * x_pow * (1.0 + p * x_err / x)]
-    x_pow /= x
-    if x_pow:  # else every correction underflows to 0, where (s)_2j may overflow
-        y = 1.0 / (x * x)
-        steps = [y * (s + 2 * j - 1) * (s + 2 * j) for j in range(1, m)]
-        tail.extend(map(mul, _EM_COEF, accumulate(steps, mul, initial=s * x_pow)))
+    # x^(1-s)/(s-1) as x^-s x/(s-1): x^(1-s) alone may overflow
+    tail = [x_pow * (x / (s - 1.0)) * (1.0 + (p + 1.0) * x_err / x), 0.5 * x_pow * (1.0 + p * x_err / x)]
+    tail += _em_terms(q, m, x, s)
     value = math.fsum(direct + tail)
     direct_sum = sum(direct)
-    rounding = 3.0 * (direct_sum + sum(map(abs, tail))) + abs(value)
-    if s > 0.0:  # a + k unfolded costs s u on each term but the first
-        rounding += s * (direct_sum - direct[0])
-    # the remainder is below the target, exp(log_target), by the choice of N
-    return value, math.exp(log_target) + _U * rounding, n, m
+    # u first: 3 times a sum near the largest float would overflow
+    rounding = 3.0 * _U * (direct_sum + sum(map(abs, tail))) + _U * abs(value)
+    if s > 0.0 and n:  # a + k unfolded costs s u on each term but the first
+        rounding += _U * s * (direct_sum - direct[0])
+    # the remainder is below the target by the choice of N and M
+    return value, math.exp(_LOG_ETA + log_scale) + rounding, n, m
 
 
 def _reflected(s: float) -> tuple[float, float, float]:
@@ -354,9 +409,6 @@ def _riemann(t: float) -> tuple[float, float]:
     """Riemann zeta(t), t != 1, with its error bound: Euler-Maclaurin for
     t >= -1, else the functional equation
     zeta(t) = 2 Gamma(1-t) / (2 pi)^(1-t) sin(pi t / 2) zeta(1 - t)."""
-    if t <= 0.0 and t.is_integer() and t > -_BERNOULLI_MAX:
-        value = _bernoulli_zeta(int(-t), 1.0)
-        return value, _U * abs(value)
     if t >= -1.0:
         return _euler_maclaurin(t, 1.0)[:2]
     sigma, g, rel = _reflected(t)
@@ -448,7 +500,7 @@ def _hurwitz(s: float, a: float) -> tuple[float, float, int, int]:
         return value, _U * abs(value), 0, 0
     if s >= -1.0:
         return _euler_maclaurin(s, a)
-    if not a.is_integer() and (s >= -3.0 or a >= 16.0 and s > -29.0):
+    if a >= 16.0 and s > -59.0 or s >= -3.0 and not a.is_integer():
         em = _euler_maclaurin(s, a)
         if em[1] <= _HURWITZ_TOL * max(1.0, abs(em[0])):
             return em
@@ -490,21 +542,24 @@ def hurwitz_zeta(s: float, a: float) -> float:
 
     * s = 0, -1, ..., -59: the exact -B_{n+1}(a)/(n+1) (DLMF 25.11.14),
       rounded once, so zeta(-8, 0.5) = 0 exactly.
-    * s >= -1, and for a not an integer down to s = -3 (s = -29 for
-      a >= 16) where its bound allows: Euler-Maclaurin, with N from
-      Johansson's remainder bound (Numer. Algorithms 69, 2015) at M = 9
-      Bernoulli terms (15 below s = -1). N is at most 9 at a in [0.2, 8]
-      on s in [-1, 3]. The route runs only where N <= 2^20: below about
-      s = -26.02, where N grows without bound towards s = -29, the next
-      route is taken.
+    * s >= -1, a >= 16 down to s = -59, and a not an integer down to
+      s = -3, where its bound allows: Euler-Maclaurin, planned by the same
+      Johansson remainder bound (Numer. Algorithms 69, 2015) and summed with
+      the same correction polynomial as the ln_q sums of qdet_zeta and
+      q_factorial_log, with M <= 30 Bernoulli terms. The truncation aims at
+      1e-16 of the value's scale, a^(-s) for s > 1 and
+      max(1, a^(1-s)/|1-s|) below, so a large a takes N = 0 terms (the
+      large-a expansion, DLMF 25.11.43); N is at most 9 at a in [0.1, 10]
+      on s in [-3, 30]. The route sums at most 2^20 terms.
     * otherwise a moves into (0, 1] by DLMF 25.11.3 and, for a = 1,
       Riemann's zeta takes its functional equation; for a within 0.05 of
       0 or 1 and s > -7, a Taylor series in a around 1; else Hurwitz's
       formula (DLMF 25.11.9), with terms taken from its tail bound.
 
     Measured against mpmath over s in [-40, 30] and a in [0.1, 10], the
-    error relative to max(1, |value|) is at most 3.1e-14, on the
-    Euler-Maclaurin route near s = -3, and 6.0e-15 on the others. A value
+    error relative to max(1, |value|) is at most 1.1e-14 on the
+    Euler-Maclaurin route and 6.4e-15 on the others; over a in [16, 1e15]
+    and s in [-58, 30], against the large-a expansion, at most 2.4e-16. A value
     beyond float64 raises DomainError ("not finite in float64"), as does a
     bound that misses the contract: near a zero of zeta(s, .) far below
     s = 0, where the value is small against 2 Gamma(1-s) / (2 pi)^(1-s)
@@ -579,50 +634,6 @@ def _ln_q(x: float, q: float) -> float:
     return math.expm1(r * math.log(x)) / r if r else math.log(x)
 
 
-def _em_plan(c: float, b: float, q: float) -> tuple[float, int]:
-    """(c, M): an Euler-Maclaurin tail of sum ln_q k from c, doubled as
-    needed, to b, with M Bernoulli corrections. Johansson's bound
-    |R| <= 4 / (2 pi)^2M int_c^b |f^(2M)| with f^(2M)(x) = -(q)_(2M-1) x^(1-q-2M)
-    decides. For finite b, against ln_q x >= x^(1-q) ln_(2-q) c on [c, b],
-    it puts the remainder below 4 |(q)_(2M-1)| / ((2 pi c)^2M ln_(2-q) c) of
-    the tail; for b = inf, the regularised tail, the remainder is below
-    4 |(q)_(2M-1)| c^(2-q) / ((2 pi c)^2M (2M+q-2)). Either must be below
-    _ETA. (b, 0) if the bound holds for no c < b."""
-    while c < b:
-        log_c = math.log(c)
-        t = (q - 1.0) * log_c
-        if b == math.inf:
-            weight = math.exp(t - log_c)  # c^(q-2)
-        elif t > _EXP_MAX:  # ln_(2-q) c beyond float64: the bound is 0
-            return c, 1
-        else:
-            weight = math.expm1(t) / (q - 1.0) if t else log_c
-        w = (math.tau * c) ** 2
-        bound = 4.0 * abs(q) / (w * weight)
-        for m in range(1, _M_MAX + 1):
-            if bound <= _ETA * (q + 2 * m - 2 if b == math.inf else 1.0):
-                return c, m
-            bound *= abs((q + 2 * m - 1) * (q + 2 * m)) / w
-        c *= 2
-    return b, 0
-
-
-def _em_correction(q: float, m: int, x: float) -> float:
-    """The Euler-Maclaurin correction sum_{j=1..M} B_2j/(2j)! f^(2j-1)(x) of
-    f = ln_q: x^-q P(1/x^2), P's coefficients B_2j/(2j)! (q)_(2j-2)."""
-    coefs, poch = [], 1.0
-    for j, coef in enumerate(_EM_COEF[:m]):
-        coefs.append(coef * poch)
-        poch *= (q + 2 * j) * (q + 2 * j + 1)
-    p = float(x) ** -q
-    if p:  # else each correction underflows to 0
-        y, acc = 1.0 / (float(x) * x), 0.0
-        for coef in reversed(coefs):
-            acc = acc * y + coef
-        p *= acc
-    return p
-
-
 def _ln_q_sum(a: float, q: float) -> float:
     """The zeta-regularised sum_{n>=0} ln_q(a + n), which is
     (zeta(q-1, a) - zeta(0, a)) / (1 - q): its Euler-Maclaurin finite part
@@ -633,14 +644,13 @@ def _ln_q_sum(a: float, q: float) -> float:
 
     The head runs to x >= 6 at least: a short head with many corrections
     rounds least. N and M then come from _em_plan's bound for the unbounded
-    tail; that bound falls with x, so it is taken at x <= 1e100, where
-    (2 pi x)^2 stays finite."""
-    c, m = _em_plan(min(max(a, 6.0), 1e100), math.inf, q)
-    n = max(0, math.ceil(c - a))
+    tail."""
+    c, m = _em_plan(max(a, 6.0), math.inf, q)
+    n = math.ceil(c - a)
     x = a + n
     lx = _ln_q(x, q)
     terms = [_ln_q(a + k, q) for k in range(n)]
-    terms += [-x * (lx - 1.0) / (2.0 - q), 0.5 * lx, -_em_correction(q, m, x)]
+    terms += [-x * (lx - 1.0) / (2.0 - q), 0.5 * lx, *_em_terms(q, m, x, -1.0)]
     return math.fsum(terms)
 
 

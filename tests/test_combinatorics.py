@@ -194,6 +194,17 @@ def test_q_factorial_log_against_mpmath(q):
         assert abs(got - want) <= factorial_tol(n, q, float(want)), (n, got, want)
 
 
+@pytest.mark.parametrize("q", (-100.0, -70.3, -45.5))
+def test_q_factorial_log_far_below_zero_against_mpmath(q):
+    # up to 30 Bernoulli corrections: the tail starts at 32 for q = -100
+    for n in (129, 200, 500, 1000):
+        with mp.workdps(40):
+            r = 1 - mp.mpf(q)
+            want = mp.fsum(mp.expm1(r * mp.log(k)) / r for k in range(1, n + 1))
+        got = q_factorial_log(n, q)
+        assert abs(got - want) <= factorial_tol(n, q, float(want)), (n, got, want)
+
+
 @pytest.mark.parametrize("q", (-4.5, 0.3, 0.9999999, 1.4, 2.0, 3.9))
 def test_q_factorial_log_short_sums_stay_term_by_term(q):
     # up to 128 terms: each through the array q_log kernel, rounded once

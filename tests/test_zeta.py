@@ -67,7 +67,7 @@ def test_bernoulli_table_matches_the_recurrence():
     assert [Fraction(n, d) for n, d in zeta._BERNOULLI] == exact
     assert bernoulli_numbers(60) == [float(b) for b in exact]
     # the Euler-Maclaurin coefficients B_2j / (2j)!, each rounded once
-    assert zeta._EM_COEF == tuple(float(exact[2 * j] / math.factorial(2 * j)) for j in range(1, 16))
+    assert zeta._EM_COEF == tuple(float(exact[2 * j] / math.factorial(2 * j)) for j in range(1, 31))
 
 
 def test_bernoulli_numbers():
@@ -130,14 +130,23 @@ def test_hurwitz_zeta_domain_errors():
 @pytest.mark.parametrize("s", (-28.95, -28.5, -27.5, -26.5))
 @pytest.mark.parametrize("a", (16.5, 100.25))
 def test_hurwitz_zeta_euler_maclaurin_terms_are_capped(s, a):
-    # Euler-Maclaurin plans 6.9e7 (s = -26.5) to 1e304 (s = -28.95) terms
-    # here; past 2^20 it sums none and the shift route answers
-    assert zeta._euler_maclaurin(s, a)[1] == math.inf
+    # against an absolute target Euler-Maclaurin planned 6.9e7 (s = -26.5) to
+    # 1e304 (s = -28.95) terms here; against one relative to the value's
+    # scale a^(1-s) / (1-s) it answers with N = 0
+    assert zeta._hurwitz(s, a)[3] > 0
     start = time.perf_counter()
     got = hurwitz_zeta(s, a)
     assert time.perf_counter() - start < 1.0
     want = mp.zeta(s, a)
     assert abs(got - want) <= 1e-13 * abs(want), (got, float(want))
+
+
+@pytest.mark.parametrize("s", (-28.95, -28.5, -27.5))
+def test_euler_maclaurin_sums_at_most_2_20_terms(s):
+    # below a = 16 these s take the shift route; Euler-Maclaurin would plan
+    # more than 2^20 terms there, so it sums none and reports the bound inf
+    value, bound, n, m = zeta._euler_maclaurin(s, 2.5)
+    assert n > 2**20 and bound == math.inf and math.isnan(value)
 
 
 # s over [-40, 30]: every negative integer and half-integer, the band near
@@ -164,6 +173,57 @@ def test_hurwitz_zeta_value_within_contract_or_refused():
                 continue
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (s, a, got, float(want))
     assert len(refused) <= len(_SWEEP_S) * len(_SWEEP_A) // 100, refused
+
+
+def _large_a_series(s, a):
+    """zeta(s, a) from its large-a expansion (DLMF 25.11.43) at 40 digits,
+    a^(1-s)/(s-1) + a^(-s)/2 + sum_k B_2k/(2k)! (s)_(2k-1) a^(1-s-2k), summed
+    up to its least term; mp.zeta takes tens of seconds at a near 1e6."""
+    with mp.workdps(40):
+        s, a = mp.mpf(s), mp.mpf(a)
+        total = a ** (1 - s) / (s - 1) + a**-s / 2
+        poch, power, last = s, a ** (-s - 1), mp.inf
+        for k in range(1, 400):
+            term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * poch * power
+            if abs(term) >= last:
+                break
+            total += term
+            last = abs(term)
+            poch *= (s + 2 * k - 1) * (s + 2 * k)
+            power /= a * a
+        assert last < 1e-17 * abs(total), (s, a)
+        return total
+
+
+def test_hurwitz_zeta_at_large_a():
+    # log-uniform a in [16, 1e15] and s in [-58, 30], within the contract, and
+    # refused only where the value leaves float64
+    rng = np.random.default_rng(2117)
+    s_values = rng.uniform(-58.0, 30.0, 200).tolist()
+    a_values = np.exp(rng.uniform(math.log(16.0), math.log(1e15), 200)).tolist()
+    points = list(zip(s_values, a_values))
+    points += [
+        # the shift route refused these ("needs a <= 1048576") or took 1.8 s
+        (-26.5, 6e7 + 0.5),
+        (-30.5, 1e6 + 0.5),
+        (-35.5, 2e6 + 0.5),
+        (-45.5, 3e4 + 0.25),
+        # x^(1-s) overflows here, though the value, -7.07e307, does not
+        (-31.480399132287303, 3346209625.584191),
+    ]
+    slowest = 0.0
+    for s, a in points:
+        want = _large_a_series(s, a)
+        start = time.perf_counter()
+        try:
+            got = hurwitz_zeta(s, a)
+        except DomainError:
+            assert abs(want) > np.finfo(float).max, (s, a, float(want))
+            continue
+        finally:
+            slowest = max(slowest, time.perf_counter() - start)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (s, a, got, float(want))
+    assert slowest < 0.01
 
 
 @pytest.mark.parametrize(

@@ -130,9 +130,9 @@ def test_hurwitz_zeta_domain_errors():
 @pytest.mark.parametrize("s", (-28.95, -28.5, -27.5, -26.5))
 @pytest.mark.parametrize("a", (16.5, 100.25))
 def test_hurwitz_zeta_euler_maclaurin_terms_are_capped(s, a):
-    # against an absolute target Euler-Maclaurin planned 6.9e7 (s = -26.5) to
-    # 1e304 (s = -28.95) terms here; against one relative to the value's
-    # scale a^(1-s) / (1-s) it answers with N = 0
+    # a target relative to the value's scale a^(1-s) / (1-s) lets
+    # Euler-Maclaurin answer here with N = 0; an absolute one needed 6.9e7
+    # (s = -26.5) to 1e304 (s = -28.95) terms
     assert zeta._hurwitz(s, a)[3] > 0
     start = time.perf_counter()
     got = hurwitz_zeta(s, a)
@@ -203,7 +203,7 @@ def test_hurwitz_zeta_at_large_a():
     a_values = np.exp(rng.uniform(math.log(16.0), math.log(1e15), 200)).tolist()
     points = list(zip(s_values, a_values))
     points += [
-        # the shift route refused these ("needs a <= 1048576") or took 1.8 s
+        # very negative s at large a, where the shift route would sum a terms
         (-26.5, 6e7 + 0.5),
         (-30.5, 1e6 + 0.5),
         (-35.5, 2e6 + 0.5),

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, finite, finite_vector, positive_int
-from .qalgebra import _EXP_MAX, ClampedValue, QLike, QParam, as_qparam, exact_sum, q_exp, q_log_array
+from .qalgebra import _EXP_MAX, ClampedValue, QLike, QParam, as_qparam, exact_row_sums, exact_sum, q_exp, q_log_array
 from .zeta import _em_plan, _em_terms, _ln_q
 
 __all__ = [
@@ -241,17 +241,18 @@ def _entropy_kernel(values: np.ndarray, index: QParam) -> np.ndarray:
     Uses sum(v) as its own reference instead of the literal constant 1, so
     it is exact on normalised input, differs from the textbook form only by
     a term linear in v (invisible to second derivatives), and stays stable
-    through index -> 1 where it turns into -sum v ln v. Each row is summed
-    with math.fsum, so a row's value does not depend on the other rows.
+    through index -> 1 where it turns into -sum v ln v. Each row's terms
+    are summed by exact_row_sums, math.fsum's value bit for bit: a row's
+    value does not depend on the other rows or on the order of its entries.
+    Rows of three, as grid_field's, are summed as arrays; a sum that
+    overflows comes back as inf, not as fsum's OverflowError.
     """
     # other entries are read as v = 1, whose term is exactly +-0
     v = np.where(values > 0.0, values, 1.0)
     if index.is_classical:
-        terms = v * np.log(v)
-        return -np.array([math.fsum(row) for row in terms.tolist()])
+        return -exact_row_sums(v * np.log(v))
     r = index.rate
-    terms = v * np.expm1(-r * np.log(v))
-    return np.array([math.fsum(row) for row in terms.tolist()]) / r
+    return exact_row_sums(v * np.expm1(-r * np.log(v))) / r
 
 
 def tsallis_entropy(p, q: QLike) -> float:

@@ -15,16 +15,17 @@ ternary (m = 3) simplex, ready for ternary plotting.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, finite, finite_vector, positive_int, positive_real
 from .combinatorics import _check_simplex_sum, _entropy_kernel
 from .g17 import _G17_BLOCK, g17_cells
-from .qalgebra import QLike, QParam, as_qparam
+from .qalgebra import QLike, QParam, as_qparam, exact_row_sums
 
 __all__ = [
     "SimplexPoint",
@@ -40,7 +41,10 @@ __all__ = [
 
 # Largest grid_field resolution: the field and its CSV text hold
 # R (R + 1) / 2 rows; at R = 1000 building both raises the peak resident
-# memory by about 170 MB (166 MB measured with CPython 3.11, numpy 2.4).
+# memory by about 145 MB (144 MB measured with CPython 3.11, numpy 2.4).
+# grid_field also keeps the lattices of its last 4 (R, margin) pairs, 26 MB
+# each at R = 1000: at worst about 105 MB stays resident after the calls
+# (115 MB measured, four margins at R = 1000).
 MAX_RESOLUTION = 1000
 
 
@@ -73,7 +77,7 @@ def _potential_rows(x: np.ndarray, qp: QParam) -> np.ndarray:
     """Phi_q of each row of x (N, m), rows strictly positive."""
     with np.errstate(all="ignore"):
         if qp.q == 2.0:
-            phi = -np.array([math.fsum(row) for row in np.log(x).tolist()])
+            phi = -exact_row_sums(np.log(x))
         else:
             s = 2.0 - qp.q
             phi = _entropy_kernel(x, QParam(s)) / s
@@ -182,15 +186,15 @@ class MetricField:
     """Potential and volume element sampled over simplex points.
 
     points holds N rows (p1, p2, p3), aligned row by row with the N
-    entries of phi and volume; treat instances as immutable.
+    entries of phi and volume, all finite; treat instances as immutable.
     """
 
     points: np.ndarray
     phi: np.ndarray
     volume: np.ndarray
     q: QParam
-    # the CSV columns as _csv_columns returns them, where the builder knows
-    # them (grid_field); else _csv_columns finds them
+    # the CSV table as _csv_columns returns it, where the builder knows it
+    # (grid_field); else _csv_columns builds it
     _columns: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -200,11 +204,70 @@ class MetricField:
             raise DomainError("field arrays must have equal length")
         if len(self.points) == 0:
             raise DomainError("field must contain at least one point")
+        # the writers print every value, and JSON has no nan or inf
+        for name in ("points", "phi", "volume"):
+            finite(getattr(self, name), "field {} must be finite", name)
         if not np.all(self.volume > 0.0):
             raise DomainError("volume elements must be positive")
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+class _Lattice(NamedTuple):
+    """What grid_field computes from (R, margin) alone; arrays read-only."""
+
+    points: np.ndarray  # (N, 3) the kept lattice points, in lexicographic order
+    orbit: np.ndarray  # (N,) int32 the orbit number of each row
+    firsts: np.ndarray  # (orbits, 3) each orbit's point with i <= j <= k
+    fractions: np.ndarray  # (R,) the coordinates i / (R + 2), i = 1 .. R
+    index: np.ndarray  # (N, 5) int32 CSV gather index into [fractions x3, phi, volume]
+
+
+# grid_field keeps the lattices of the last _LATTICES (R, margin) pairs it
+# was called with, so a scan over q at a few resolutions builds each once
+_LATTICES = 4
+
+
+@functools.lru_cache(maxsize=_LATTICES)
+def _lattice(resolution: int, margin: float) -> _Lattice:
+    total = resolution + 2
+    first = np.arange(1, total - 1)
+    # row block i holds j = 1 .. total - 1 - i
+    counts = total - 1 - first
+    i = np.repeat(first, counts)
+    j = np.arange(1, i.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    k = total - i - j
+    # min p = min(i, j, k) / total exactly, since division by total is monotone
+    low = np.minimum(np.minimum(i, j), k)
+    keep = low / total >= margin
+    if not keep.any():
+        raise DomainError("margin excludes every lattice point")
+    parts = (i[keep], j[keep], k[keep])
+    points = np.column_stack(parts) / total
+    # the smallest and largest part name the orbit of (i, j, k) under
+    # permutation; orbits are numbered in the order of that key, and the
+    # first row of each in lexicographic order is its one with i <= j <= k
+    key = (low * total + np.maximum(np.maximum(i, j), k))[keep]
+    seen = np.zeros(total * total, dtype=bool)
+    seen[key] = True
+    orbit = (np.cumsum(seen, dtype=np.int32) - 1)[key]
+    firsts = np.flatnonzero(((i <= j) & (j <= k))[keep])
+    first_row = np.empty_like(firsts)
+    first_row[orbit[firsts]] = firsts
+    # a point cell is the fraction of its part, by the division that made
+    # points; phi and sqrt_det_g cells are the values of the row's orbit.
+    # Parts stay below MAX_RESOLUTION + 2 and orbits number fewer than R^2,
+    # so every offset index fits int32
+    index = np.empty((len(points), 5), dtype=np.int32)
+    for column, part in enumerate(parts):
+        np.add(part, column * resolution - 1, out=index[:, column], casting="unsafe")
+    np.add(orbit, 3 * resolution, out=index[:, 3])
+    np.add(index[:, 3], len(first_row), out=index[:, 4])
+    lattice = _Lattice(points, orbit, points[first_row], first / total, index)
+    for array in lattice:
+        array.flags.writeable = False
+    return lattice
 
 
 def grid_field(resolution: int, q: QLike, margin: float) -> MetricField:
@@ -232,49 +295,30 @@ def grid_field(resolution: int, q: QLike, margin: float) -> MetricField:
     is evaluated at its first row, the one with i <= j <= k. Copying is
     exact: the rows of an orbit are permutations of the same three floats,
     _volume_rows sorts each row before it computes, and _potential_rows is
-    elementwise log and expm1 followed by one correctly rounded math.fsum
-    per row, so either kernel returns the same bits for every permutation.
-    Each row thus equals the pointwise call bit for bit and carries the
-    accuracy stated there. Time and memory grow as O(R^2); the bound on R
-    keeps memory to a few hundred MB. A field beyond float64 at this q
-    raises DomainError.
+    elementwise log and expm1 followed by an exactly rounded row sum
+    (exact_row_sums, math.fsum's value), so either kernel returns the same
+    bits for every permutation. Each row thus equals the pointwise call
+    bit for bit and carries the accuracy stated there. A field beyond
+    float64 at this q raises DomainError.
+
+    Everything but the two kernels depends on (R, margin) alone: the
+    points, the orbit numbering and the CSV gather index. That part is
+    cached, read-only, for the last 4 distinct (R, margin) pairs, keyed on
+    the validated R and margin; each call returns its own copy of the
+    points. An entry holds 52 bytes a row: 2.4 MB at R = 300 and 26 MB at
+    R = 1000. Time and memory grow as O(R^2); the bound on R keeps memory
+    to a few hundred MB.
     """
     resolution = positive_int("resolution", resolution)
     if resolution > MAX_RESOLUTION:
         raise DomainError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
     margin = positive_real("margin", margin)
     qp = as_qparam(q)
-    total = resolution + 2
-    first = np.arange(1, total - 1)
-    i = np.repeat(first, total - 1 - first)
-    j = np.concatenate([np.arange(1, total - a) for a in first.tolist()])
-    k = total - i - j
-    # min p = min(i, j, k) / total exactly, since division by total is monotone
-    low = np.minimum(np.minimum(i, j), k)
-    keep = low / total >= margin
-    if not keep.any():
-        raise DomainError("margin excludes every lattice point")
-    parts = np.column_stack([i, j, k])[keep]
-    points = parts / total
-    # the smallest and largest part name the orbit of (i, j, k) under
-    # permutation; orbits are numbered in the order of that key, and the
-    # first row of each in lexicographic order is its one with i <= j <= k
-    key = (low * total + np.maximum(np.maximum(i, j), k))[keep]
-    seen = np.zeros(total * total, dtype=bool)
-    seen[key] = True
-    orbit = (np.cumsum(seen, dtype=np.int32) - 1)[key]
-    firsts = np.flatnonzero(((i <= j) & (j <= k))[keep])
-    first_row = np.empty_like(firsts)
-    first_row[orbit[firsts]] = firsts
-    phi = _potential_rows(points[first_row], qp)
-    vol = _volume_rows(points[first_row], qp.q)
-    # a point cell is the fraction of its part, by the division that made
-    # points; phi and sqrt_det_g cells are the values of the row's orbit.
-    # The field holds these indices, so they are narrow: parts stay below
-    # MAX_RESOLUTION + 2, and the orbits number fewer than R^2
-    fractions = first / total
-    columns = tuple((fractions, (part - 1).astype(np.int16)) for part in parts.T) + ((phi, orbit), (vol, orbit))
-    return MetricField(points, phi[orbit], vol[orbit], qp, columns)
+    lattice = _lattice(resolution, margin)
+    phi = _potential_rows(lattice.firsts, qp)
+    vol = _volume_rows(lattice.firsts, qp.q)
+    columns = ((lattice.fractions,) * 3 + (phi, vol), lattice.index)
+    return MetricField(lattice.points.copy(), phi[lattice.orbit], vol[lattice.orbit], qp, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +331,21 @@ def _field_table(field: MetricField) -> np.ndarray:
     return np.column_stack([field.points, field.phi, field.volume])
 
 
-def _csv_columns(field: MetricField) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Each column of the CSV table as (floats, index): row r's cell is
-    floats[index[r]]. grid_field passes its lattice fractions and orbit
-    values; for any other field the floats are the column's distinct
-    values, keyed on their bits so that -0.0 and 0.0 stay apart."""
+def _csv_columns(field: MetricField) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The CSV table as (floats, index): one float array per column, and an
+    (N, 5) index into their concatenation, row r's cells being
+    np.concatenate(floats)[index[r]]. grid_field passes its lattice
+    fractions, its orbit values and its lattice's index; for any other field
+    the floats are each column's distinct values, keyed on their bits so
+    that -0.0 and 0.0 stay apart, and the index is np.unique's inverse."""
     if field._columns is not None:
         return field._columns
     # as floats: the bits of integer cells would be misread
     table = _field_table(field).astype(float, copy=False)
-    distinct = (np.unique(column.view(np.uint64), return_inverse=True) for column in table.T)
-    return tuple((bits.view(float), where) for bits, where in distinct)
+    distinct = [np.unique(column.view(np.uint64), return_inverse=True) for column in table.T]
+    floats = tuple(bits.view(float) for bits, _ in distinct)
+    offsets = np.cumsum([0] + [values.size for values in floats[:-1]])
+    return floats, np.column_stack([where for _, where in distinct]) + offsets
 
 
 def field_to_csv(field: MetricField) -> str:
@@ -305,18 +353,15 @@ def field_to_csv(field: MetricField) -> str:
     '\\n' line endings; byte-stable for identical inputs."""
     # each float of a column's encoding is formatted once; one kernel call
     # takes every column's floats, and a gather puts their cells in row order
-    columns = _csv_columns(field)
-    floats = [values for values, _ in columns]
-    offsets = np.cumsum([0] + [values.size for values in floats])
+    floats, index = _csv_columns(field)
     cells = g17_cells(np.concatenate(floats), b",")
-    cells[offsets[-2] :, -1] = ord("\n")  # the last column ends the line
+    cells[len(cells) - floats[-1].size :, -1] = ord("\n")  # the last column ends the line
     cells = cells.view(f"V{cells.shape[1]}").ravel()  # one item per cell: take copies whole cells
-    # text in blocks of about _G17_BLOCK cells, so no full-size index or padded copy is held
-    step = max(1, _G17_BLOCK // len(columns))
+    # text in blocks of about _G17_BLOCK cells, so no padded copy of the whole table is held
+    step = max(1, _G17_BLOCK // index.shape[1])
     pieces = [",".join(_FIELD_COLUMNS) + "\n"]
-    for start in range(0, len(field), step):
-        index = np.column_stack([where[start : start + step] for _, where in columns]) + offsets[:-1]
-        block = cells.take(index).tobytes()
+    for start in range(0, len(index), step):
+        block = cells.take(index[start : start + step]).tobytes()
         pieces.append(block.translate(None, b"\0").decode("ascii"))
     return "".join(pieces)
 

@@ -297,3 +297,42 @@ def exact_sum(x) -> float:
         return total / (1 << (53 - _EXP_MIN))
     except OverflowError:
         return math.inf if total > 0 else -math.inf
+
+
+def _two_sum(a, b):
+    """s = a + b rounded and its exact error e = a + b - s (Knuth's TwoSum,
+    six additions, no branch); e is exact wherever s is finite."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def exact_row_sums(x) -> np.ndarray:
+    """exact_sum of each row of a 2-d float array.
+
+    Rows of three entries are summed as arrays: two TwoSums, the sum of
+    their errors rounded to odd (a TwoSum, then the neighbour with an odd
+    last bit where that sum is inexact and even), and one rounded addition.
+    Where no step overflows this is the exactly rounded sum (Boldo and
+    Melquiond, "Emulation of FMA and correctly rounded sums: proved
+    algorithms using rounding to odd", IEEE Trans. Computers 57(4), 2008).
+    It needs every operation rounded on its own; numpy never fuses a
+    multiply-add. A row whose sum comes out zero or not finite, and every
+    row of another width, takes exact_sum, which leaves fsum the sign of a
+    zero and the rows it cannot sum.
+    """
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    if x.shape[1] != 3:
+        return np.array([exact_sum(row) for row in x], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, e = _two_sum(x[:, 0], x[:, 1])
+        s, f = _two_sum(s, x[:, 2])
+        t, u = _two_sum(e, f)
+        even = (t.view(np.uint64) & 1) == 0
+        t = np.where((u != 0.0) & even, np.nextafter(t, np.copysign(np.inf, u)), t)
+        s += t
+    for k in np.flatnonzero(~np.isfinite(s) | (s == 0.0)).tolist():
+        s[k] = exact_sum(x[k])
+    return s

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -9,10 +10,12 @@ import pytest
 from qspectra.errors import DomainError
 from qspectra.qalgebra import QParam
 from qspectra.geometry import (
+    _LATTICES,
     MAX_RESOLUTION,
     MetricField,
     SimplexPoint,
     _csv_columns,
+    _lattice,
     field_to_csv,
     field_to_json,
     grid_field,
@@ -140,6 +143,14 @@ def test_overflow_is_refused_not_returned():
         induced_metric(UNIFORM3, -1400.0)
     with pytest.raises(DomainError, match="underflows float64"):
         potential_hessian(UNIFORM3, -1400.0)
+
+
+def test_potential_row_sum_overflow_is_refused():
+    # off the simplex each term of (0.9, 0.9, 0.9) stays finite while their
+    # sum overflows: the row sum gives inf, refused, not fsum's OverflowError
+    with pytest.raises(DomainError, match="overflows float64"):
+        potential((0.9, 0.9, 0.9), 6732.0)
+    assert math.isfinite(potential((0.9, 0.9, 0.9), 6000.0))
 
 
 def test_induced_metric_rejects_bad_points():
@@ -277,11 +288,51 @@ def test_grid_field_rows_equal_pointwise_calls(resolution, q):
 @pytest.mark.parametrize("margin", (1e-3, 0.05))
 def test_grid_field_columns_decode_to_its_arrays(resolution, margin):
     # the CSV writer reads grid_field's own encoding of its columns: lattice
-    # fractions by part and orbit values by orbit
+    # fractions by part and orbit values by orbit, through one gather index
     field = grid_field(resolution, 1.3, margin)
-    decoded = np.column_stack([values[where] for values, where in _csv_columns(field)])
+    floats, index = _csv_columns(field)
+    decoded = np.concatenate(floats)[index]
     table = np.column_stack([field.points, field.phi, field.volume])
     assert np.array_equal(decoded.view(np.uint64), table.view(np.uint64))
+
+
+def _field_digest(field):
+    digest = hashlib.sha256()
+    for array in (field.points, field.phi, field.volume):
+        digest.update(array.tobytes())
+    digest.update(field_to_csv(field).encode())
+    return digest.hexdigest()
+
+
+def test_grid_field_lattice_cache():
+    # what depends on (R, margin) alone is kept for the last _LATTICES pairs
+    assert _lattice.cache_info().maxsize == _LATTICES == 4
+    pairs = ((60, 1e-3), (150, 1e-3), (300, 0.01), (7, 0.05))
+    _lattice.cache_clear()
+    warm = {}
+    for q in (-1.5, 0.4, 1.0, 2.0):
+        for resolution, margin in pairs:
+            warm[resolution, q, margin] = _field_digest(grid_field(resolution, q, margin))
+    info = _lattice.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (12, 4, 4)
+    for args, digest in warm.items():
+        _lattice.cache_clear()
+        assert _field_digest(grid_field(*args)) == digest, args
+    # a field owns its points: writing to them leaves the cache as it was
+    field = grid_field(60, 1.4, 1e-3)
+    reference = _field_digest(field)
+    field.points[:] = 0.5
+    assert _field_digest(grid_field(60, 1.4, 1e-3)) == reference
+    assert not _lattice(60, 1e-3).points.flags.writeable
+    # two margins are two entries, and the oldest pair goes first
+    _lattice.cache_clear()
+    assert len(grid_field(60, 1.4, 0.05)) < len(grid_field(60, 1.4, 1e-3)) == 1830
+    assert _lattice.cache_info().currsize == 2
+    for margin in (2e-3, 3e-3, 4e-3):
+        grid_field(60, 1.4, margin)
+    assert _lattice.cache_info().currsize == 4
+    grid_field(60, 1.4, 0.05)
+    assert _lattice.cache_info().misses == 6
 
 
 def _symmetry_points():
@@ -345,7 +396,8 @@ def test_field_csv_equals_cell_by_cell_text(resolution, q, margin):
 
 
 def test_field_csv_of_a_hand_built_field():
-    # repeated values, both zeros, the extremes of float64, and non-finite phi
+    # repeated values, both zeros and the extremes of float64 (a field holds
+    # no nan or inf: MetricField refuses them)
     points = np.array(
         [
             [0.2, 0.3, 0.5],
@@ -356,7 +408,7 @@ def test_field_csv_of_a_hand_built_field():
             [0.2, 0.3, 0.5],
         ]
     )
-    phi = np.array([0.0, -0.0, 1e300, -1e-300, math.nan, -math.inf])
+    phi = np.array([0.0, -0.0, 1e300, -1e-300, -5e-324, -1.7976931348623157e308])
     volume = np.array([1.0, 1e-300, 1e300, 1.0, 1.7976931348623157e308, 1.0])
     field = MetricField(points, phi, volume, q=QParam(1.4))
     text = field_to_csv(field)
@@ -387,6 +439,20 @@ def test_metric_field_validation():
     for points in (np.zeros((2, 2)), np.zeros(6)):
         with pytest.raises(DomainError):
             MetricField(points, np.zeros(2), np.ones(2), q=QParam(1.0))
+    # the writers print every value, and JSON has no nan or inf: a
+    # non-finite point, phi or volume is refused
+    point = np.array([[0.2, 0.3, 0.5]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="points must be finite"):
+            MetricField(np.array([[0.2, bad, 0.5]]), np.zeros(1), np.ones(1), q=QParam(0.5))
+        with pytest.raises(DomainError, match="phi must be finite"):
+            MetricField(point, np.array([bad]), np.ones(1), q=QParam(0.5))
+        with pytest.raises(DomainError, match="volume must be finite"):
+            MetricField(point, np.zeros(1), np.array([abs(bad)]), q=QParam(0.5))
+    with pytest.raises(DomainError):
+        MetricField(point, np.array([math.nan]), np.array([math.inf]), QParam(0.5))
+    field = MetricField(point, np.array([-1.7976931348623157e308]), np.array([5e-324]), QParam(0.5))
+    assert json.loads(field_to_json(field))[0]["sqrt_det_g"] == 5e-324
 
 
 def test_field_csv_layout():

@@ -13,6 +13,7 @@ from qspectra.qalgebra import (
     ClampedValue,
     QParam,
     as_qparam,
+    exact_row_sums,
     exact_sum,
     q_div,
     q_exp,
@@ -336,3 +337,72 @@ def test_exact_sum_non_finite_input_gives_fsum_result(size):
     assert math.isnan(exact_sum(x))
     with pytest.raises(DomainError, match="^refused$"):
         finite(exact_sum(x), "refused")
+
+
+# ---------------------------------------------------------------------------
+# exact_row_sums: rows of three summed as arrays, fsum's bits row by row
+
+
+def _rows_of_three(seed: int, size: int) -> np.ndarray:
+    """size rows of three, one sixth of each kind, each row in random order."""
+    rng = np.random.default_rng(seed)
+    n = size // 6
+
+    def wide(m):  # each entry its own magnitude within 2^+-60, both signs
+        return rng.normal(size=m) * 2.0 ** rng.uniform(-60.0, 60.0, m)
+
+    a, c = wide(n), wide(n)
+    cancelling = np.column_stack([a, -a, c])  # a pair cancels exactly
+    b = wide(n)
+    near = np.column_stack([a, b, -(a + b)])  # cancels but for a rounding error
+    subnormal = rng.integers(-(2**54), 2**54, (n, 3)) * 5e-324  # down to 2^-1074
+    subnormal[: n // 2, 0] = rng.choice((-1.0, 1.0), n // 2) * 2.0 ** rng.uniform(-1022.0, -990.0, n // 2)
+    zeros = rng.choice(np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]), (n, 3))
+    zeros[: n // 4, 2] = -(zeros[: n // 4, 0] + zeros[: n // 4, 1])  # sums exactly 0
+    zeros[n // 4 : n // 2] = rng.choice((-0.0, 0.0), (n // 2 - n // 4, 3))
+    # a tie between two neighbours of the leading entry, broken one way or
+    # the other by an entry far below it: only rounding the two errors to
+    # odd keeps that last entry's sign
+    lead = rng.uniform(1.0, 2.0, n) * 2.0 ** rng.integers(-60, 60, n)
+    half = np.spacing(lead) / 2.0 * rng.choice((-1.0, 1.0), n)
+    far = np.spacing(lead) * 2.0 ** rng.uniform(-60.0, -2.0, n) * rng.choice((-1.0, 1.0), n)
+    ties = np.column_stack([lead, half, far])
+    rows = np.concatenate([wide(3 * n).reshape(n, 3), cancelling, near, subnormal, zeros, ties])
+    return rng.permuted(rows, axis=1)
+
+
+def test_exact_row_sums_of_three_are_fsum_bit_for_bit():
+    rows = _rows_of_three(8831, 6 * 170_000)
+    assert len(rows) >= 10**6
+    expected = np.array(list(map(math.fsum, zip(*rows.T.tolist()))))
+    got = exact_row_sums(rows)
+    # the bits: equal values and the same sign of a zero
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    # the rows meant to probe the edges do reach them
+    assert (expected == 0.0).sum() > 10**4 and (np.abs(rows) < 2.2250738585072014e-308).any()
+
+
+def test_exact_row_sums_outside_the_array_route():
+    # rows fsum cannot sum take exact_sum: the value where fsum has one, the
+    # exactly rounded sum where it raises (inf - inf reads nan)
+    rows = np.array(
+        [
+            [math.inf, 1.0, 2.0],
+            [-math.inf, -math.inf, 1.0],
+            [math.nan, 1.0, 1.0],
+            [math.inf, -math.inf, 1.0],
+            [1e308, 1e308, -1e308],  # only a partial sum overflows
+            [1e308, 1e308, 1e308],
+            [-0.0, -0.0, -0.0],
+        ]
+    )
+    got = exact_row_sums(rows)
+    expected = [exact_sum(row) for row in rows]
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert got[:3].tolist()[:2] == [math.inf, -math.inf] and math.isnan(got[2])
+    assert got[4] == 1e308 and got[5] == math.inf
+    assert _same_float(got[6], math.fsum([-0.0, -0.0, -0.0]))
+    # other widths go row by row through exact_sum
+    for width in (0, 1, 2, 4):
+        x = np.random.default_rng(width).normal(size=(5, width)) * 1e10
+        assert np.array_equal(exact_row_sums(x), [math.fsum(row) for row in x.tolist()])

@@ -24,13 +24,13 @@ q_logdet, and only the infinite models go through their zeta function.
 
 Each subcommand imports the modules it uses when it runs: ``weight``,
 and ``qdet`` and ``zeta`` on a shifted_linear or power_spectrum file, load
-neither numpy nor the spectrum, geometry and verify modules.
+neither numpy and dataclasses nor the spectrum, geometry and verify
+modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -241,6 +241,8 @@ def _cmd_weight(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import dataclasses
+
     from .verify import run_checks
 
     results = run_checks()

@@ -1,6 +1,6 @@
 """Exception types shared across the library, the argument checks that
-raise them, one per kind of argument, and the one check of a float64
-result.
+raise them, one per kind of argument, the one check of a float64 result,
+and the base of the immutable value classes that load without numpy.
 
 numpy is imported by the array checks when they run, never at load time:
 the scalar checks serve code that builds no array."""
@@ -100,3 +100,41 @@ def finite(value, message: str, *args):
     if ok:
         return value
     raise DomainError(message.format(*args))
+
+
+class FrozenRecord:
+    """Base of the immutable value classes of the modules that load without
+    numpy (qalgebra.QParam and zeta's ShiftedLinear and PowerSpectrum). It
+    stands in for @dataclass(frozen=True), whose module imports inspect;
+    the modules that load numpy keep their dataclasses.
+
+    A subclass names its fields in order in ``_fields`` and stores them in
+    its own ``__init__`` through ``__dict__``; the fields with a default
+    there are the trailing ones. As for a frozen dataclass, instances are
+    equal when they are of the same class with equal fields, the hash is
+    that of the field tuple, repr reads ``Name(field=value, ...)``, and
+    setting or deleting an attribute raises AttributeError. copy and
+    pickle restore ``__dict__`` without calling ``__setattr__``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({items})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
-from .errors import DomainError, finite, nonzero_real
+from .errors import DomainError, FrozenRecord, finite, nonzero_real
 
 __all__ = [
     "NEAR_ONE_EPS",
@@ -47,8 +46,7 @@ NEAR_ONE_EPS = 1e-8
 _EXP_MAX = 709.782712893384
 
 
-@dataclass(frozen=True)
-class QParam:
+class QParam(FrozenRecord):
     """Deformation index q.
 
     Inside the classical band |q - 1| < NEAR_ONE_EPS every scalar and
@@ -62,11 +60,12 @@ class QParam:
     no band: they evaluate at the exact q.
     """
 
-    q: float
+    _fields = ("q",)
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.q):
-            raise DomainError(f"deformation index must be finite, got {self.q!r}")
+    def __init__(self, q: float) -> None:
+        if not math.isfinite(q):
+            raise DomainError(f"deformation index must be finite, got {q!r}")
+        self.__dict__["q"] = q
 
     @property
     def rate(self) -> float:

@@ -82,6 +82,9 @@ class FiniteDiag:
     eigenvalues: np.ndarray
     scale: float = 1.0
 
+    # the dataclass fields again, as zeta's model reader and writer take
+    # them from every model class
+    _fields = ("eigenvalues", "scale")
     kind: ClassVar[str] = "finite_diag"
     pole: ClassVar[None] = None
 

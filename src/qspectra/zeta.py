@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import accumulate, repeat
 from operator import mul
 from typing import ClassVar
 
-from .errors import DomainError, PoleError, UnsupportedModelError
+from .errors import DomainError, FrozenRecord, PoleError, UnsupportedModelError
 from .errors import finite, nonzero_real, positive_real
 from .qalgebra import _EXP_MAX, QLike, as_qparam, exact_sum, q_log_of_logs, theta_reparam
 
@@ -75,14 +74,11 @@ __all__ = [
 POLE_EPS = 1e-6
 
 
-class _HurwitzFamily:
+class _HurwitzFamily(FrozenRecord):
     """lambda_k = (k - 1 + a)^alpha for k = 1, 2, ...: zeta is the Hurwitz
     zeta(alpha s, a), with its pole at s = 1 / alpha. Each family holds one
-    of a and alpha as a field and the other at 1."""
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            object.__setattr__(self, f.name, positive_real(f.name, getattr(self, f.name)))
+    of a and alpha as a field and the other at 1; every field is a finite
+    positive float."""
 
     @property
     def pole(self) -> float:
@@ -105,15 +101,15 @@ class _HurwitzFamily:
         return z0, self.alpha * z1 + math.log(self.scale) * z0
 
 
-@dataclass(frozen=True)
 class ShiftedLinear(_HurwitzFamily):
     """lambda_k = k - 1 + a for k = 1, 2, ...; zeta is the Hurwitz zeta(s, a)."""
 
-    a: float
-    scale: float = 1.0
-
+    _fields = ("a", "scale")
     kind: ClassVar[str] = "shifted_linear"
     alpha: ClassVar[float] = 1.0
+
+    def __init__(self, a: float, scale: float = 1.0) -> None:
+        self.__dict__.update(a=positive_real("a", a), scale=positive_real("scale", scale))
 
     def power(self, theta: float):
         raise UnsupportedModelError(
@@ -121,15 +117,15 @@ class ShiftedLinear(_HurwitzFamily):
         )
 
 
-@dataclass(frozen=True)
 class PowerSpectrum(_HurwitzFamily):
     """lambda_k = k^alpha for k = 1, 2, ...; zeta is the Riemann zeta(alpha s)."""
 
-    alpha: float
-    scale: float = 1.0
-
+    _fields = ("alpha", "scale")
     kind: ClassVar[str] = "power_spectrum"
     a: ClassVar[float] = 1.0
+
+    def __init__(self, alpha: float, scale: float = 1.0) -> None:
+        self.__dict__.update(alpha=positive_real("alpha", alpha), scale=positive_real("scale", scale))
 
     def power(self, theta: float) -> PowerSpectrum:
         """alpha -> alpha theta with scale -> scale^theta; needs theta > 0
@@ -771,7 +767,8 @@ def theta_covariance_zeta(model: ZetaModel, q: QLike, theta: float) -> float:
 
 def model_to_json(model: ZetaModel) -> str:
     """JSON form with the kind tag and the model's fields (arrays as lists)."""
-    return json.dumps({"kind": model.kind, **asdict(model)}, default=lambda arr: arr.tolist())
+    fields = {name: getattr(model, name) for name in model._fields}
+    return json.dumps({"kind": model.kind, **fields}, default=lambda arr: arr.tolist())
 
 
 def model_from_json(text: str) -> ZetaModel:
@@ -796,11 +793,13 @@ def model_from_dict(obj) -> ZetaModel:
         cls = _MODELS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise DomainError(f"unknown model kind {kind!r}")
-    names = [f.name for f in fields(cls)]
+    names = cls._fields
     unknown = [key for key in obj if key != "kind" and key not in names]
     if unknown:
         raise DomainError(f"{kind} model has unknown field {unknown[0]!r}")
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+    # the fields that take a default in __init__ are the trailing ones
+    required = names[: len(names) - len(cls.__init__.__defaults__ or ())]
+    missing = [name for name in required if name not in obj]
     if missing:
         raise DomainError(f"{kind} model needs {', '.join(missing)}")
     values = {name: obj[name] for name in names if name in obj}

@@ -8,7 +8,7 @@ flag that marks where the deformed functions leave their natural domain.
 
 import math
 
-from qspectra import QParam, q_div, q_exp, q_log, q_mul, q_prod, theta_reparam
+from qspectra import q_div, q_exp, q_log, q_mul, q_prod, theta_reparam
 
 
 def main() -> None:
@@ -55,8 +55,8 @@ def main() -> None:
     print(f"  ln_q'(x)            = {lhs:.15f}")
     print(f"  ln_q(x^theta)/theta = {rhs:.15f}")
 
-    qp = QParam(1.0 + 1e-12)
-    print(f"\n  QParam({qp.q}) is treated as classical: {qp.is_classical}")
+    q = 1.0 + 1e-12
+    print(f"\n  q = {q} is treated as classical: q_log({x}, q) == ln {x} is {q_log(x, q) == math.log(x)}")
 
 
 if __name__ == "__main__":

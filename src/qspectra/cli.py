@@ -37,8 +37,8 @@ import sys
 from pathlib import Path
 
 from . import zeta as zt
-from .errors import DomainError, PoleError, UnsupportedModelError, positive_real
-from .qalgebra import QParam, q_exp, spectral_weight
+from .errors import DomainError, PoleError, UnsupportedModelError, finite_real, positive_real
+from .qalgebra import q_exp, spectral_weight
 
 __all__ = ["main", "build_parser"]
 
@@ -118,7 +118,7 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
     if args.theta is not None:
         operand = zt.power_transform_model(operand, args.theta)
         refs = [zt.power_transform_model(r, args.theta) for r in refs]
-    qp = QParam(args.q)
+    q = finite_real("deformation index", args.q)
     # kind is a class attribute, so routing on it imports no model module
     operand_is_finite = operand.kind == "finite_diag"
     refs_are_finite = all(ref.kind == "finite_diag" for ref in refs)
@@ -142,12 +142,12 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
         method, absolute, relative = "q_logdet", spc.q_logdet, spc.relative_q_logdet
     else:
         method, absolute, relative = "qdet_zeta", zt.qdet_zeta, zt.relative_qdet_zeta
-    value = absolute(operand, qp) if reference is None else relative(operand, reference, qp)
+    value = absolute(operand, q) if reference is None else relative(operand, reference, q)
 
-    det = q_exp(value, qp)
+    det = q_exp(value, q)
     report = {
         "command": "qdet",
-        "q": qp.q,
+        "q": q,
         "theta": args.theta,
         "operator": "spectrum" if operand_is_finite else "model",
         "relative": bool(refs),

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, finite, finite_vector, positive_int
-from .qalgebra import _EXP_MAX, ClampedValue, QLike, QParam, as_qparam, exact_row_sums, exact_sum, q_exp, q_log_array
-from .zeta import _em_plan, _em_terms, _ln_q
+from .errors import DomainError, finite, finite_real, finite_vector, positive_int
+from .qalgebra import _EXP_MAX, ClampedValue, _classical, _ln_q, exact_row_sums, exact_sum, q_exp, q_log_array
+from .zeta import _em_plan, _em_terms
 
 __all__ = [
     "Partition",
@@ -119,7 +119,7 @@ def generalized_harmonic(n: int, r: float) -> float:
     10.0
     """
     n = positive_int("n", n)
-    r = float(r)
+    r = finite_real("r", r)
     with np.errstate(all="ignore"):
         terms = np.arange(1, n + 1, dtype=float) ** r
     return finite(exact_sum(terms), "generalized_harmonic overflows float64 at r = {!r}", r)
@@ -156,14 +156,15 @@ def _em_tail(c: int, b: int, q: float, m: int) -> list[float]:
     return [integral, 0.5 * lb, -0.5 * lc, *_em_terms(q, m, b), *_em_terms(q, m, c, -1.0)]
 
 
-def _range_sum(a: int, b: int, qp: QParam) -> float:
+def _range_sum(a: int, b: int, q: float) -> float:
     """S(a, b] = sum_{a<k<=b} ln_q k for integers 0 <= a < b, in O(1).
 
     A range of up to _DIRECT terms is summed term by term (q_log_array) and
     rounded once; a longer one sums its head a < k <= c directly and adds
     _em_tail, all in one math.fsum. Inside the classical band ln_q is ln.
     A value, or an intermediate, beyond float64 raises DomainError."""
-    q = 1.0 if qp.is_classical else qp.q
+    given = q  # named by the refusal
+    q = 1.0 if _classical(q) else q
     c, m = b, 0
     try:
         if b - a > _DIRECT:
@@ -177,10 +178,10 @@ def _range_sum(a: int, b: int, qp: QParam) -> float:
         value = math.fsum(terms)
     except (OverflowError, ValueError):  # a power beyond float64, or fsum's inf - inf
         value = math.inf
-    return finite(value, "q_factorial_log overflows float64 at q = {!r}", qp.q)
+    return finite(value, "q_factorial_log overflows float64 at q = {!r}", given)
 
 
-def q_factorial_log(n: int, q: QLike) -> float:
+def q_factorial_log(n: int, q: float) -> float:
     """Deformed log-factorial ln_q(n!_q) = sum_{k=1..n} ln_q k, in O(1).
 
     Equals (H(n, 1-q) - n) / (1-q) away from q = 1 and ln n! at q = 1,
@@ -195,19 +196,19 @@ def q_factorial_log(n: int, q: QLike) -> float:
     DomainError.
     """
     n = positive_int("n", n)
-    qp = as_qparam(q)
-    if qp.is_classical:
+    q = finite_real("deformation index", q)
+    if _classical(q):
         return math.lgamma(n + 1.0)
-    return _range_sum(0, n, qp)
+    return _range_sum(0, n, q)
 
 
-def q_factorial(n: int, q: QLike) -> ClampedValue:
+def q_factorial(n: int, q: float) -> ClampedValue:
     """Deformed factorial n!_q = exp_q(ln_q n!_q), with clamp flag."""
-    qp = as_qparam(q)
-    return q_exp(q_factorial_log(n, qp), qp)
+    q = finite_real("deformation index", q)
+    return q_exp(q_factorial_log(n, q), q)
 
 
-def q_multinomial_log(part: Partition, q: QLike) -> float:
+def q_multinomial_log(part: Partition, q: float) -> float:
     """Deformed log-multinomial of a partition,
     sum_{k<=n} ln_q k - sum_i sum_{k<=n_i} ln_q k.
 
@@ -223,18 +224,18 @@ def q_multinomial_log(part: Partition, q: QLike) -> float:
     1.5e-11. A value beyond float64 raises DomainError.
     """
     part = _as_partition(part)
-    qp = as_qparam(q)
+    q = finite_real("deformation index", q)
     largest, *rest = sorted(part.parts, reverse=True)
-    pieces = [_range_sum(largest, part.n, qp)] if largest < part.n else []
-    pieces += [-q_factorial_log(ni, qp) for ni in rest]
+    pieces = [_range_sum(largest, part.n, q)] if largest < part.n else []
+    pieces += [-q_factorial_log(ni, q) for ni in rest]
     try:
         value = math.fsum(pieces)
     except OverflowError:  # an intermediate sum beyond float64
         value = math.inf
-    return finite(value, "q_multinomial_log overflows float64 at q = {!r}", qp.q)
+    return finite(value, "q_multinomial_log overflows float64 at q = {!r}", q)
 
 
-def _entropy_kernel(values: np.ndarray, index: QParam) -> np.ndarray:
+def _entropy_kernel(values: np.ndarray, index: float) -> np.ndarray:
     """Row sums sum_v v (v^(index-1) - 1) / (1 - index) over the entries
     v > 0 of each row of values (N, m); other entries contribute exactly 0.
 
@@ -249,13 +250,13 @@ def _entropy_kernel(values: np.ndarray, index: QParam) -> np.ndarray:
     """
     # other entries are read as v = 1, whose term is exactly +-0
     v = np.where(values > 0.0, values, 1.0)
-    if index.is_classical:
+    if _classical(index):
         return -exact_row_sums(v * np.log(v))
-    r = index.rate
+    r = 1.0 - index
     return exact_row_sums(v * np.expm1(-r * np.log(v))) / r
 
 
-def tsallis_entropy(p, q: QLike) -> float:
+def tsallis_entropy(p, q: float) -> float:
     """Nonextensive entropy H_q(p), computed as
     (sum p_i^q - sum p_i) / (1 - q) = sum p_i ln_q(1/p_i).
 
@@ -270,14 +271,14 @@ def tsallis_entropy(p, q: QLike) -> float:
     >>> tsallis_entropy((0.5, 0.5), 2.0)
     0.5
     """
-    qp = as_qparam(q)
+    q = finite_real("deformation index", q)
     dist = as_distribution(p)
     with np.errstate(all="ignore"):
-        h = float(_entropy_kernel(np.asarray([dist.p]), qp)[0])
-    return finite(h, "Tsallis entropy overflows float64 at q = {!r}", qp.q)
+        h = float(_entropy_kernel(np.asarray([dist.p]), q)[0])
+    return finite(h, "Tsallis entropy overflows float64 at q = {!r}", q)
 
 
-def asymptotic_leading(n: int, p, q: QLike) -> float:
+def asymptotic_leading(n: int, p, q: float) -> float:
     """Leading large-n term n^(2-q) / (2-q) * H_{2-q}(p) of the deformed
     log-multinomial at fixed part ratios p.
 
@@ -285,19 +286,19 @@ def asymptotic_leading(n: int, p, q: QLike) -> float:
     beyond float64 raises DomainError.
     """
     n = positive_int("n", n)
-    qp = as_qparam(q)
-    if qp.q == 2.0:
+    q = finite_real("deformation index", q)
+    if q == 2.0:
         raise DomainError("leading coefficient has a pole at q = 2")
-    s = 2.0 - qp.q
+    s = 2.0 - q
     entropy = tsallis_entropy(p, s)
     try:
         lead = float(n) ** s / s * entropy
     except OverflowError:
         lead = math.inf
-    return finite(lead, "leading term overflows float64 at n = {}, q = {!r}", n, qp.q)
+    return finite(lead, "leading term overflows float64 at n = {}, q = {!r}", n, q)
 
 
-def asymptotic_remainder(part: Partition, q: QLike) -> float:
+def asymptotic_remainder(part: Partition, q: float) -> float:
     """q_multinomial_log minus its leading asymptotic term.
 
     Part ratios are recomputed from the partition itself. For q < 1 the
@@ -306,6 +307,6 @@ def asymptotic_remainder(part: Partition, q: QLike) -> float:
     by the Euler-Maclaurin tail of the power sums, so it does not vanish.
     """
     part = _as_partition(part)
-    qp = as_qparam(q)
-    lead = asymptotic_leading(part.n, part.ratios(), qp)
-    return q_multinomial_log(part, qp) - lead
+    q = finite_real("deformation index", q)
+    lead = asymptotic_leading(part.n, part.ratios(), q)
+    return q_multinomial_log(part, q) - lead

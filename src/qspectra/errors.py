@@ -37,6 +37,18 @@ def positive_real(name: str, value) -> float:
     return x
 
 
+def finite_real(name: str, value) -> float:
+    """``value`` as a float; DomainError naming ``name`` unless it is a
+    finite real number."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):  # an int beyond float64
+        raise DomainError(f"{name} must be finite, got {value!r}") from None
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x!r}")
+    return x
+
+
 def positive_int(name: str, value) -> int:
     """``value`` as an int; DomainError naming ``name`` unless it is a number
     with an integral value >= 1 (2.0 is read as 2; 2.5 and "2" are refused)."""
@@ -104,9 +116,9 @@ def finite(value, message: str, *args):
 
 class FrozenRecord:
     """Base of the immutable value classes of the modules that load without
-    numpy (qalgebra.QParam and zeta's ShiftedLinear and PowerSpectrum). It
-    stands in for @dataclass(frozen=True), whose module imports inspect;
-    the modules that load numpy keep their dataclasses.
+    numpy, zeta's ShiftedLinear and PowerSpectrum. It stands in for
+    @dataclass(frozen=True), whose module imports inspect; the modules that
+    load numpy keep their dataclasses.
 
     A subclass names its fields in order in ``_fields`` and stores them in
     its own ``__init__`` through ``__dict__``; the fields with a default

@@ -22,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, finite, finite_vector, positive_int, positive_real
+from .errors import DomainError, finite, finite_real, finite_vector, positive_int, positive_real
 from .combinatorics import _check_simplex_sum, _entropy_kernel
 from .g17 import _G17_BLOCK, g17_cells
-from .qalgebra import QLike, QParam, as_qparam, exact_row_sums
+from .qalgebra import exact_row_sums
 
 __all__ = [
     "SimplexPoint",
@@ -73,15 +73,15 @@ def _point_array(p, *, on_simplex: bool) -> np.ndarray:
 _OVERFLOW = "the simplex field overflows float64 at q = {!r}"
 
 
-def _potential_rows(x: np.ndarray, qp: QParam) -> np.ndarray:
+def _potential_rows(x: np.ndarray, q: float) -> np.ndarray:
     """Phi_q of each row of x (N, m), rows strictly positive."""
     with np.errstate(all="ignore"):
-        if qp.q == 2.0:
+        if q == 2.0:
             phi = -exact_row_sums(np.log(x))
         else:
-            s = 2.0 - qp.q
-            phi = _entropy_kernel(x, QParam(s)) / s
-    return finite(phi, _OVERFLOW, qp.q)
+            s = 2.0 - q
+            phi = _entropy_kernel(x, s) / s
+    return finite(phi, _OVERFLOW, q)
 
 
 def _weights(x: np.ndarray, q: float) -> np.ndarray:
@@ -115,7 +115,7 @@ def _volume_rows(x: np.ndarray, q: float) -> np.ndarray:
     return vol
 
 
-def potential(p, q: QLike) -> float:
+def potential(p, q: float) -> float:
     """Macroscopic potential Phi_q(p) = H_{2-q}(p) / (2 - q).
 
     At q = 1 this is the Shannon entropy. In q the function has a simple
@@ -129,14 +129,14 @@ def potential(p, q: QLike) -> float:
     0.25
     """
     arr = _point_array(p, on_simplex=False)
-    return float(_potential_rows(arr[None, :], as_qparam(q))[0])
+    return float(_potential_rows(arr[None, :], finite_real("deformation index", q))[0])
 
 
-def potential_hessian(p, q: QLike) -> np.ndarray:
+def potential_hessian(p, q: float) -> np.ndarray:
     """Hessian of the potential in unconstrained coordinates:
     diag(-p_i^(-q)). A weight beyond float64, or below its normal range
     (2.2e-308), raises DomainError."""
-    return np.diag(-_weights(_point_array(p, on_simplex=False), as_qparam(q).q))
+    return np.diag(-_weights(_point_array(p, on_simplex=False), finite_real("deformation index", q)))
 
 
 def _simplex_point(p) -> np.ndarray:
@@ -146,7 +146,7 @@ def _simplex_point(p) -> np.ndarray:
     return arr
 
 
-def induced_metric(p, q: QLike) -> np.ndarray:
+def induced_metric(p, q: float) -> np.ndarray:
     """Metric on the simplex interior in coordinates xi_a = p_a, a < m.
 
     g_ab = p_a^(-q) delta_ab + p_m^(-q); symmetric positive definite for
@@ -158,11 +158,11 @@ def induced_metric(p, q: QLike) -> np.ndarray:
     >>> induced_metric((0.5, 0.5), 0.0)
     array([[2.]])
     """
-    w = _weights(_simplex_point(p), as_qparam(q).q)
+    w = _weights(_simplex_point(p), finite_real("deformation index", q))
     return np.diag(w[:-1]) + w[-1]
 
 
-def volume_element(p, q: QLike) -> float:
+def volume_element(p, q: float) -> float:
     """Riemannian volume element sqrt(det g) of the induced metric.
 
     Closed form by the matrix determinant lemma, the same row kernel
@@ -178,7 +178,7 @@ def volume_element(p, q: QLike) -> float:
     >>> volume_element((0.5, 0.5), 0.0)
     1.4142135623730951
     """
-    return float(_volume_rows(_simplex_point(p)[None, :], as_qparam(q).q)[0])
+    return float(_volume_rows(_simplex_point(p)[None, :], finite_real("deformation index", q))[0])
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ class MetricField:
     points: np.ndarray
     phi: np.ndarray
     volume: np.ndarray
-    q: QParam
+    q: float
     # the CSV table as _csv_columns returns it, where the builder knows it
     # (grid_field); else _csv_columns builds it
     _columns: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
@@ -270,7 +270,7 @@ def _lattice(resolution: int, margin: float) -> _Lattice:
     return lattice
 
 
-def grid_field(resolution: int, q: QLike, margin: float) -> MetricField:
+def grid_field(resolution: int, q: float, margin: float) -> MetricField:
     """Sample Phi_q and sqrt(det g) on the interior lattice of the ternary
     simplex.
 
@@ -313,12 +313,12 @@ def grid_field(resolution: int, q: QLike, margin: float) -> MetricField:
     if resolution > MAX_RESOLUTION:
         raise DomainError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
     margin = positive_real("margin", margin)
-    qp = as_qparam(q)
+    q = finite_real("deformation index", q)
     lattice = _lattice(resolution, margin)
-    phi = _potential_rows(lattice.firsts, qp)
-    vol = _volume_rows(lattice.firsts, qp.q)
+    phi = _potential_rows(lattice.firsts, q)
+    vol = _volume_rows(lattice.firsts, q)
     columns = ((lattice.fractions,) * 3 + (phi, vol), lattice.index)
-    return MetricField(lattice.points.copy(), phi[lattice.orbit], vol[lattice.orbit], qp, columns)
+    return MetricField(lattice.points.copy(), phi[lattice.orbit], vol[lattice.orbit], q, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ Products and quotients built from them satisfy a pseudo-additive law
 and the whole family is covariant under the reparametrisation
 q' = 1 + theta (q - 1), which rescales exponents rather than values.
 
-All operations are pure functions on floats. Deformed exponentials carry a
-positive-part truncation; it is reported through a flag instead of raising,
-so chains of operations can track admissibility explicitly. The array
+All operations are pure functions on floats. q is a plain float, checked
+where it enters (errors.finite_real), and one predicate, _classical,
+decides the classical band around q = 1. Deformed exponentials carry a
+positive-part truncation; it is reported through a flag instead of
+raising, so chains of operations can track admissibility explicitly. The array
 kernels shared with the spectrum and combinatorics aggregates import numpy
 when they run, so the scalar calculus loads without it.
 """
@@ -20,16 +22,14 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Iterable, NamedTuple, Union
+from collections import namedtuple
+from collections.abc import Iterable
 
-from .errors import DomainError, FrozenRecord, finite, nonzero_real
+from .errors import DomainError, finite, finite_real, nonzero_real
 
 __all__ = [
     "NEAR_ONE_EPS",
-    "QParam",
-    "QLike",
     "ClampedValue",
-    "as_qparam",
     "q_log",
     "q_exp",
     "q_mul",
@@ -46,60 +46,40 @@ NEAR_ONE_EPS = 1e-8
 _EXP_MAX = 709.782712893384
 
 
-class QParam(FrozenRecord):
-    """Deformation index q.
+def _classical(q: float) -> bool:
+    """Whether q lies in the classical band, within NEAR_ONE_EPS of 1.
 
-    Inside the classical band |q - 1| < NEAR_ONE_EPS every scalar and
-    aggregate kernel (q_log, q_exp, q_logdet, q_factorial_log,
-    tsallis_entropy, the geometry potential) uses the exact classical
-    (q = 1) expression on the whole band, not only at q = 1. That drops the
-    first-order term (q - 1) ln^2 x / 2 of ln_q x: q_log(1e308, 1 + 5e-9)
-    is 1.8e-6 off, relative, while the deformed formula, evaluated through
-    expm1/log1p kernels, stays within a few ulp arbitrarily close to
-    q = 1. The zeta determinants (zeta.qdet_zeta, relative_qdet_zeta) take
-    no band: they evaluate at the exact q.
+    Inside the band every scalar and aggregate kernel (q_log, q_exp,
+    q_logdet, q_factorial_log, tsallis_entropy, the geometry potential)
+    uses the exact classical (q = 1) expression on the whole band, not only
+    at q = 1. That drops the first-order term (q - 1) ln^2 x / 2 of ln_q x:
+    q_log(1e308, 1 + 5e-9) is 1.8e-6 off, relative, while the deformed
+    formula, evaluated through expm1/log1p kernels, stays within a few ulp
+    arbitrarily close to q = 1. The zeta determinants (zeta.qdet_zeta,
+    relative_qdet_zeta) take no band: they evaluate at the exact q.
     """
-
-    _fields = ("q",)
-
-    def __init__(self, q: float) -> None:
-        if not math.isfinite(q):
-            raise DomainError(f"deformation index must be finite, got {q!r}")
-        self.__dict__["q"] = q
-
-    @property
-    def rate(self) -> float:
-        """Exponent rate 1 - q used by the generic kernels."""
-        return 1.0 - self.q
-
-    @property
-    def is_classical(self) -> bool:
-        return abs(self.q - 1.0) < NEAR_ONE_EPS
+    return abs(q - 1.0) < NEAR_ONE_EPS
 
 
-QLike = Union[QParam, float, int]
-
-
-def as_qparam(q: QLike) -> QParam:
-    """Coerce a float (or QParam) into a QParam."""
-    return q if isinstance(q, QParam) else QParam(float(q))
-
-
-class ClampedValue(NamedTuple):
-    """A non-negative result plus a flag marking whether the positive-part
+ClampedValue = namedtuple("ClampedValue", "value clamped")
+ClampedValue.__doc__ = """A non-negative result plus a flag marking whether the positive-part
     truncation [y]_+ = max(y, 0) fired while producing it."""
 
-    value: float
-    clamped: bool
+
+def _ln_q(x: float, q: float) -> float:
+    """ln_q x = expm1((1-q) ln x) / (1-q) at the exact q (ln x at q == 1).
+    OverflowError where expm1 leaves float64."""
+    r = 1.0 - q
+    return math.expm1(r * math.log(x)) / r if r else math.log(x)
 
 
-def q_log(x: float, q: QLike) -> float:
+def q_log(x: float, q: float) -> float:
     """Deformed logarithm ln_q x = (x^(1-q) - 1) / (1 - q).
 
     Parameters
     ----------
     x : positive real.
-    q : deformation index (float or QParam).
+    q : finite real deformation index.
 
     Computed as expm1((1-q) ln x) / (1-q), which avoids the cancellation of
     the naive power form and degrades gracefully into ln x as q -> 1.
@@ -110,23 +90,24 @@ def q_log(x: float, q: QLike) -> float:
     >>> q_log(2.0, 2.0)
     0.5
     """
-    qp = as_qparam(q)
+    q = finite_real("deformation index", q)
     xf = float(x)
     if not xf > 0.0:
         raise DomainError(f"q_log requires x > 0, got {xf!r}")
-    if qp.is_classical:
+    if _classical(q):
         return math.log(xf)
-    r = qp.rate
-    t = r * math.log(xf)
-    value = math.expm1(t) / r if t <= _EXP_MAX else math.inf
-    return finite(value, "q_log overflows float64 at x = {!r}, q = {!r}", xf, qp.q)
+    try:
+        value = _ln_q(xf, q)
+    except OverflowError:
+        value = math.inf
+    return finite(value, "q_log overflows float64 at x = {!r}, q = {!r}", xf, q)
 
 
 def _exp_or_inf(u: float) -> float:
     return math.inf if u > _EXP_MAX else math.exp(u)
 
 
-def q_exp(u: float, q: QLike) -> ClampedValue:
+def q_exp(u: float, q: float) -> ClampedValue:
     """Deformed exponential exp_q u = [1 + (1-q) u]_+^(1/(1-q)).
 
     Inverts q_log wherever the bracket stays positive. When it does not,
@@ -138,37 +119,35 @@ def q_exp(u: float, q: QLike) -> ClampedValue:
     >>> q_exp(-2.0, 0.0)
     ClampedValue(value=0.0, clamped=True)
     """
-    qp = as_qparam(q)
+    q = finite_real("deformation index", q)
     uf = float(u)
-    if qp.is_classical:
+    if _classical(q):
         return ClampedValue(_exp_or_inf(uf), False)
-    r = qp.rate
+    r = 1.0 - q
     t = r * uf
     if t <= -1.0:
         return ClampedValue(0.0 if r > 0.0 else math.inf, True)
     return ClampedValue(_exp_or_inf(math.log1p(t) / r), False)
 
 
-def q_mul(x: float, y: float, q: QLike) -> ClampedValue:
+def q_mul(x: float, y: float, q: float) -> ClampedValue:
     """Deformed product x (x)_q y = [x^(1-q) + y^(1-q) - 1]_+^(1/(1-q)).
 
     Additive under the deformed logarithm whenever the clamp flag stays
     false: ln_q(x (x)_q y) = ln_q x + ln_q y.
     """
-    qp = as_qparam(q)
-    return q_exp(q_log(x, qp) + q_log(y, qp), qp)
+    return q_exp(q_log(x, q) + q_log(y, q), q)
 
 
-def q_div(x: float, y: float, q: QLike) -> ClampedValue:
+def q_div(x: float, y: float, q: float) -> ClampedValue:
     """Deformed quotient [x^(1-q) - y^(1-q) + 1]_+^(1/(1-q)).
 
     Inverse of q_mul on the unclamped set: ln_q(x (/)_q y) = ln_q x - ln_q y.
     """
-    qp = as_qparam(q)
-    return q_exp(q_log(x, qp) - q_log(y, qp), qp)
+    return q_exp(q_log(x, q) - q_log(y, q), q)
 
 
-def q_prod(xs: Iterable[float], q: QLike) -> ClampedValue:
+def q_prod(xs: Iterable[float], q: float) -> ClampedValue:
     """Deformed product of many positive factors.
 
     Aggregated through the additive representation sum(ln_q x_k) with exact
@@ -176,23 +155,24 @@ def q_prod(xs: Iterable[float], q: QLike) -> ClampedValue:
     single clamp decision happens once, at the final exponential. A sum
     beyond float64 raises DomainError.
     """
-    qp = as_qparam(q)
-    total = exact_sum([q_log(x, qp) for x in xs])
-    return q_exp(finite(total, "q_prod overflows float64 at q = {!r}", qp.q), qp)
+    q = finite_real("deformation index", q)
+    total = exact_sum([q_log(x, q) for x in xs])
+    return q_exp(finite(total, "q_prod overflows float64 at q = {!r}", q), q)
 
 
-def theta_reparam(q: QLike, theta: float) -> QParam:
+def theta_reparam(q: float, theta: float) -> float:
     """Reparametrised index q' = 1 + theta (q - 1).
 
     Pointwise identity: ln_{q'} x = ln_q(x^theta) / theta for theta != 0,
-    which lifts to every spectral aggregate built from q_log.
+    which lifts to every spectral aggregate built from q_log. A q' beyond
+    float64 raises DomainError.
     """
-    qp = as_qparam(q)
+    q = finite_real("deformation index", q)
     th = nonzero_real("theta", theta)
-    return QParam(1.0 + th * (qp.q - 1.0))
+    return finite_real("deformation index", 1.0 + th * (q - 1.0))
 
 
-def spectral_weight(lam: float, q: QLike) -> float:
+def spectral_weight(lam: float, q: float) -> float:
     """Spectral weight w(lambda) = lambda^(-q) governing variations.
 
     Every curve passes through (1, 1); q > 1 amplifies the infrared
@@ -201,7 +181,7 @@ def spectral_weight(lam: float, q: QLike) -> float:
     lf = float(lam)
     if not lf > 0.0:
         raise DomainError(f"spectral_weight requires lambda > 0, got {lf!r}")
-    qf = as_qparam(q).q
+    qf = finite_real("deformation index", q)
     try:
         w = lf ** (-qf)
     except OverflowError:
@@ -209,7 +189,7 @@ def spectral_weight(lam: float, q: QLike) -> float:
     return finite(w, "lambda^(-q) overflows float64 at lambda = {!r}, q = {!r}", lf, qf)
 
 
-def q_log_array(x, q: QLike) -> np.ndarray:
+def q_log_array(x, q: float) -> np.ndarray:
     """Vectorised q_log kernel for strictly positive arrays, at the exact q.
 
     Internal helper shared by the spectrum and combinatorics aggregates;
@@ -224,12 +204,11 @@ def q_log_array(x, q: QLike) -> np.ndarray:
     return q_log_of_logs(np.log(np.asarray(x, dtype=float)), q)
 
 
-def q_log_of_logs(t, q: QLike) -> np.ndarray:
+def q_log_of_logs(t, q: float) -> np.ndarray:
     """ln_q x from the float array t = ln x, in place:
     expm1((1-q) t) / (1-q) at the exact q, and t itself at q == 1."""
     import numpy as np
 
-    q = as_qparam(q).q
     if q == 1.0:
         return t
     r = 1.0 - q

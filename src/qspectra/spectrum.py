@@ -26,17 +26,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, finite, finite_vector, nonzero_real, positive_real
+from .errors import DomainError, finite, finite_real, finite_vector, nonzero_real, positive_real
 from .g17 import g17_lines
-from .qalgebra import (
-    ClampedValue,
-    QLike,
-    as_qparam,
-    exact_sum,
-    q_exp,
-    q_log_array,
-    theta_reparam,
-)
+from .qalgebra import ClampedValue, _classical, exact_sum, q_exp, q_log_array, theta_reparam
 from .zeta import model_from_dict
 
 # A function alias is listed before its target, so a tool that labels a
@@ -185,7 +177,7 @@ def concatenate(*specs: FiniteDiag) -> FiniteDiag:
     return FiniteDiag(np.concatenate([s.dimensionless() for s in specs]), 1.0)
 
 
-def q_logdet(spec: FiniteDiag, q: QLike) -> float:
+def q_logdet(spec: FiniteDiag, q: float) -> float:
     """Deformed log-determinant sum_k ln_q(lambda_k / scale).
 
     Each term goes through the stabilised q_log kernel and the terms are
@@ -198,23 +190,22 @@ def q_logdet(spec: FiniteDiag, q: QLike) -> float:
     >>> q_logdet(Spectrum((1.0, 4.0)), 0.0)
     3.0
     """
-    qp = as_qparam(q)
-    terms = q_log_array(spec.dimensionless(), 1.0 if qp.is_classical else qp.q)
-    return finite(exact_sum(terms), "q_logdet overflows float64 at q = {!r}", qp.q)
+    q = finite_real("deformation index", q)
+    terms = q_log_array(spec.dimensionless(), 1.0 if _classical(q) else q)
+    return finite(exact_sum(terms), "q_logdet overflows float64 at q = {!r}", q)
 
 
-def q_det(spec: FiniteDiag, q: QLike) -> ClampedValue:
+def q_det(spec: FiniteDiag, q: float) -> ClampedValue:
     """Deformed determinant exp_q(Gamma_q), with clamp flag.
 
     Equals the deformed product of the dimensionless eigenvalues; computed
     through the additive representation so only the final exponential can
     clamp.
     """
-    qp = as_qparam(q)
-    return q_exp(q_logdet(spec, qp), qp)
+    return q_exp(q_logdet(spec, q), q)
 
 
-def relative_q_logdet(spec: FiniteDiag, reference: FiniteDiag, q: QLike) -> float:
+def relative_q_logdet(spec: FiniteDiag, reference: FiniteDiag, q: float) -> float:
     """Gamma_q[A] - Gamma_q[B], the deformed log of a determinant ratio.
 
     The value is the difference of two separately rounded sums: its
@@ -224,11 +215,10 @@ def relative_q_logdet(spec: FiniteDiag, reference: FiniteDiag, q: QLike) -> floa
     0.3% to 33% off, by q and spectrum). For unequal sizes the difference
     keeps the size mismatch term, which is part of the definition.
     """
-    qp = as_qparam(q)
-    return q_logdet(spec, qp) - q_logdet(reference, qp)
+    return q_logdet(spec, q) - q_logdet(reference, q)
 
 
-def action_variation(spec: FiniteDiag, variation, q: QLike) -> float:
+def action_variation(spec: FiniteDiag, variation, q: float) -> float:
     """First variation of the action: sum_k (lambda_k/mu)^(-q) dlambda_k/mu.
 
     This is the exact directional derivative of q_logdet with respect to
@@ -236,11 +226,11 @@ def action_variation(spec: FiniteDiag, variation, q: QLike) -> float:
     weight (lambda/mu)^(-q). The sum is exactly rounded; a value beyond
     float64 raises DomainError.
     """
-    qp = as_qparam(q)
+    q = finite_real("deformation index", q)
     deltas = _deltas_for(spec, variation)
     with np.errstate(all="ignore"):
-        terms = spec.dimensionless() ** (-qp.q) * (deltas / spec.scale)
-    return finite(exact_sum(terms), "action_variation overflows float64 at q = {!r}", qp.q)
+        terms = spec.dimensionless() ** (-q) * (deltas / spec.scale)
+    return finite(exact_sum(terms), "action_variation overflows float64 at q = {!r}", q)
 
 
 # The finite-difference effective action Gamma_q[A] is q_logdet under its
@@ -266,16 +256,15 @@ def power_transform(spec: FiniteDiag, theta: float) -> FiniteDiag:
     return FiniteDiag(eigs, 1.0)
 
 
-def theta_covariance_residual(spec: FiniteDiag, q: QLike, theta: float) -> float:
+def theta_covariance_residual(spec: FiniteDiag, q: float, theta: float) -> float:
     """|Gamma_{q'}[A] - Gamma_q[A^theta] / theta| with q' = 1 + theta(q-1).
 
     Zero in exact arithmetic for every nonzero theta; the float residual
     stays at rounding level, bounded by 1e-11 (1 + |Gamma_{q'}|).
     """
-    qp = as_qparam(q)
-    qprime = theta_reparam(qp, theta)
+    qprime = theta_reparam(q, theta)
     lhs = q_logdet(spec, qprime)
-    rhs = q_logdet(power_transform(spec, theta), qp) / float(theta)
+    rhs = q_logdet(power_transform(spec, theta), q) / float(theta)
     return abs(lhs - rhs)
 
 

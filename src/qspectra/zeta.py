@@ -41,11 +41,10 @@ import json
 import math
 from itertools import accumulate, repeat
 from operator import mul
-from typing import ClassVar
 
 from .errors import DomainError, FrozenRecord, PoleError, UnsupportedModelError
-from .errors import finite, nonzero_real, positive_real
-from .qalgebra import _EXP_MAX, QLike, as_qparam, exact_sum, q_log_of_logs, theta_reparam
+from .errors import finite, finite_real, nonzero_real, positive_real
+from .qalgebra import _EXP_MAX, _ln_q, _two_sum, exact_sum, q_log_of_logs, theta_reparam
 
 __all__ = [
     "POLE_EPS",
@@ -105,8 +104,8 @@ class ShiftedLinear(_HurwitzFamily):
     """lambda_k = k - 1 + a for k = 1, 2, ...; zeta is the Hurwitz zeta(s, a)."""
 
     _fields = ("a", "scale")
-    kind: ClassVar[str] = "shifted_linear"
-    alpha: ClassVar[float] = 1.0
+    kind = "shifted_linear"
+    alpha = 1.0
 
     def __init__(self, a: float, scale: float = 1.0) -> None:
         self.__dict__.update(a=positive_real("a", a), scale=positive_real("scale", scale))
@@ -121,8 +120,8 @@ class PowerSpectrum(_HurwitzFamily):
     """lambda_k = k^alpha for k = 1, 2, ...; zeta is the Riemann zeta(alpha s)."""
 
     _fields = ("alpha", "scale")
-    kind: ClassVar[str] = "power_spectrum"
-    a: ClassVar[float] = 1.0
+    kind = "power_spectrum"
+    a = 1.0
 
     def __init__(self, alpha: float, scale: float = 1.0) -> None:
         self.__dict__.update(alpha=positive_real("alpha", alpha), scale=positive_real("scale", scale))
@@ -265,13 +264,6 @@ def _sin_pi(x: float) -> float:
 
 def _cos_pi(x: float) -> float:
     return _sin_pi(0.5 - math.fmod(abs(x), 2.0))
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """(a + b rounded, its exact rounding error)."""
-    total = a + b
-    z = total - a
-    return total, (a - (total - z)) + (b - z)
 
 
 def _bernoulli_zeta(n: int, a: float) -> float:
@@ -564,10 +556,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
     refused only where a^(-s) overflows (a < 1): the value is 1.0 at a = 1
     and 0.0 for a > 1 once a^(-s) underflows.
     """
-    sf = float(s)
     af = positive_real("a", a)
-    if not math.isfinite(sf):
-        raise DomainError(f"s must be finite, got {sf!r}")
+    sf = finite_real("s", s)
     if abs(sf - 1.0) < POLE_EPS:
         raise PoleError(f"Hurwitz zeta has a simple pole at s = 1, got s = {sf!r}")
     try:
@@ -624,12 +614,6 @@ def zeta_deriv0(model: ZetaModel) -> float:
     return finite(model.jet0()[1], "zeta'(0) is not finite in float64")
 
 
-def _ln_q(x: float, q: float) -> float:
-    """ln_q x = expm1((1-q) ln x) / (1-q) at the exact q (ln x at q == 1)."""
-    r = 1.0 - q
-    return math.expm1(r * math.log(x)) / r if r else math.log(x)
-
-
 def _ln_q_sum(a: float, q: float) -> float:
     """The zeta-regularised sum_{n>=0} ln_q(a + n), which is
     (zeta(q-1, a) - zeta(0, a)) / (1 - q): its Euler-Maclaurin finite part
@@ -663,7 +647,7 @@ def _hurwitz_qdet(model: ShiftedLinear | PowerSpectrum, q: float) -> float:
     return model.scale ** (q - 1.0) * (lead - (0.5 - model.a) * _ln_q(model.scale, q))
 
 
-def qdet_zeta(model: ZetaModel, q: QLike) -> float:
+def qdet_zeta(model: ZetaModel, q: float) -> float:
     """Finite-difference deformed log-determinant
     (zeta_A(q-1) - zeta_A(0)) / (1 - q), the regularised sum of
     ln_q(lambda_k / mu).
@@ -692,7 +676,7 @@ def qdet_zeta(model: ZetaModel, q: QLike) -> float:
 
     A value beyond float64 raises DomainError.
     """
-    q = as_qparam(q).q
+    q = finite_real("deformation index", q)
     try:
         if q == 1.0:
             value = -model.jet0()[1]
@@ -710,7 +694,7 @@ def qdet_zeta(model: ZetaModel, q: QLike) -> float:
     return finite(value, "the zeta determinant is not finite in float64 at q = {!r}", q)
 
 
-def relative_qdet_zeta(model: ZetaModel, reference: ZetaModel, q: QLike) -> float:
+def relative_qdet_zeta(model: ZetaModel, reference: ZetaModel, q: float) -> float:
     """Deformed log of a determinant ratio,
     qdet_zeta(model, q) - qdet_zeta(reference, q): each determinant is
     taken on its own route, so the difference adds one rounding, of the
@@ -718,12 +702,12 @@ def relative_qdet_zeta(model: ZetaModel, reference: ZetaModel, q: QLike) -> floa
     naming q, as in qdet_zeta; a difference beyond float64 raises
     DomainError.
     """
-    q = as_qparam(q).q
+    q = finite_real("deformation index", q)
     value = qdet_zeta(model, q) - qdet_zeta(reference, q)
     return finite(value, "the zeta determinant is not finite in float64 at q = {!r}", q)
 
 
-def theta_covariance_zeta(model: ZetaModel, q: QLike, theta: float) -> float:
+def theta_covariance_zeta(model: ZetaModel, q: float, theta: float) -> float:
     """Residual |qdet(A, q') - qdet(A^theta, q) / theta|, q' = 1 + theta(q-1).
 
     Only power_spectrum models stay in the family under A -> A^theta
@@ -748,16 +732,16 @@ def theta_covariance_zeta(model: ZetaModel, q: QLike, theta: float) -> float:
             f"power map keeps only power_spectrum models in the family, "
             f"got {model.kind!r}"
         )
-    qp = as_qparam(q)
-    qprime = theta_reparam(qp, theta)
+    q = finite_real("deformation index", q)
+    qprime = theta_reparam(q, theta)
     transformed = power_transform_model(model, theta)
     try:
-        return abs(qdet_zeta(model, qprime) - qdet_zeta(transformed, qp) / float(theta))
+        return abs(qdet_zeta(model, qprime) - qdet_zeta(transformed, q) / float(theta))
     except PoleError:  # both determinants meet the pole at q'; name the caller's q
         raise PoleError(
             f"the zeta determinant of this {model.kind} model has a pole at "
-            f"q' = {1.0 + model.pole!r}, got q = {qp.q!r}, theta = {float(theta)!r}, "
-            f"q' = 1 + theta (q - 1) = {qprime.q!r}"
+            f"q' = {1.0 + model.pole!r}, got q = {q!r}, theta = {float(theta)!r}, "
+            f"q' = 1 + theta (q - 1) = {qprime!r}"
         ) from None
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qspectra.errors import DomainError
-from qspectra.qalgebra import QParam
 from qspectra.geometry import (
     _LATTICES,
     MAX_RESOLUTION,
@@ -410,13 +409,13 @@ def test_field_csv_of_a_hand_built_field():
     )
     phi = np.array([0.0, -0.0, 1e300, -1e-300, -5e-324, -1.7976931348623157e308])
     volume = np.array([1.0, 1e-300, 1e300, 1.0, 1.7976931348623157e308, 1.0])
-    field = MetricField(points, phi, volume, q=QParam(1.4))
+    field = MetricField(points, phi, volume, q=1.4)
     text = field_to_csv(field)
     assert text == _csv_reference(field)
     lines = text.splitlines()
     assert lines[1].split(",")[3] == "0" and lines[2].split(",")[3] == "-0"
     # integer arrays are written as their float values
-    ints = MetricField(np.array([[1, 1, 2**60 + 1]]), np.array([-3]), np.array([7]), q=QParam(0.0))
+    ints = MetricField(np.array([[1, 1, 2**60 + 1]]), np.array([-3]), np.array([7]), q=0.0)
     assert field_to_csv(ints) == _csv_reference(ints)
 
 
@@ -428,30 +427,30 @@ def test_field_csv_at_the_edges_of_the_array_route():
     edges = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, math.inf), ties])
     values = np.random.default_rng(3).permutation(np.resize(np.concatenate([edges, -edges]), 5 * 600))
     table = values.reshape(600, 5)
-    field = MetricField(table[:, :3], table[:, 3], np.abs(table[:, 4]), q=QParam(0.5))
+    field = MetricField(table[:, :3], table[:, 3], np.abs(table[:, 4]), q=0.5)
     assert field_to_csv(field) == _csv_reference(field)
 
 
 def test_metric_field_validation():
     with pytest.raises(DomainError):
-        MetricField(np.zeros((2, 3)), np.zeros(1), np.ones(2), q=QParam(1.0))
+        MetricField(np.zeros((2, 3)), np.zeros(1), np.ones(2), q=1.0)
     # the writers label exactly three point columns
     for points in (np.zeros((2, 2)), np.zeros(6)):
         with pytest.raises(DomainError):
-            MetricField(points, np.zeros(2), np.ones(2), q=QParam(1.0))
+            MetricField(points, np.zeros(2), np.ones(2), q=1.0)
     # the writers print every value, and JSON has no nan or inf: a
     # non-finite point, phi or volume is refused
     point = np.array([[0.2, 0.3, 0.5]])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="points must be finite"):
-            MetricField(np.array([[0.2, bad, 0.5]]), np.zeros(1), np.ones(1), q=QParam(0.5))
+            MetricField(np.array([[0.2, bad, 0.5]]), np.zeros(1), np.ones(1), q=0.5)
         with pytest.raises(DomainError, match="phi must be finite"):
-            MetricField(point, np.array([bad]), np.ones(1), q=QParam(0.5))
+            MetricField(point, np.array([bad]), np.ones(1), q=0.5)
         with pytest.raises(DomainError, match="volume must be finite"):
-            MetricField(point, np.zeros(1), np.array([abs(bad)]), q=QParam(0.5))
+            MetricField(point, np.zeros(1), np.array([abs(bad)]), q=0.5)
     with pytest.raises(DomainError):
-        MetricField(point, np.array([math.nan]), np.array([math.inf]), QParam(0.5))
-    field = MetricField(point, np.array([-1.7976931348623157e308]), np.array([5e-324]), QParam(0.5))
+        MetricField(point, np.array([math.nan]), np.array([math.inf]), 0.5)
+    field = MetricField(point, np.array([-1.7976931348623157e308]), np.array([5e-324]), 0.5)
     assert json.loads(field_to_json(field))[0]["sqrt_det_g"] == 5e-324
 
 

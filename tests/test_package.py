@@ -35,6 +35,16 @@ def test_import_and_scalar_calls_load_no_array_module():
     assert _loaded_after("import qspectra, qspectra.cli; qspectra.bernoulli_numbers(30)") == set()
 
 
+def test_import_loads_no_typing():
+    # -S leaves site out, which may import typing for itself; the modules
+    # that load without numpy use collections.abc and namedtuple instead
+    probe = "import qspectra, qspectra.cli, sys; print('typing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 _MODELS = {
     "SHIFTED": '{"kind": "shifted_linear", "a": 1.0, "scale": 2.0}',
     "POWER": '{"kind": "power_spectrum", "alpha": 2.0, "scale": 1.5}',

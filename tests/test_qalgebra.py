@@ -11,8 +11,6 @@ from qspectra.errors import DomainError, finite
 from qspectra.qalgebra import (
     NEAR_ONE_EPS,
     ClampedValue,
-    QParam,
-    as_qparam,
     exact_row_sums,
     exact_sum,
     q_div,
@@ -50,16 +48,14 @@ def test_q_log_rejects_nonpositive():
 
 
 def test_qparam_validation():
-    with pytest.raises(DomainError):
-        QParam(math.nan)
-    with pytest.raises(DomainError):
-        QParam(math.inf)
-    qp = as_qparam(1.5)
-    assert qp.q == 1.5
-    assert qp.rate == -0.5
-    assert not qp.is_classical
-    assert as_qparam(qp) is qp
-    assert QParam(1.0 + 0.5 * NEAR_ONE_EPS).is_classical
+    # q is a float, validated where it enters; the band is one predicate
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"^deformation index must be finite, got {bad!r}$"):
+            q_log(2.0, bad)
+    assert q_exp(0.0, 1) == (1.0, False)
+    assert not qalgebra._classical(1.5)
+    assert qalgebra._classical(1.0 + 0.5 * NEAR_ONE_EPS)
+    assert not qalgebra._classical(1.0 + 2.0 * NEAR_ONE_EPS)
 
 
 def test_q_log_overflow_is_refused_not_raised():
@@ -180,9 +176,10 @@ def test_q_prod_clamped_branches():
 
 
 def test_theta_reparam_values():
-    qp = theta_reparam(1.5, 2.0)
-    assert qp.q == 2.0
-    assert theta_reparam(1.0, -3.0).q == 1.0
+    assert theta_reparam(1.5, 2.0) == 2.0
+    assert theta_reparam(1.0, -3.0) == 1.0
+    with pytest.raises(DomainError, match="^deformation index must be finite, got inf$"):
+        theta_reparam(1e300, 1e300)
     with pytest.raises(DomainError):
         theta_reparam(1.5, 0.0)
 
@@ -206,7 +203,7 @@ def test_q_log_array_is_within_2_ulp_of_q_log():
     xs, qs = rng.uniform(0.1, 100.0, 4000), rng.uniform(-3.0, 3.0, 4000)
     for x, q in zip(xs.tolist(), qs.tolist()):
         scalar = q_log(x, q)
-        array = qalgebra.q_log_array(np.array([x]), QParam(q))[0].item()
+        array = qalgebra.q_log_array(np.array([x]), q)[0].item()
         assert abs(scalar - array) <= 3 * math.ulp(scalar), (x, q)
 
 

@@ -1,5 +1,5 @@
-"""The value classes that load without numpy: QParam and the shifted_linear
-and power_spectrum models behave as frozen records (equality, hash, repr,
+"""The value classes that load without numpy, the shifted_linear and
+power_spectrum models, behave as frozen records (equality, hash, repr,
 immutability, copy and pickle), and every model kind keeps its JSON form."""
 
 import copy
@@ -10,7 +10,6 @@ import pickle
 import pytest
 
 from qspectra.errors import DomainError
-from qspectra.qalgebra import QParam
 from qspectra.spectrum import FiniteDiag
 from qspectra.zeta import (
     PowerSpectrum,
@@ -25,11 +24,11 @@ from qspectra.zeta import (
 
 # (record, its repr, the same record built by keyword, its field values)
 RECORDS = (
-    (QParam(0.5), "QParam(q=0.5)", QParam(q=0.5), (0.5,)),
+    (shifted_linear(3, 2), "ShiftedLinear(a=3.0, scale=2.0)", shifted_linear(a=3.0, scale=2.0), (3.0, 2.0)),
     (shifted_linear(1.5), "ShiftedLinear(a=1.5, scale=1.0)", shifted_linear(a=1.5, scale=1.0), (1.5, 1.0)),
     (power_spectrum(2, 1.5), "PowerSpectrum(alpha=2.0, scale=1.5)", power_spectrum(alpha=2.0, scale=1.5), (2.0, 1.5)),
 )
-FIRST_FIELD = {QParam: "q", ShiftedLinear: "a", PowerSpectrum: "alpha"}
+FIRST_FIELD = {ShiftedLinear: "a", PowerSpectrum: "alpha"}
 
 
 @pytest.mark.parametrize("record, text, keyword, values", RECORDS)
@@ -43,15 +42,13 @@ def test_records_compare_and_hash_by_their_fields(record, text, keyword, values)
 def test_records_of_different_kinds_are_not_equal():
     a, alpha = shifted_linear(2.0, 3.0), power_spectrum(2.0, 3.0)
     assert a != alpha and alpha != a
-    assert QParam(2.0) != shifted_linear(2.0)
     assert len({a, alpha}) == 2
 
 
 @pytest.mark.parametrize("record, text, keyword, values", RECORDS)
 def test_records_keep_their_repr(record, text, keyword, values):
     assert repr(record) == repr(keyword) == text
-    # QParam keeps q as given; the models store each field as a float
-    assert repr(QParam(1)) == "QParam(q=1)"
+    # the models store each field as a float
     assert repr(shifted_linear(2, scale=3)) == "ShiftedLinear(a=2.0, scale=3.0)"
 
 

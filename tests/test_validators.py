@@ -1,9 +1,9 @@
 """Property tests of the shared argument and result checks.
 
-Every probability vector, simplex point, perturbation and partition goes
-through one check per argument kind. Valid input must come out bit for bit
-as float() or int() reads it; text, non-finite, empty and nested input
-must be refused with DomainError. A numeric result either is a finite
+Every probability vector, simplex point, perturbation, partition and
+deformation index goes through one check per argument kind. Valid input
+must come out bit for bit as float() or int() reads it; text,
+non-finite, empty and nested input must be refused with DomainError. A numeric result either is a finite
 float or is refused with DomainError or PoleError.
 """
 
@@ -15,7 +15,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qspectra import combinatorics as comb
 from qspectra import errors
+from qspectra import geometry as geom
+from qspectra import qalgebra as qa
+from qspectra import spectrum as spc
+from qspectra import zeta as zt
 from qspectra.combinatorics import Distribution, Partition, tsallis_entropy
 from qspectra.errors import DomainError, PoleError, finite, finite_vector
 from qspectra.geometry import SimplexPoint, potential
@@ -124,6 +129,53 @@ def test_empty_input_is_refused():
         for check in _vector_checks():
             with pytest.raises(DomainError):
                 check(empty)
+
+
+# ---------------------------------------------------------------------------
+# the deformation index: a finite float, or refused
+
+_SPEC, _PART, _P = Spectrum((1.0, 2.0)), Partition.from_parts((2, 1)), (0.25, 0.75)
+# every public function that takes q, called with q alone varying
+Q_CALLS = {
+    "q_log": lambda q: qa.q_log(2.0, q),
+    "q_exp": lambda q: qa.q_exp(0.5, q),
+    "q_mul": lambda q: qa.q_mul(2.0, 3.0, q),
+    "q_div": lambda q: qa.q_div(2.0, 3.0, q),
+    "q_prod": lambda q: qa.q_prod((2.0, 3.0), q),
+    "theta_reparam": lambda q: qa.theta_reparam(q, 2.0),
+    "spectral_weight": lambda q: qa.spectral_weight(2.0, q),
+    "q_logdet": lambda q: spc.q_logdet(_SPEC, q),
+    "q_det": lambda q: spc.q_det(_SPEC, q),
+    "relative_q_logdet": lambda q: spc.relative_q_logdet(_SPEC, _SPEC, q),
+    "action_variation": lambda q: spc.action_variation(_SPEC, (1.0, 0.0), q),
+    "theta_covariance_residual": lambda q: spc.theta_covariance_residual(_SPEC, q, 2.0),
+    "q_factorial_log": lambda q: comb.q_factorial_log(5, q),
+    "q_factorial": lambda q: comb.q_factorial(5, q),
+    "q_multinomial_log": lambda q: comb.q_multinomial_log(_PART, q),
+    "tsallis_entropy": lambda q: comb.tsallis_entropy(_P, q),
+    "asymptotic_leading": lambda q: comb.asymptotic_leading(8, _P, q),
+    "asymptotic_remainder": lambda q: comb.asymptotic_remainder(_PART, q),
+    "potential": lambda q: geom.potential(_P, q),
+    "potential_hessian": lambda q: geom.potential_hessian(_P, q),
+    "induced_metric": lambda q: geom.induced_metric(_P, q),
+    "volume_element": lambda q: geom.volume_element(_P, q),
+    "grid_field": lambda q: geom.grid_field(3, q, 1e-3),
+    "qdet_zeta": lambda q: zt.qdet_zeta(ShiftedLinear(1.5), q),
+    "relative_qdet_zeta": lambda q: zt.relative_qdet_zeta(ShiftedLinear(1.5), PowerSpectrum(2.0), q),
+    "theta_covariance_zeta": lambda q: zt.theta_covariance_zeta(PowerSpectrum(2.0), q, 2.0),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", (math.nan, math.inf, -math.inf, None, "x", 10**400),
+    ids=("nan", "inf", "-inf", "None", "text", "int-beyond-float64"),
+)
+@pytest.mark.parametrize("name", Q_CALLS)
+def test_q_that_is_not_a_finite_real_is_refused(name, bad):
+    with pytest.raises(DomainError, match="^deformation index must be finite, got "):
+        Q_CALLS[name](bad)
+    # with a finite q the same call succeeds, so the refusal was q's
+    assert isinstance(Q_CALLS[name](0.5), (float, tuple, np.ndarray, geom.MetricField))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
-"""Count the code lines of the package modules, per module and in total.
+"""Count the code lines and the public names of the package modules, per
+module and in total.
 
 A code line is a line spanned by a token other than a comment, a line
 break, an indent or dedent, or the encoding and end markers, outside
 docstrings (a string constant that is the first statement of a module,
 class or function). Blank lines, comment lines and docstrings therefore
 count for nothing.
+
+The public names of a module are the entries of its ``__all__``, read
+from the source without importing it, so numpy need not be installed. A
+module without a literal ``__all__`` list shows "-": the package's
+``__init__`` builds its list from the other modules at run time.
 
 Usage: python code_lines.py [DIR ...]   (default: src)
 """
@@ -42,9 +48,20 @@ def docstring_starts(tree: ast.Module) -> set[tuple[int, int]]:
     return starts
 
 
-def code_lines(path: Path) -> int:
-    source = path.read_bytes()
-    docstrings = docstring_starts(ast.parse(source))
+def public_names(tree: ast.Module) -> int | None:
+    """len(__all__) when the module assigns it a literal list, else None."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            return len(node.value.elts)
+    return None
+
+
+def code_lines(source: bytes, tree: ast.Module) -> int:
+    docstrings = docstring_starts(tree)
     lines = set()
     for tok in tokenize.tokenize(io.BytesIO(source).readline):
         if tok.type in SKIPPED or (tok.type == tokenize.STRING and tok.start in docstrings):
@@ -54,12 +71,16 @@ def code_lines(path: Path) -> int:
 
 
 def main(dirs: list[str]) -> int:
-    total = 0
+    total = total_names = 0
+    print("  code  names  module")
     for path in sorted(p for d in dirs for p in Path(d).rglob("*.py")):
-        count = code_lines(path)
+        source = path.read_bytes()
+        tree = ast.parse(source)
+        count, names = code_lines(source, tree), public_names(tree)
         total += count
-        print(f"{count:6d}  {path.as_posix()}")
-    print(f"{total:6d}  total")
+        total_names += names or 0
+        print(f"{count:6d}  {'-' if names is None else names:>5}  {path.as_posix()}")
+    print(f"{total:6d}  {total_names:5d}  total")
     return 0
 
 

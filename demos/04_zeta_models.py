@@ -12,7 +12,6 @@ import math
 
 from qspectra import (
     PoleError,
-    model_pole,
     power_spectrum,
     qdet_zeta,
     shifted_linear,
@@ -40,8 +39,8 @@ def main() -> None:
 
     print("\n= poles bound the admissible q range =")
     lattice = power_spectrum(2.0)  # eigenvalues k^2
-    print(f"  shifted_linear pole at q = {model_pole(harmonic)}")
-    print(f"  power_spectrum(2) pole at q = {model_pole(lattice)}")
+    print(f"  shifted_linear pole at q = {harmonic.pole}")
+    print(f"  power_spectrum(2) pole at q = {lattice.pole}")
     try:
         qdet_zeta(lattice, 1.5)
     except PoleError as exc:

@@ -58,10 +58,14 @@ def _load_operand(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path!r}: not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # a ValueError is malformed JSON or an int beyond the digit limit
+        # of int(); a RecursionError is nesting deeper than the stack
+        except (ValueError, RecursionError) as exc:
             raise DomainError(f"{path!r}: invalid JSON: {exc}") from exc
         return zt.model_from_dict({"kind": "finite_diag", **obj})
     from .spectrum import spectrum_from_csv

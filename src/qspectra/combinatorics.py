@@ -29,14 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, finite, finite_real, finite_vector, positive_int
+from .errors import DomainError, _quote, finite, finite_real, finite_vector, positive_int
 from .qalgebra import _EXP_MAX, ClampedValue, _classical, _ln_q, exact_row_sums, exact_sum, q_exp, q_log_array
 from .zeta import _em_plan, _em_terms
 
 __all__ = [
     "Partition",
-    "Distribution",
-    "as_distribution",
     "generalized_harmonic",
     "q_factorial_log",
     "q_factorial",
@@ -58,7 +56,7 @@ def _check_simplex_sum(name: str, arr: np.ndarray) -> None:
 
 def _counts(parts) -> tuple[int, ...]:
     if isinstance(parts, (str, bytes, bytearray)):
-        raise DomainError(f"parts must be a sequence of integers, got {parts!r}")
+        raise DomainError(f"parts must be a sequence of integers, got {_quote(parts)}")
     return tuple(positive_int("part", p) for p in parts)
 
 
@@ -89,22 +87,14 @@ class Partition:
         return tuple(p / self.n for p in self.parts)
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """A probability vector: p_i >= 0 and sum(p) = 1 within 1e-12."""
-
-    p: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        arr = finite_vector("probabilities", self.p)
-        if (arr < 0.0).any():
-            raise DomainError("probabilities must be non-negative")
-        _check_simplex_sum("probabilities", arr)
-        object.__setattr__(self, "p", tuple(arr.tolist()))
-
-
-def as_distribution(p) -> Distribution:
-    return p if isinstance(p, Distribution) else Distribution(p)
+def _distribution(p) -> np.ndarray:
+    """p as a float64 array; DomainError unless it is a probability vector:
+    p_i >= 0 and sum(p) = 1 within 1e-12."""
+    arr = finite_vector("probabilities", p)
+    if (arr < 0.0).any():
+        raise DomainError("probabilities must be non-negative")
+    _check_simplex_sum("probabilities", arr)
+    return arr
 
 
 def _as_partition(part) -> Partition:
@@ -272,9 +262,9 @@ def tsallis_entropy(p, q: float) -> float:
     0.5
     """
     q = finite_real("deformation index", q)
-    dist = as_distribution(p)
+    arr = _distribution(p)
     with np.errstate(all="ignore"):
-        h = float(_entropy_kernel(np.asarray([dist.p]), q)[0])
+        h = float(_entropy_kernel(arr[None, :], q)[0])
     return finite(h, "Tsallis entropy overflows float64 at q = {!r}", q)
 
 

@@ -25,6 +25,29 @@ class UnsupportedModelError(ValueError):
     """A transformation would leave the family of supported model spectra."""
 
 
+# A quoted value whose repr is longer than this keeps only its head and
+# tail, so that a refused 10**400 or 100,000-character string gives a
+# message of bounded length.
+_QUOTE_MAX = 64
+_QUOTE_END = 30
+
+
+def _quote(value) -> str:
+    """repr(value) for a refusal message: in full up to _QUOTE_MAX
+    characters, else its first and last _QUOTE_END characters around
+    '...'. An int too long for repr (beyond sys.get_int_max_str_digits())
+    is named by its size."""
+    try:
+        text = repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return f"<int of {value.bit_length()} bits>"
+    if len(text) <= _QUOTE_MAX:
+        return text
+    return f"{text[:_QUOTE_END]}...{text[-_QUOTE_END:]}"
+
+
 def positive_real(name: str, value) -> float:
     """``value`` as a float; DomainError naming ``name`` unless it is a
     finite real number > 0."""
@@ -33,7 +56,7 @@ def positive_real(name: str, value) -> float:
     except (TypeError, ValueError, OverflowError):  # an int beyond float64
         x = math.nan
     if not 0.0 < x < math.inf:
-        raise DomainError(f"{name} must be a finite positive number, got {value!r}")
+        raise DomainError(f"{name} must be a finite positive number, got {_quote(value)}")
     return x
 
 
@@ -43,7 +66,7 @@ def finite_real(name: str, value) -> float:
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):  # an int beyond float64
-        raise DomainError(f"{name} must be finite, got {value!r}") from None
+        raise DomainError(f"{name} must be finite, got {_quote(value)}") from None
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x!r}")
     return x
@@ -58,7 +81,7 @@ def positive_int(name: str, value) -> int:
     except (TypeError, ValueError, OverflowError):
         exact = False
     if not (exact and n >= 1):
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+        raise DomainError(f"{name} must be a positive integer, got {_quote(value)}")
     return n
 
 
@@ -70,7 +93,7 @@ def nonzero_real(name: str, value) -> float:
     except (TypeError, ValueError, OverflowError):  # an int beyond float64
         x = math.nan
     if not (math.isfinite(x) and x != 0.0):
-        raise DomainError(f"{name} must be finite and nonzero, got {value!r}")
+        raise DomainError(f"{name} must be finite and nonzero, got {_quote(value)}")
     return x
 
 
@@ -81,7 +104,7 @@ def finite_vector(name: str, values) -> np.ndarray:
     import numpy as np
 
     if isinstance(values, (str, bytes, bytearray)):
-        raise DomainError(f"{name} must be a sequence of numbers, got {values!r}")
+        raise DomainError(f"{name} must be a sequence of numbers, got {_quote(values)}")
     if isinstance(values, Iterable) and not isinstance(values, (Sequence, np.ndarray)):
         values = tuple(values)
     try:

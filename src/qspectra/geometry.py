@@ -28,7 +28,6 @@ from .g17 import _G17_BLOCK, g17_cells
 from .qalgebra import exact_row_sums
 
 __all__ = [
-    "SimplexPoint",
     "MetricField",
     "potential",
     "potential_hessian",
@@ -48,20 +47,7 @@ __all__ = [
 MAX_RESOLUTION = 1000
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """Strictly interior point of the probability simplex."""
-
-    p: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        arr = _point_array(self.p, on_simplex=True)
-        object.__setattr__(self, "p", tuple(arr.tolist()))
-
-
 def _point_array(p, *, on_simplex: bool) -> np.ndarray:
-    if isinstance(p, SimplexPoint):
-        return np.asarray(p.p, dtype=float)
     arr = finite_vector("point", p)
     if not (arr > 0.0).all():
         raise DomainError("point must be strictly interior (all p_i > 0)")
@@ -122,8 +108,8 @@ def potential(p, q: float) -> float:
     pole at q = 2 with residue m - 1; exactly at q = 2 the regularised
     value -sum ln p_i is returned by convention. The formula extends off
     the simplex (only positivity is required), which is what curvature
-    checks differentiate; simplex membership is enforced when a
-    SimplexPoint is passed. A value beyond float64 raises DomainError.
+    checks differentiate; volume_element and induced_metric enforce
+    simplex membership. A value beyond float64 raises DomainError.
 
     >>> potential((0.5, 0.5), 0.0)
     0.25

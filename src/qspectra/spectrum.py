@@ -38,7 +38,6 @@ from .zeta import model_from_dict
 __all__ = [
     "FiniteDiag",
     "Spectrum",
-    "SpectrumVariation",
     "concatenate",
     "effective_action",
     "q_logdet",
@@ -145,20 +144,8 @@ class FiniteDiag:
 Spectrum = FiniteDiag
 
 
-@dataclass(frozen=True)
-class SpectrumVariation:
-    """Eigenvalue perturbations delta lambda_k, aligned with a spectrum."""
-
-    deltas: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        deltas = finite_vector("variation", self.deltas)
-        object.__setattr__(self, "deltas", tuple(deltas.tolist()))
-
-
 def _deltas_for(spec: FiniteDiag, variation) -> np.ndarray:
-    deltas = variation.deltas if isinstance(variation, SpectrumVariation) else variation
-    arr = finite_vector("variation", deltas)
+    arr = finite_vector("variation", variation)
     if arr.shape != (len(spec),):
         raise DomainError(
             f"variation has {arr.size} entries for a spectrum of size {len(spec)}"

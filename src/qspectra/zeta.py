@@ -42,7 +42,7 @@ import math
 from itertools import accumulate, repeat
 from operator import mul
 
-from .errors import DomainError, FrozenRecord, PoleError, UnsupportedModelError
+from .errors import DomainError, FrozenRecord, PoleError, UnsupportedModelError, _quote
 from .errors import finite, finite_real, nonzero_real, positive_real
 from .qalgebra import _EXP_MAX, _ln_q, _two_sum, exact_sum, q_log_of_logs, theta_reparam
 
@@ -54,7 +54,6 @@ __all__ = [
     "finite_diag",
     "shifted_linear",
     "power_spectrum",
-    "model_pole",
     "power_transform_model",
     "bernoulli_numbers",
     "hurwitz_zeta",
@@ -165,11 +164,6 @@ def finite_diag(eigenvalues, scale: float = 1.0):
     from .spectrum import FiniteDiag
 
     return FiniteDiag(eigenvalues, scale)
-
-
-def model_pole(model: ZetaModel) -> float | None:
-    """Location of the single real pole of s -> zeta_A(s), if any."""
-    return model.pole
 
 
 def power_transform_model(model: ZetaModel, theta: float) -> ZetaModel:
@@ -776,11 +770,11 @@ def model_from_dict(obj) -> ZetaModel:
     else:
         cls = _MODELS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise DomainError(f"unknown model kind {kind!r}")
+        raise DomainError(f"unknown model kind {_quote(kind)}")
     names = cls._fields
     unknown = [key for key in obj if key != "kind" and key not in names]
     if unknown:
-        raise DomainError(f"{kind} model has unknown field {unknown[0]!r}")
+        raise DomainError(f"{kind} model has unknown field {_quote(unknown[0])}")
     # the fields that take a default in __init__ are the trailing ones
     required = names[: len(names) - len(cls.__init__.__defaults__ or ())]
     missing = [name for name in required if name not in obj]
@@ -790,12 +784,12 @@ def model_from_dict(obj) -> ZetaModel:
     for name, value in values.items():
         if name != "eigenvalues":
             if type(value) not in _JSON_NUMBERS:
-                raise DomainError(f"{kind} model field {name!r} must be a number, got {value!r}")
+                raise DomainError(f"{kind} model field {name!r} must be a number, got {_quote(value)}")
         elif not isinstance(value, list):
-            raise DomainError(f"{kind} model field 'eigenvalues' must be a list, got {value!r}")
+            raise DomainError(f"{kind} model field 'eigenvalues' must be a list, got {_quote(value)}")
         elif not set(map(type, value)) <= _JSON_NUMBERS:  # one C-level scan
             i = next(i for i, v in enumerate(value) if type(v) not in _JSON_NUMBERS)
             raise DomainError(
-                f"{kind} model field 'eigenvalues' entry {i} must be a number, got {value[i]!r}"
+                f"{kind} model field 'eigenvalues' entry {i} must be a number, got {_quote(value[i])}"
             )
     return cls(**values)

@@ -271,6 +271,42 @@ def test_malformed_model_file_exits_2(tmp_path, text, field):
 
 
 @pytest.mark.parametrize(
+    "name, data, message",
+    (
+        pytest.param("bad.csv", b"\xff\xfe1\n", "not UTF-8 text", id="not-utf8"),
+        pytest.param(  # json.loads raises RecursionError
+            "deep.json",
+            b'{"eigenvalues": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+            "invalid JSON: maximum recursion depth exceeded",
+            id="nested-100000-deep",
+        ),
+        pytest.param(  # json.loads raises ValueError, not JSONDecodeError
+            "digits.json",
+            b'{"eigenvalues": [1' + b"0" * 5000 + b"]}",
+            "invalid JSON: Exceeds the limit",
+            id="int-of-5001-digits",
+        ),
+    ),
+)
+def test_unreadable_operand_file_exits_2(tmp_path, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    proc = run_cli("qdet", "--q", "0.5", "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {str(path)!r}: {message}")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_long_values_are_quoted_in_part(tmp_path):
+    # the refused kind is quoted by its first and last 30 characters
+    path = tmp_path / "model.json"
+    path.write_text('{"kind": "%s"}' % ("x" * 100_000))
+    proc = run_cli("qdet", "--q", "0.5", "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: unknown model kind '%s...%s'\n" % ("x" * 29, "x" * 29)
+
+
+@pytest.mark.parametrize(
     "model, s, message",
     (
         pytest.param(  # scale^s overflows

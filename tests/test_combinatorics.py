@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qspectra.combinatorics import (
-    Distribution,
     Partition,
     asymptotic_leading,
     asymptotic_remainder,
@@ -73,20 +72,18 @@ def test_partition_validation():
 
 
 def test_distribution_validation():
-    Distribution((0.25, 0.75))
-    Distribution((1.0, 0.0))
-    with pytest.raises(DomainError):
-        Distribution((0.5, 0.6))
-    with pytest.raises(DomainError):
-        Distribution((-0.1, 1.1))
+    tsallis_entropy((0.25, 0.75), 2.0)
+    tsallis_entropy((1.0, 0.0), 2.0)
+    with pytest.raises(DomainError, match="probabilities sum to"):
+        tsallis_entropy((0.5, 0.6), 2.0)
+    with pytest.raises(DomainError, match="probabilities must be non-negative"):
+        tsallis_entropy((-0.1, 1.1), 2.0)
 
 
 def test_text_is_not_read_as_probabilities_or_parts():
     # a string iterates as its characters: "1" must not become (1.0,)
     for text in ("1", b"1"):
-        with pytest.raises(DomainError):
-            Distribution(text)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="probabilities must be a sequence of numbers"):
             tsallis_entropy(text, 2.0)
     # nor "12" the parts (1, 2)
     for text in ("12", b"12"):

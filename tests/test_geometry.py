@@ -12,7 +12,6 @@ from qspectra.geometry import (
     _LATTICES,
     MAX_RESOLUTION,
     MetricField,
-    SimplexPoint,
     _csv_columns,
     _lattice,
     field_to_csv,
@@ -28,13 +27,13 @@ UNIFORM3 = (1 / 3, 1 / 3, 1 / 3)
 
 
 def test_simplex_point_validation():
-    SimplexPoint((0.2, 0.3, 0.5))
-    with pytest.raises(DomainError):
-        SimplexPoint((0.5, 0.5, 0.1))
-    with pytest.raises(DomainError):
-        SimplexPoint((1.0, 0.0))
-    with pytest.raises(DomainError):
-        SimplexPoint(())
+    volume_element((0.2, 0.3, 0.5), 1.0)
+    with pytest.raises(DomainError, match="coordinates sum to"):
+        volume_element((0.5, 0.5, 0.1), 1.0)
+    with pytest.raises(DomainError, match="strictly interior"):
+        volume_element((1.0, 0.0), 1.0)
+    with pytest.raises(DomainError, match="at least one entry"):
+        volume_element((), 1.0)
 
 
 def test_potential_values():
@@ -44,7 +43,6 @@ def test_potential_values():
     assert potential((0.2, 0.3, 0.5), 1.4) == pytest.approx(
         2.1919921581659443, rel=1e-14
     )
-    assert potential(SimplexPoint((0.5, 0.5)), 0.0) == potential((0.5, 0.5), 0.0)
 
 
 def test_potential_q2_convention_and_pole():
@@ -121,8 +119,6 @@ def test_text_is_not_read_as_a_point():
         for fn in (potential, potential_hessian, induced_metric, volume_element):
             with pytest.raises(DomainError):
                 fn(text, 1.0)
-        with pytest.raises(DomainError):
-            SimplexPoint(text)
 
 
 def test_overflow_is_refused_not_returned():

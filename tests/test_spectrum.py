@@ -11,7 +11,6 @@ from qspectra.qalgebra import spectral_weight, theta_reparam
 from qspectra.spectrum import (
     FiniteDiag,
     Spectrum,
-    SpectrumVariation,
     action_variation,
     concatenate,
     effective_action,
@@ -137,14 +136,13 @@ def test_action_variation_matches_finite_differences():
 
 def test_action_variation_accepts_variation_type_and_checks_shape():
     spec = Spectrum((1.0, 2.0))
-    var = SpectrumVariation((0.1, -0.2))
-    assert action_variation(spec, var, 0.5) == action_variation(
-        spec, (0.1, -0.2), 0.5
+    assert action_variation(spec, [0.1, -0.2], 0.5) == action_variation(
+        spec, np.array([0.1, -0.2]), 0.5
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="variation has 1 entries"):
         action_variation(spec, (0.1,), 0.5)
-    with pytest.raises(DomainError):
-        SpectrumVariation((math.nan,))
+    with pytest.raises(DomainError, match="variation entry 0 must be finite"):
+        action_variation(spec, (math.nan,), 0.5)
 
 
 def test_non_finite_perturbations_are_refused():

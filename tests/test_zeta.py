@@ -18,7 +18,6 @@ from qspectra.zeta import (
     hurwitz_zeta,
     model_from_dict,
     model_from_json,
-    model_pole,
     model_to_json,
     power_spectrum,
     power_transform_model,
@@ -49,9 +48,9 @@ def test_model_validation():
 
 
 def test_model_pole_locations():
-    assert model_pole(finite_diag((1.0, 2.0))) is None
-    assert model_pole(shifted_linear(2.5)) == 1.0
-    assert model_pole(power_spectrum(2.0)) == 0.5
+    assert finite_diag((1.0, 2.0)).pole is None
+    assert shifted_linear(2.5).pole == 1.0
+    assert power_spectrum(2.0).pole == 0.5
 
 
 def _bernoulli_fractions(count):

@@ -42,8 +42,8 @@ import math
 from itertools import accumulate, repeat
 from operator import mul
 
-from .errors import DomainError, FrozenRecord, PoleError, UnsupportedModelError, _quote
-from .errors import finite, finite_real, nonzero_real, positive_real
+from .errors import DomainError, FrozenRecord, PoleError, UnsupportedModelError
+from .errors import _quote, finite, finite_real, nonzero_real, positive_real
 from .qalgebra import _EXP_MAX, _ln_q, _two_sum, exact_sum, q_log_of_logs, theta_reparam
 
 __all__ = [

@@ -18,9 +18,11 @@ Operand files are JSON objects ({"kind": ..., ...} for zeta models, and
 {"eigenvalues": [...], "scale": s} for spectra, which are finite_diag
 models without the tag) or plain one-column CSV of eigenvalues. Every
 JSON object is read by zeta.model_from_dict, which refuses missing and
-unknown fields. qdet routes on the operator's kind: a finite operator,
-from a spectrum file or a finite_diag file alike, is evaluated by
-q_logdet, and only the infinite models go through their zeta function.
+unknown fields. qdet routes on the operator's kind: the determinant of a
+finite operator, from a spectrum file or a finite_diag file alike, is
+q_logdet's, with its classical band, and that of an infinite model
+qdet_zeta's. A relative determinant is relative_qdet_zeta's for every
+kind, at the exact q.
 
 Each subcommand imports the modules it uses when it runs: ``weight``,
 and ``qdet`` and ``zeta`` on a shifted_linear or power_spectrum file, load
@@ -143,10 +145,10 @@ def _cmd_qdet(args: argparse.Namespace) -> int:
     if operand_is_finite and refs_are_finite:
         from . import spectrum as spc
 
-        method, absolute, relative = "q_logdet", spc.q_logdet, spc.relative_q_logdet
+        method, absolute = "q_logdet", spc.q_logdet
     else:
-        method, absolute, relative = "qdet_zeta", zt.qdet_zeta, zt.relative_qdet_zeta
-    value = absolute(operand, q) if reference is None else relative(operand, reference, q)
+        method, absolute = "qdet_zeta", zt.qdet_zeta
+    value = absolute(operand, q) if reference is None else zt.relative_qdet_zeta(operand, reference, q)
 
     det = q_exp(value, q)
     report = {

@@ -25,6 +25,7 @@ hurwitz_zeta, whose x^-s is 1 - s ln_(s+1) x.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ def _check_simplex_sum(name: str, arr: np.ndarray) -> None:
 
 
 def _counts(parts) -> tuple[int, ...]:
-    if isinstance(parts, (str, bytes, bytearray)):
+    if isinstance(parts, (str, bytes, bytearray)) or not isinstance(parts, Iterable):
         raise DomainError(f"parts must be a sequence of integers, got {_quote(parts)}")
     return tuple(positive_int("part", p) for p in parts)
 

@@ -32,20 +32,41 @@ _QUOTE_MAX = 64
 _QUOTE_END = 30
 
 
+# Text that numpy puts in a refusal is clipped the same way above this
+# length, which keeps short texts such as its 157-character
+# inhomogeneous-shape message whole.
+_NUMPY_TEXT_MAX = 200
+
+
+def _clip(text: str, limit: int) -> str:
+    """text in full up to limit characters, else its first and last
+    _QUOTE_END characters around '...'."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:_QUOTE_END]}...{text[-_QUOTE_END:]}"
+
+
 def _quote(value) -> str:
-    """repr(value) for a refusal message: in full up to _QUOTE_MAX
-    characters, else its first and last _QUOTE_END characters around
-    '...'. An int too long for repr (beyond sys.get_int_max_str_digits())
-    is named by its size."""
+    """repr(value) for a refusal message, clipped to _QUOTE_MAX characters.
+    An int too long for repr (beyond sys.get_int_max_str_digits()) is named
+    by its size."""
     try:
         text = repr(value)
     except ValueError:
         if not isinstance(value, int):
             raise
         return f"<int of {value.bit_length()} bits>"
-    if len(text) <= _QUOTE_MAX:
-        return text
-    return f"{text[:_QUOTE_END]}...{text[-_QUOTE_END:]}"
+    return _clip(text, _QUOTE_MAX)
+
+
+def as_float(name: str, value) -> float:
+    """``value`` as float() reads it, nan and +-inf included, for the
+    caller to judge; DomainError naming ``name`` where float() fails or
+    overflows (None, text that is not a number, an int beyond float64)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a real number within float64, got {_quote(value)}") from None
 
 
 def positive_real(name: str, value) -> float:
@@ -110,7 +131,7 @@ def finite_vector(name: str, values) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{name} must be a sequence of numbers: {exc}") from None
+        raise DomainError(f"{name} must be a sequence of numbers: {_clip(str(exc), _NUMPY_TEXT_MAX)}") from None
     if arr.ndim != 1:
         raise DomainError(f"{name} must be a flat sequence of numbers, got shape {arr.shape}")
     if arr.size == 0:

@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .errors import DomainError, finite, finite_real, nonzero_real
+from .errors import DomainError, as_float, finite, finite_real, nonzero_real
 
 __all__ = [
     "NEAR_ONE_EPS",
@@ -56,7 +56,9 @@ def _classical(q: float) -> bool:
     q_log(1e308, 1 + 5e-9) is 1.8e-6 off, relative, while the deformed
     formula, evaluated through expm1/log1p kernels, stays within a few ulp
     arbitrarily close to q = 1. The zeta determinants (zeta.qdet_zeta,
-    relative_qdet_zeta) take no band: they evaluate at the exact q.
+    relative_qdet_zeta, theta_covariance_zeta) take no band: they evaluate
+    at the exact q, and so do spectrum.relative_q_logdet and
+    theta_covariance_residual, which are second names for the last two.
     """
     return abs(q - 1.0) < NEAR_ONE_EPS
 
@@ -91,7 +93,7 @@ def q_log(x: float, q: float) -> float:
     0.5
     """
     q = finite_real("deformation index", q)
-    xf = float(x)
+    xf = as_float("x", x)
     if not xf > 0.0:
         raise DomainError(f"q_log requires x > 0, got {xf!r}")
     if _classical(q):
@@ -120,7 +122,7 @@ def q_exp(u: float, q: float) -> ClampedValue:
     ClampedValue(value=0.0, clamped=True)
     """
     q = finite_real("deformation index", q)
-    uf = float(u)
+    uf = as_float("u", u)
     if _classical(q):
         return ClampedValue(_exp_or_inf(uf), False)
     r = 1.0 - q
@@ -178,7 +180,7 @@ def spectral_weight(lam: float, q: float) -> float:
     Every curve passes through (1, 1); q > 1 amplifies the infrared
     (lambda < 1) and suppresses the ultraviolet, q < 1 does the opposite.
     """
-    lf = float(lam)
+    lf = as_float("lambda", lam)
     if not lf > 0.0:
         raise DomainError(f"spectral_weight requires lambda > 0, got {lf!r}")
     qf = finite_real("deformation index", q)
@@ -190,7 +192,9 @@ def spectral_weight(lam: float, q: float) -> float:
 
 
 def q_log_array(x, q: float) -> np.ndarray:
-    """Vectorised q_log kernel for strictly positive arrays, at the exact q.
+    """Vectorised q_log kernel for strictly positive arrays, at the exact q:
+    ln x at q == 1, else expm1((1-q) ln x) / (1-q), formed in place in the
+    one buffer np.log returns.
 
     Internal helper shared by the spectrum and combinatorics aggregates;
     positivity is the caller's responsibility. Unlike q_log it
@@ -201,18 +205,11 @@ def q_log_array(x, q: float) -> np.ndarray:
     """
     import numpy as np
 
-    return q_log_of_logs(np.log(np.asarray(x, dtype=float)), q)
-
-
-def q_log_of_logs(t, q: float) -> np.ndarray:
-    """ln_q x from the float array t = ln x, in place:
-    expm1((1-q) t) / (1-q) at the exact q, and t itself at q == 1."""
-    import numpy as np
-
+    t = np.log(np.asarray(x, dtype=float))
     if q == 1.0:
         return t
     r = 1.0 - q
-    with np.errstate(over="ignore"):  # one buffer: expm1(r t) / r in place
+    with np.errstate(over="ignore"):
         t *= r
         np.expm1(t, out=t)
         t /= r

@@ -13,14 +13,16 @@ ln det(A / mu) at q = 1, responds to eigenvalue perturbations through the
 weight (lambda / mu)^(-q), and transforms covariantly under spectral power
 maps A -> A^theta combined with q' = 1 + theta (q - 1). Because its zeta
 function is entire, this sum is exactly the zeta quotient
-(zeta_A(q - 1) - zeta_A(0)) / (1 - q) of the zeta module, and the
-command line evaluates every finite operator through q_logdet.
+(zeta_A(q - 1) - zeta_A(0)) / (1 - q) of the zeta module. One kernel,
+FiniteDiag.qdet, takes it: q_logdet with the classical band, and the zeta
+module's qdet_zeta, zeta_deriv0, relative_qdet_zeta and
+theta_covariance_zeta at the exact q. relative_q_logdet and
+theta_covariance_residual are second names for the last two.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -28,8 +30,8 @@ import numpy as np
 
 from .errors import DomainError, finite, finite_real, finite_vector, nonzero_real, positive_real
 from .g17 import g17_lines
-from .qalgebra import ClampedValue, _classical, exact_sum, q_exp, q_log_array, theta_reparam
-from .zeta import model_from_dict
+from .qalgebra import ClampedValue, _classical, exact_sum, q_exp, q_log_array
+from .zeta import model_from_dict, relative_qdet_zeta, theta_covariance_zeta
 
 # A function alias is listed before its target, so a tool that labels a
 # function by its last name in __all__ (the benchmark's tracer does) uses the
@@ -66,8 +68,10 @@ class FiniteDiag:
     Spectrum is a second name for it. Its zeta function
     mu^s sum_k lambda_k^(-s) is entire, so it has no pole, and the power
     map A -> A^theta keeps it finite. Its determinant, the zeta quotient,
-    is the sum_k ln_q(lambda_k / mu): q_logdet takes it with the classical
-    band, zeta.qdet_zeta at the exact q.
+    is the sum_k ln_q(lambda_k / mu), which qdet takes on the ratios
+    lambda_k / mu (dimensionless): q_logdet calls it with the classical
+    band, zeta.qdet_zeta and jet0 at the exact q. Where a ratio leaves
+    float64 every one of them refuses with DomainError.
     """
 
     eigenvalues: np.ndarray
@@ -128,14 +132,14 @@ class FiniteDiag:
 
     def jet0(self) -> tuple[float, float]:
         """(zeta(0), zeta'(0)) of the rescaled operator: (N, -sum ln x_k),
-        the sum exactly rounded, over log_ratios()."""
-        return float(len(self)), -exact_sum(self.log_ratios())
+        the sum exactly rounded; qdet at q = 1."""
+        return float(len(self)), -self.qdet(1.0)
 
-    def log_ratios(self) -> np.ndarray:
-        """ln x_k = ln(lambda_k / mu), taken as ln lambda_k - ln mu: that is
-        ln lambda_k itself at mu = 1, and stays defined where lambda_k / mu
-        leaves float64."""
-        return np.log(self.eigenvalues) - math.log(self.scale)
+    def qdet(self, q: float) -> float:
+        """The determinant sum_k ln_q(x_k) of the ratios x_k = lambda_k / mu
+        at the exact q, exactly rounded and unchecked: +-inf where the sum
+        leaves float64. DomainError where a ratio does (dimensionless)."""
+        return exact_sum(q_log_array(self.dimensionless(), q))
 
     def power(self, theta: float) -> FiniteDiag:
         return power_transform(self, theta)
@@ -171,15 +175,15 @@ def q_logdet(spec: FiniteDiag, q: float) -> float:
     summed exactly, with one rounding at the end (the same bits as
     math.fsum), so the value is independent of the eigenvalue ordering.
     Inside the classical band |q - 1| < 1e-8 each term is ln, as in q_log;
-    zeta.qdet_zeta takes the same sum at the exact q. A value beyond
-    float64 raises DomainError.
+    zeta.qdet_zeta takes the same sum, FiniteDiag.qdet, at the exact q, so
+    the two agree bit for bit outside the band. A value beyond float64, or
+    a ratio lambda / scale beyond it, raises DomainError.
 
     >>> q_logdet(Spectrum((1.0, 4.0)), 0.0)
     3.0
     """
     q = finite_real("deformation index", q)
-    terms = q_log_array(spec.dimensionless(), 1.0 if _classical(q) else q)
-    return finite(exact_sum(terms), "q_logdet overflows float64 at q = {!r}", q)
+    return finite(spec.qdet(1.0 if _classical(q) else q), "q_logdet overflows float64 at q = {!r}", q)
 
 
 def q_det(spec: FiniteDiag, q: float) -> ClampedValue:
@@ -190,19 +194,6 @@ def q_det(spec: FiniteDiag, q: float) -> ClampedValue:
     clamp.
     """
     return q_exp(q_logdet(spec, q), q)
-
-
-def relative_q_logdet(spec: FiniteDiag, reference: FiniteDiag, q: float) -> float:
-    """Gamma_q[A] - Gamma_q[B], the deformed log of a determinant ratio.
-
-    The value is the difference of two separately rounded sums: its
-    absolute error is the rounding of the larger one, about
-    1e-16 max(|Gamma_q[A]|, |Gamma_q[B]|), so near-identical spectra lose
-    relative accuracy (10^5 eigenvalues, one of them scaled by 1 + 1e-9:
-    0.3% to 33% off, by q and spectrum). For unequal sizes the difference
-    keeps the size mismatch term, which is part of the definition.
-    """
-    return q_logdet(spec, q) - q_logdet(reference, q)
 
 
 def action_variation(spec: FiniteDiag, variation, q: float) -> float:
@@ -225,6 +216,10 @@ def action_variation(spec: FiniteDiag, variation, q: float) -> float:
 # dlambda_k/dtau is the same contraction as action_variation.
 effective_action = q_logdet
 flow_derivative = action_variation
+# The relative determinant and the theta-covariance residual of a finite
+# operator are those of its zeta model, taken at the exact q.
+relative_q_logdet = relative_qdet_zeta
+theta_covariance_residual = theta_covariance_zeta
 
 
 def power_transform(spec: FiniteDiag, theta: float) -> FiniteDiag:
@@ -241,18 +236,6 @@ def power_transform(spec: FiniteDiag, theta: float) -> FiniteDiag:
     if not (np.isfinite(eigs) & (eigs > 0.0)).all():
         raise DomainError(f"the power map A^theta leaves float64 at theta = {th!r}")
     return FiniteDiag(eigs, 1.0)
-
-
-def theta_covariance_residual(spec: FiniteDiag, q: float, theta: float) -> float:
-    """|Gamma_{q'}[A] - Gamma_q[A^theta] / theta| with q' = 1 + theta(q-1).
-
-    Zero in exact arithmetic for every nonzero theta; the float residual
-    stays at rounding level, bounded by 1e-11 (1 + |Gamma_{q'}|).
-    """
-    qprime = theta_reparam(q, theta)
-    lhs = q_logdet(spec, qprime)
-    rhs = q_logdet(power_transform(spec, theta), q) / float(theta)
-    return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,30 @@ def test_finite_diag_file_is_its_spectrum_twin(tmp_path, spectrum_csv):
     assert report["model_kind"] == "finite_diag"
 
 
+def test_finite_operators_take_the_one_kernel(tmp_path):
+    # zeta'(0) is read on the ratios lambda / mu, so one beyond float64 is
+    # refused there too
+    tagged, _ = _finite_files(tmp_path, "beyond", [1e308, 2.0], 0.5)
+    proc = run_cli("zeta", "--deriv0", "--input", tagged)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == ["error: a ratio lambda / scale leaves float64 at scale = 0.5"]
+    # the relative determinant takes no classical band: next to q = 1 it is
+    # the deformed value, which ln's differs from by about 4e-8 here
+    eigenvalues, reference = [0.5, 3.0, 40.0], [2.0, 7.0]
+    operand = _finite_files(tmp_path, "op", eigenvalues, 1.5)[0]
+    ref = _finite_files(tmp_path, "ref", reference, 1.0)[1]
+    report = json.loads(run_cli("qdet", "--q", "1.000000005", "--input", operand, "--input-ref", ref).stdout)
+    assert (report["method"], report["relative"]) == ("q_logdet", True)
+    with mp.workdps(40):
+        r = 1 - mp.mpf(1.000000005)
+
+        def gamma(xs, mu):
+            return mp.fsum(mp.expm1(r * mp.log(mp.mpf(x) / mp.mpf(mu))) / r for x in xs)
+
+        exact = gamma(eigenvalues, 1.5) - gamma(reference, 1.0)
+    assert abs(report["value"] - exact) <= 1e-14 * max(1, abs(exact))
+
+
 def test_geometry_defaults(tmp_path):
     out = tmp_path / "field.csv"
     proc = run_cli("geometry", "--out", str(out))

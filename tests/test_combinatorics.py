@@ -97,6 +97,18 @@ def test_text_is_not_read_as_probabilities_or_parts():
         Partition(3, ("1", "2"))
 
 
+def test_parts_that_do_not_iterate_are_refused():
+    # a lone number is not read as one part, nor does it raise TypeError
+    for call, bad in (
+        (lambda: q_multinomial_log(7, 0.5), "7"),
+        (lambda: Partition(3, 3), "3"),
+        (lambda: Partition.from_parts(3.0), "3.0"),
+        (lambda: asymptotic_remainder(None, 0.5), "None"),
+    ):
+        with pytest.raises(DomainError, match=f"^parts must be a sequence of integers, got {bad}$"):
+            call()
+
+
 def test_non_integral_parts_and_totals_are_refused():
     with pytest.raises(DomainError):
         Partition.from_parts((2.5, 2.5))

@@ -203,6 +203,50 @@ def test_long_refused_values_are_quoted_by_head_and_tail():
     )
 
 
+def test_numpy_conversion_text_is_clipped_above_200_characters():
+    # numpy quotes the string it could not convert in full
+    assert _message(Spectrum, ["x" * 100_000]) == (
+        "eigenvalues must be a sequence of numbers: could not convert string to fl...%s'" % ("x" * 29)
+    )
+    # its inhomogeneous-shape text, 157 characters, stays whole
+    with pytest.raises(ValueError) as numpy_error:
+        np.asarray([[1.0, 2.0], [3.0]], dtype=float)
+    text = str(numpy_error.value)
+    assert 150 < len(text) <= 200
+    assert _message(Spectrum, [[1.0, 2.0], [3.0]]) == f"eigenvalues must be a sequence of numbers: {text}"
+
+
+# ---------------------------------------------------------------------------
+# the scalar argument of q_log, q_exp and spectral_weight: what float()
+# reads, or refused
+
+X_CALLS = {
+    "q_log": (lambda x: qa.q_log(x, 0.5), "x"),
+    "q_exp": (lambda u: qa.q_exp(u, 0.5), "u"),
+    "spectral_weight": (lambda lam: qa.spectral_weight(lam, 0.5), "lambda"),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", (None, "x", [2.0], 10**400, 10**5000),
+    ids=("None", "text", "list", "int-beyond-float64", "int-beyond-repr"),
+)
+@pytest.mark.parametrize("name", X_CALLS)
+def test_argument_that_float_cannot_read_is_refused(name, bad):
+    call, arg = X_CALLS[name]
+    assert _message(call, bad) == f"{arg} must be a real number within float64, got {errors._quote(bad)}"
+
+
+def test_argument_that_float_reads_keeps_its_messages():
+    assert _message(qa.q_log, -1.0, 0.5) == "q_log requires x > 0, got -1.0"
+    assert _message(qa.q_log, "-2", 0.5) == "q_log requires x > 0, got -2.0"
+    assert _message(qa.q_log, math.nan, 0.5) == "q_log requires x > 0, got nan"
+    assert _message(qa.q_log, math.inf, 0.5) == "q_log overflows float64 at x = inf, q = 0.5"
+    assert _message(qa.spectral_weight, 0, 0.5) == "spectral_weight requires lambda > 0, got 0.0"
+    assert qa.q_log("4", 0.5) == 2.0
+    assert qa.q_exp("3", 0.0) == (4.0, False)
+
+
 # ---------------------------------------------------------------------------
 # results: finite in float64, or refused
 

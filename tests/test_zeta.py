@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qspectra import zeta
+from qspectra import spectrum, zeta
 from qspectra.errors import DomainError, PoleError, UnsupportedModelError
 from qspectra.spectrum import Spectrum, power_transform, q_logdet
 from qspectra.zeta import (
@@ -340,8 +340,7 @@ def _jet_models():
     # five-point stencil of earlier versions was off by up to 5.4e-4
     for mu in (1e20, 1e100):
         hurwitz(shifted_linear(1.0, scale=mu), 1, 1, mu)
-    for eigs, mu in (((1e100, 2.0, 0.5), 1.0), ((1e308, 2.0), 0.5)):
-        finite(eigs, mu)
+    finite((1e100, 2.0, 0.5), 1.0)
     return cases
 
 
@@ -359,6 +358,39 @@ def test_jets_against_mpmath():
             for q in (1.0 + 5e-9, 1.0 - 5e-9):
                 exact = _mp_quotient(zeta_fn, q)
                 assert abs(qdet_zeta(model, q) - exact) <= 1e-14 * max(1, abs(exact)), (model, q)
+    # the jet is taken on the ratios lambda / mu, so one that leaves float64
+    # (1e308 / 0.5) is refused rather than summed from ln lambda - ln mu
+    beyond = Spectrum((1e308, 2.0), 0.5)
+    for call in (beyond.jet0, lambda: zeta_deriv0(beyond), lambda: qdet_zeta(beyond, 0.5)):
+        with pytest.raises(DomainError, match=r"^a ratio lambda / scale leaves float64 at scale = 0\.5$"):
+            call()
+
+
+@pytest.mark.parametrize("mu", [1e-100, 1e100, 1e300])
+def test_finite_diag_far_from_unit_scale_against_mpmath(mu):
+    # every ratio lambda / mu lies in [0.5, 2], where ln lambda - ln mu
+    # lost up to 5.6e-13 to the cancellation of two logs of size 230 to 690
+    rng = np.random.default_rng(int(math.log10(mu)) + 400)
+    model = finite_diag(mu * rng.uniform(0.5, 2.0, 50), mu)
+    with mp.workdps(40):
+        logs = [mp.log(mp.mpf(lam) / mp.mpf(mu)) for lam in model.eigenvalues.tolist()]
+        want = -mp.fsum(logs)
+        assert abs(zeta_deriv0(model) - want) <= 1e-14 * max(1, abs(want))
+        for q in (-1.5, 0.0, 0.5, 1.0 - 5e-9, 1.0, 1.0 + 5e-9, 2.5):
+            r = 1 - mp.mpf(q)
+            exact = mp.fsum(mp.expm1(r * t) / r for t in logs) if q != 1.0 else -want
+            assert abs(qdet_zeta(model, q) - exact) <= 1e-14 * max(1, abs(exact)), q
+
+
+def test_theta_covariance_zeta_accepts_finite_diag():
+    # the residual of a finite operator holds the spectrum's documented
+    # 1e-11 (1 + |Gamma_q'|), for theta of either sign
+    rng = np.random.default_rng(37)
+    for k in range(40):
+        model = finite_diag(rng.uniform(0.05, 100.0, int(rng.integers(1, 100))), float(rng.uniform(0.5, 2.0)))
+        q, theta = float(rng.uniform(-2.0, 3.0)), float(rng.uniform(0.5, 2.0)) * (-1) ** k
+        gamma = qdet_zeta(model, 1.0 + theta * (q - 1.0))
+        assert theta_covariance_zeta(model, q, theta) <= 1e-11 * (1.0 + abs(gamma)), (q, theta)
 
 
 def test_zeta_differences_beyond_float64_are_refused():
@@ -389,13 +421,17 @@ def test_zeta_differences_beyond_float64_are_refused():
 
 
 def test_qdet_zeta_finite_matches_spectrum_route():
+    # one kernel, FiniteDiag.qdet, on the ratios lambda / scale: outside the
+    # classical band of q_logdet, and at q = 1, both give the same bits
     rng = np.random.default_rng(41)
-    for _ in range(5):
-        spec = Spectrum(tuple(rng.uniform(0.5, 5.0, 6)), scale=1.25)
-        for q in (-1.0, 0.0, 0.5, 0.99, 1.01, 1.5, 3.0):
-            a = qdet_zeta(spec, q)
-            b = q_logdet(spec, q)
-            assert a == pytest.approx(b, abs=1e-12 * max(1.0, abs(b)))
+    for _ in range(60):
+        scale = float(np.exp(rng.uniform(-6.0, 6.0)))
+        spec = Spectrum(rng.uniform(0.05, 100.0, int(rng.integers(1, 80))), scale)
+        for q in (*rng.uniform(-2.0, 3.0, 4).tolist(), -1.0, 0.0, 0.99, 1.0, 1.0 - 2e-8, 1.0 + 2e-8):
+            assert q_logdet(spec, q) == qdet_zeta(spec, q), (scale, q)
+    # the relative and theta-covariance forms are the zeta module's
+    assert spectrum.relative_q_logdet is relative_qdet_zeta
+    assert spectrum.theta_covariance_residual is theta_covariance_zeta
 
 
 def test_qdet_zeta_frozen_value():

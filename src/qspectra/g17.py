@@ -1,10 +1,15 @@
-"""'%.17g' text of float arrays, byte for byte, for the CSV writers.
+"""Float text of float arrays, byte for byte, for the CSV and JSON writers.
 
-g17_cells formats a float64 array as fixed-width NUL-padded rows and
-g17_lines as text, one line per value, without a Python call per value
-where the decimal exponent allows it. The writers of spectrum and geometry
-are its only users; a command that loads neither module does not load
-(or, without cached bytecode, compile) this one.
+Two texts: '%.17g' % v for the CSV writers (g17_cells, and g17_lines, one
+line per value) and repr(v) for the JSON writer (repr_join, the values
+joined by a separator as json.dumps joins the floats of a list). Each is
+written without a Python call per value where the decimal exponent allows
+it: the digits come from an exact integer array, and the layout of each
+cell from a table keyed by the exponent, the digits left after trailing
+zeros and the sign. Every other value keeps '%.17g' % v or repr(v)
+itself. The writers of spectrum and geometry are its only users; a command
+that loads neither module does not load (or, without cached bytecode,
+compile) this one.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-from .qalgebra import _BLOCK
 
 # g17_cells writes '%.17g' text without a Python call per value where the
 # decimal exponent X of the 17-digit form lies in [_G17_XMIN, _G17_XMAX]:
@@ -26,21 +29,28 @@ from .qalgebra import _BLOCK
 _G17_XMIN = -6
 _G17_XMAX = 16
 _G17_WIDTH = 24
+# repr writes fixed notation for the exponents [_REPR_XMIN, _REPR_XMAX] of its
+# shortest digits; repr_join takes those of them that have at most 15 digits
+# (see _repr_digits). No repr is longer than _G17_WIDTH bytes either.
+_REPR_XMIN = -4
+_REPR_XMAX = 15
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter
 # A source row is these constants, then the 17 digits; a layout lists the
 # source offsets of a cell's bytes, and offset 0 (NUL) pads it.
 _G17_CONSTANTS = b"\0-0.e56"
 # The kernel holds about 360 bytes of temporaries per value, 192 of them the
 # (n, 24) int64 layout index, so it works in blocks of _G17_BLOCK values: in
-# blocks of _BLOCK it was no faster and held 22 MB more at its peak.
+# blocks of 2^16 it was no faster and held 22 MB more at its peak.
 _G17_BLOCK = 1 << 12
 
 
-def _g17_layout(x: int, digits: int, negative: bool) -> list[int]:
+def _g17_layout(x: int, digits: int, negative: bool, fraction_zero: bool) -> list[int]:
     """Source offsets of the '%.17g' cell of a value with exponent x whose
     17 digits end in 17 - digits zeros: fixed notation for x >= -4 (every
     integer digit kept), exponent notation below; trailing fractional zeros
-    dropped, and the point with them when nothing follows it."""
+    dropped, and the point with them when nothing follows it. With
+    fraction_zero, the point stays and a 0 follows it: repr's fixed
+    notation, '123.0'."""
     _, minus, zero, point, e, five, six = range(len(_G17_CONSTANTS))
     d = list(range(len(_G17_CONSTANTS), len(_G17_CONSTANTS) + 17))
     if x < -4:
@@ -49,29 +59,37 @@ def _g17_layout(x: int, digits: int, negative: bool) -> list[int]:
     else:
         whole = d[: x + 1] if x >= 0 else [zero]
         fraction = d[x + 1 : digits] if x >= 0 else [zero] * (-x - 1) + d[:digits]
+        fraction = fraction or [zero] * fraction_zero
         cells = whole + ([point] + fraction if fraction else [])
     return [minus] * negative + cells
+
+
+@functools.cache
+def _layout_table(xmin: int, xmax: int, fraction_zero: bool) -> np.ndarray:
+    """The layouts of the exponents xmin..xmax, indexed by
+    ((X - xmin) 17 + digits - 1) 2 + negative; made on first use, so a
+    process that writes one text builds one table."""
+    layouts = np.zeros(((xmax - xmin + 1) * 34, _G17_WIDTH), dtype=np.int64)
+    for x in range(xmin, xmax + 1):
+        for digits in range(1, 18):
+            for negative in (False, True):
+                cells = _g17_layout(x, digits, negative, fraction_zero)
+                layouts[((x - xmin) * 17 + digits - 1) * 2 + negative, : len(cells)] = cells
+    return layouts
 
 
 @functools.cache
 def _g17_tables():
     """10^k for k = 0..22 with the Veltkamp halves of each; the 4-digit ASCII
     groups 0000..9999 as little-endian uint32; the trailing zeros of each
-    group (4 for 0000); the layouts, indexed by
-    ((X - _G17_XMIN) 17 + digits - 1) 2 + negative."""
+    group (4 for 0000)."""
     pow10 = np.array([10.0**k for k in range(_G17_XMAX - _G17_XMIN + 1)])
     c = pow10 * _SPLIT
     pow10_hi = c - (c - pow10)
     groups = [b"%04d" % g for g in range(10_000)]
     ascii4 = np.frombuffer(b"".join(groups), dtype="<u4")
     zeros4 = np.array([4 - len(g.rstrip(b"0")) for g in groups], dtype=np.int64)
-    layouts = np.zeros(((_G17_XMAX - _G17_XMIN + 1) * 34, _G17_WIDTH), dtype=np.int64)
-    for x in range(_G17_XMIN, _G17_XMAX + 1):
-        for digits in range(1, 18):
-            for negative in (False, True):
-                cells = _g17_layout(x, digits, negative)
-                layouts[((x - _G17_XMIN) * 17 + digits - 1) * 2 + negative, : len(cells)] = cells
-    return pow10, pow10_hi, pow10 - pow10_hi, ascii4, zeros4, layouts
+    return pow10, pow10_hi, pow10 - pow10_hi, ascii4, zeros4
 
 
 def _g17_round(v, ex):
@@ -93,10 +111,33 @@ def _g17_round(v, ex):
     return d, (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
 
 
-def _g17_block(a, out) -> None:
-    """Write the '%.17g' cells of a into out[:, :_G17_WIDTH]."""
-    ascii4, zeros4, layouts = _g17_tables()[3:]
+def _layout_cells(a, d, ex, xmin, layouts) -> np.ndarray:
+    """The (n, _G17_WIDTH) uint8 cells of the values a from their 17-digit
+    integers d and decimal exponents ex in the range of layouts, whose
+    exponents start at xmin."""
+    ascii4, zeros4 = _g17_tables()[3:5]
     n = a.size
+    top, low = np.divmod(d, 10**8)
+    lead, mid = np.divmod(top, 10**8)
+    g = (*np.divmod(mid, 10**4), *np.divmod(low, 10**4))
+    src = np.empty((n, 6), dtype="<u4")  # the constants, then the 17 digits
+    src[:, 0] = int.from_bytes(_G17_CONSTANTS[:4], "little")
+    src[:, 1] = int.from_bytes(_G17_CONSTANTS[4:], "little") | (lead.astype("<u4") + 48) << 24
+    for word, group in enumerate(g, start=2):
+        src[:, word] = ascii4[group]
+    zeros = zeros4[g[3]]
+    # a group of 0000 adds its 4 zeros to those of the group before it
+    zeros += (g[3] == 0) * (zeros4[g[2]] + (g[2] == 0) * (zeros4[g[1]] + (g[1] == 0) * zeros4[g[0]]))
+    key = (ex - xmin) * 34 + (16 - zeros) * 2 + (a < 0)
+    index = layouts.take(key, axis=0)
+    index += np.arange(0, n * _G17_WIDTH, _G17_WIDTH)[:, None]
+    return src.view(np.uint8).ravel()[index]
+
+
+def _g17_digits(a):
+    """(fast, D, X): whether each value of a takes the '%.17g' array route,
+    and there its 17-digit integer D and decimal exponent X. Off the route
+    X is still an exponent of the layouts, so that every row has one."""
     mag = np.abs(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         ex0 = np.floor(np.log10(mag))  # X, or one off next to a power of ten
@@ -112,26 +153,88 @@ def _g17_block(a, out) -> None:
         ok = (ex_rows >= _G17_XMIN) & (ex_rows <= _G17_XMAX) & (d_rows >= 10**16) & (d_rows < 10**17)
         fast[rows] &= ok
         d[rows] = d_rows
-        ex[rows] = np.where(ok, ex_rows, 0)  # any layout: the rows not ok are overwritten below
-    top, low = np.divmod(d, 10**8)
-    lead, mid = np.divmod(top, 10**8)
-    g = (*np.divmod(mid, 10**4), *np.divmod(low, 10**4))
-    src = np.empty((n, 6), dtype="<u4")  # the constants, then the 17 digits
-    src[:, 0] = int.from_bytes(_G17_CONSTANTS[:4], "little")
-    src[:, 1] = int.from_bytes(_G17_CONSTANTS[4:], "little") | (lead.astype("<u4") + 48) << 24
-    for word, group in enumerate(g, start=2):
-        src[:, word] = ascii4[group]
-    zeros = zeros4[g[3]]
-    # a group of 0000 adds its 4 zeros to those of the group before it
-    zeros += (g[3] == 0) * (zeros4[g[2]] + (g[2] == 0) * (zeros4[g[1]] + (g[1] == 0) * zeros4[g[0]]))
-    key = (ex - _G17_XMIN) * 34 + (16 - zeros) * 2 + (a < 0)
-    index = layouts.take(key, axis=0)
-    index += np.arange(0, n * _G17_WIDTH, _G17_WIDTH)[:, None]
-    out[:, :_G17_WIDTH] = src.view(np.uint8).ravel()[index]
+        ex[rows] = np.where(ok, ex_rows, 0)
+    return fast, d, ex
+
+
+def _repr_digits(a):
+    """(fast, D, X): whether each value of a takes the repr array route,
+    and there its digits as a 17-digit integer D and its decimal exponent X
+    (off the route, still an exponent of the layouts).
+
+    repr(v) is the shortest decimal that reads back to v, the nearest one
+    where several are shortest (Steele and White, PLDI 1990), in fixed
+    notation when its decimal exponent X is in [-4, 15]. The array route
+    takes X = floor(log10 |v|) in that window and the 15-digit integer
+    D = rint(|v| 10^(14 - X)), and keeps v when D is in [10^14, 10^15) and
+    D 10^(X - 14) reads back to |v|. That read-back is one IEEE division
+    by 10^(14 - X) (a multiplication by 10 at X = 15): D < 2^53 and
+    |14 - X| <= 22 make both operands exact, so its one rounding is the
+    correctly rounded decimal-to-binary conversion (Clinger, PLDI 1990).
+
+    The check passing gives repr's digits. The doubles around v split the
+    reals into rounding intervals, and the interval of v is at most one ulp
+    wide: below 2^-52 10^(X + 1) < 0.23 10^(X - 14). Decimals of at most
+    15 significant digits lie 10^(X - 14) apart in [10^X, 10^(X + 1)], and
+    10^(X - 15) apart just below 10^X, where the ulp of v is below
+    0.45 10^(X - 15). So at most one such decimal reads back to v. repr's
+    digits are one, since D is one, and D with its trailing zeros stripped
+    is repr's digits; D in [10^14, 10^15) makes X their exponent. Every
+    other value keeps repr(v): those of 16 and 17 digits, exponents
+    outside the window, zero, subnormals, nan and inf, and the rare value
+    next to a power of ten whose floor(log10) is one off.
+    """
+    pow10 = _g17_tables()[0]
+    mag = np.abs(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ex0 = np.floor(np.log10(mag))
+    fast = (ex0 >= _REPR_XMIN) & (ex0 <= _REPR_XMAX)
+    v = np.where(fast, mag, 1.0)
+    ex = np.where(fast, ex0, 0.0).astype(np.int64)
+    k = 14 - ex  # in [-1, 18]
+    p = pow10[np.abs(k)]
+    d = np.rint(np.where(k < 0, v / p, v * p))
+    fast &= (d >= 1e14) & (d < 1e15) & (np.where(k < 0, d * p, d / p) == v)
+    return fast, d.astype(np.int64) * 100, ex
+
+
+# A text style: the digits of its array route, the arguments of its
+# _layout_table, and the text of a value off the route.
+_G17 = (_g17_digits, (_G17_XMIN, _G17_XMAX, False), "%.17g".__mod__)
+_REPR = (_repr_digits, (_REPR_XMIN, _REPR_XMAX, True), repr)
+
+
+def _write_block(a, out, style, route) -> None:
+    """Write into out[:, :_G17_WIDTH] the cells of a in style, from route,
+    the (fast, D, X) of its digits: the layout cells of the fast values,
+    text(v) for the others."""
+    _, layout, text = style
+    fast, d, ex = route
+    # the rows off the route get any layout here and are overwritten below
+    out[:, :_G17_WIDTH] = _layout_cells(a, d, ex, layout[0], _layout_table(*layout))
     slow = (~fast).nonzero()[0]
     if slow.size:
-        text = np.array([b"%.17g" % value for value in a[slow].tolist()], dtype=f"S{_G17_WIDTH}")
-        out[slow, :_G17_WIDTH] = text.view(np.uint8).reshape(-1, _G17_WIDTH)
+        texts = np.array(list(map(text, a[slow].tolist())), dtype=f"S{_G17_WIDTH}")
+        out[slow, :_G17_WIDTH] = texts.view(np.uint8).reshape(-1, _G17_WIDTH)
+
+
+def _texts(arr, end: str, style):
+    """The text of each value of arr in style followed by end, one str per
+    _G17_BLOCK values: the cells with their NUL padding deleted, or, where
+    most values of a block are off the array route, text(v) + end for
+    each value of it."""
+    digits, _, text = style
+    out = np.empty((min(arr.size, _G17_BLOCK), _G17_WIDTH + len(end)), dtype=np.uint8)
+    out[:, _G17_WIDTH:] = np.frombuffer(end.encode("ascii"), dtype=np.uint8)
+    for start in range(0, arr.size, _G17_BLOCK):
+        a = arr[start : start + _G17_BLOCK]
+        route = digits(a)
+        if 2 * np.count_nonzero(route[0]) < a.size:
+            yield end.join(map(text, a.tolist())) + end
+        else:
+            cells = out[: a.size]
+            _write_block(a, cells, style, route)
+            yield cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def g17_cells(x, end: bytes) -> np.ndarray:
@@ -143,15 +246,24 @@ def g17_cells(x, end: bytes) -> np.ndarray:
     out = np.empty((arr.size, _G17_WIDTH + len(end)), dtype=np.uint8)
     out[:, _G17_WIDTH:] = np.frombuffer(end, dtype=np.uint8)
     for start in range(0, arr.size, _G17_BLOCK):
-        _g17_block(arr[start : start + _G17_BLOCK], out[start : start + _G17_BLOCK])
+        a = arr[start : start + _G17_BLOCK]
+        _write_block(a, out[start : start + _G17_BLOCK], _G17, _g17_digits(a))
     return out
 
 
 def g17_lines(x) -> str:
     """''.join('%.17g\\n' % v for v in x) for a 1-d float array, byte for
-    byte, built from the g17_cells of _BLOCK entries at a time."""
+    byte."""
+    return "".join(_texts(np.asarray(x, dtype=float).ravel(), "\n", _G17))
+
+
+def repr_join(x, sep: str) -> str:
+    """sep.join(map(repr, x)) for a 1-d float array, byte for byte: the
+    text json.dumps writes for the floats of a list, with sep ', '. Values
+    with at most 15 significant digits and a decimal exponent in [-4, 15]
+    take the array route (_repr_digits), unless most of the _G17_BLOCK
+    values around them do not; every other value keeps repr(v)."""
     arr = np.asarray(x, dtype=float).ravel()
-    return "".join(
-        g17_cells(arr[start : start + _BLOCK], b"\n").tobytes().translate(None, b"\0").decode("ascii")
-        for start in range(0, arr.size, _BLOCK)
-    )
+    if not arr.size:
+        return ""
+    return "".join([*_texts(arr[:-1], sep, _REPR), repr(arr[-1].item())])

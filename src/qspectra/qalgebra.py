@@ -96,10 +96,8 @@ def q_log(x: float, q: float) -> float:
     xf = as_float("x", x)
     if not xf > 0.0:
         raise DomainError(f"q_log requires x > 0, got {xf!r}")
-    if _classical(q):
-        return math.log(xf)
     try:
-        value = _ln_q(xf, q)
+        value = math.log(xf) if _classical(q) else _ln_q(xf, q)
     except OverflowError:
         value = math.inf
     return finite(value, "q_log overflows float64 at x = {!r}, q = {!r}", xf, q)
@@ -115,6 +113,7 @@ def q_exp(u: float, q: float) -> ClampedValue:
     Inverts q_log wherever the bracket stays positive. When it does not,
     the clamp flag is set and the truncated branch is returned: 0 for
     q < 1, +inf for q > 1 (the bracket then sits on the divergent side).
+    A nan u raises DomainError.
 
     >>> q_exp(3.0, 0.0)
     ClampedValue(value=4.0, clamped=False)
@@ -123,6 +122,8 @@ def q_exp(u: float, q: float) -> ClampedValue:
     """
     q = finite_real("deformation index", q)
     uf = as_float("u", u)
+    if math.isnan(uf):
+        raise DomainError("q_exp requires a number u, got nan")
     if _classical(q):
         return ClampedValue(_exp_or_inf(uf), False)
     r = 1.0 - q

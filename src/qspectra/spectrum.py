@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, finite, finite_real, finite_vector, nonzero_real, positive_real
-from .g17 import g17_lines
+from .g17 import g17_lines, repr_join
 from .qalgebra import ClampedValue, _classical, exact_sum, q_exp, q_log_array
 from .zeta import model_from_dict, relative_qdet_zeta, theta_covariance_zeta
 
@@ -243,8 +243,18 @@ def power_transform(spec: FiniteDiag, theta: float) -> FiniteDiag:
 
 
 def spectrum_to_json(spec: FiniteDiag) -> str:
-    """JSON form {"eigenvalues": [...], "scale": s}; floats round-trip."""
-    return json.dumps({"eigenvalues": spec.eigenvalues.tolist(), "scale": spec.scale})
+    """JSON form {"eigenvalues": [...], "scale": s}; floats round-trip.
+
+    Byte for byte what json.dumps writes for {"eigenvalues":
+    spec.eigenvalues.tolist(), "scale": spec.scale}: each float as its
+    repr, items joined by ', '. The eigenvalue list is g17.repr_join's:
+    an eigenvalue with at most 15 significant digits and a decimal exponent
+    in [-4, 15] (where repr writes fixed notation: '0.0001', '0.05',
+    '123.0') is written by an array kernel, with no Python call per value;
+    every other one keeps repr(v), and so does a block of 4096 eigenvalues
+    that is mostly such others.
+    """
+    return f'{{"eigenvalues": [{repr_join(spec.eigenvalues, ", ")}], "scale": {spec.scale!r}}}'
 
 
 def spectrum_from_json(text: str) -> FiniteDiag:

@@ -74,6 +74,20 @@ def test_q_log_overflow_is_refused_not_raised():
         q_div(2.0, 1e300, -1.0)
 
 
+@pytest.mark.parametrize("q", (0.5, 1.0, 1.0 + 5e-9, 1.0 - 5e-9))
+def test_q_log_of_inf_is_refused_in_and_out_of_the_band(q):
+    # the classical band took ln(inf) = inf past the finite check
+    with pytest.raises(DomainError, match="q_log overflows float64"):
+        q_log(math.inf, q)
+    with pytest.raises(DomainError, match="q_log overflows float64"):
+        q_mul(math.inf, 2.0, q)
+
+
+def test_q_log_of_inf_above_one_is_its_finite_limit():
+    # ln_q x tends to 1 / (q - 1) as x -> inf for q > 1
+    assert q_log(math.inf, 1.5) == 2.0
+
+
 def test_q_prod_sum_beyond_float64_is_refused():
     # every ln_q x = 5e307 is finite; their sum is not (was an OverflowError from fsum)
     with pytest.raises(DomainError, match=r"^q_prod overflows float64 at q = -1.0$"):
@@ -96,9 +110,18 @@ def test_q_exp_values_and_clamp():
 
 def test_q_exp_does_not_raise_on_overflow():
     assert q_exp(800.0, 1.0) == ClampedValue(math.inf, False)
+    assert q_exp(math.inf, 1.0) == ClampedValue(math.inf, False)
+    assert q_exp(-math.inf, 1.0) == ClampedValue(0.0, False)
     # generic branch: bracket ok but the power overflows
     big = q_exp(1e9, 0.999999)
     assert big.value == math.inf and not big.clamped
+
+
+@pytest.mark.parametrize("q", (-1.0, 0.5, 1.0, 1.0 + 5e-9, 1.5, 2.0))
+def test_q_exp_refuses_nan(q):
+    # was ClampedValue(nan, False) at every q
+    with pytest.raises(DomainError, match="^q_exp requires a number u, got nan$"):
+        q_exp(math.nan, q)
 
 
 @pytest.mark.parametrize("q", Q_GRID)

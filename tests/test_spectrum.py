@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qspectra.errors import DomainError
-from qspectra.qalgebra import spectral_weight, theta_reparam
+from qspectra.g17 import _G17_BLOCK as G17_BLOCK
+from qspectra.qalgebra import _BLOCK, spectral_weight, theta_reparam
 from qspectra.spectrum import (
     FiniteDiag,
     Spectrum,
@@ -239,6 +240,51 @@ def test_json_round_trip():
     assert json.loads(text)["scale"] == 1.5
     with pytest.raises(DomainError):
         spectrum_from_json("[1, 2]")
+
+
+def _assert_json_is_json_dumps(eigenvalues, scale: float = 1.0) -> None:
+    """spectrum_to_json writes what json.dumps writes; a failure shows the
+    text around the first byte that differs."""
+    spec = Spectrum(eigenvalues, scale)
+    text = spectrum_to_json(spec)
+    expected = json.dumps({"eigenvalues": spec.eigenvalues.tolist(), "scale": spec.scale})
+    if text != expected:
+        at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), min(len(text), len(expected)))
+        pytest.fail(f"byte {at}: {text[at - 40 : at + 40]!r} against {expected[at - 40 : at + 40]!r}")
+
+
+def _digits(x, n: int) -> np.ndarray:
+    return np.array([float("%.*g" % (n, v)) for v in np.asarray(x, dtype=float).tolist()])
+
+
+@pytest.mark.parametrize("scale", (1.0, 1.5, 1e-300))
+def test_json_text_is_json_dumps_on_seeded_laws(scale):
+    rng = np.random.default_rng(41)
+    _assert_json_is_json_dumps(np.round(np.exp(rng.uniform(math.log(0.05), math.log(50.0), 100_000)), 6), scale)
+    _assert_json_is_json_dumps(_digits(10.0 ** rng.uniform(-8.0, 20.0, 30_000), 3), scale)
+    _assert_json_is_json_dumps(np.exp(rng.uniform(-20.0, 20.0, 30_000)), scale)
+
+
+def test_json_text_is_json_dumps_on_edge_values():
+    p = np.array([2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)])
+    edges = np.array([1e-5, 1e-4, 9.999999999999999e14, 1e15, 1e16, 1e17, 5e-324, 2.2250738585072014e-308])
+    with np.errstate(over="ignore"):
+        x = np.concatenate([p, edges, np.nextafter(p, 0.0), np.nextafter(p, math.inf), np.nextafter(edges, 0.0)])
+    # the two neighbours that leave the positive doubles: 0 and inf
+    _assert_json_is_json_dumps(x[(x > 0.0) & (x < math.inf)])
+    _assert_json_is_json_dumps([1.7976931348623157e308, 4e-320, 1e-310])
+    decimals = 10.0 ** np.random.default_rng(42).uniform(-5.5, 16.5, 20_000)
+    for n in (15, 16, 17):
+        _assert_json_is_json_dumps(_digits(decimals, n), 1.5)
+    text = spectrum_to_json(Spectrum([0.05, 123.0, 0.0001, 1e-05, 1e16], 1.5))
+    assert text == '{"eigenvalues": [0.05, 123.0, 0.0001, 1e-05, 1e+16], "scale": 1.5}'
+
+
+@pytest.mark.parametrize("size", (1, G17_BLOCK - 1, G17_BLOCK, G17_BLOCK + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1))
+def test_json_text_is_json_dumps_at_block_sizes(size):
+    x = np.round(np.random.default_rng(size).lognormal(0.0, 2.0, size), 6)
+    x[::7] = np.random.default_rng(size).lognormal(0.0, 2.0, x[::7].size)
+    _assert_json_is_json_dumps(x, 1.5)
 
 
 def test_spectrum_json_is_the_untagged_finite_diag_model():

@@ -1,5 +1,12 @@
-"""Compare spectrum_to_json with json.dumps on seeded eigenvalues, byte for
-byte, and exit 1 at the first spectrum whose texts differ.
+"""Compare the spectrum text readers and writers with their per-value
+routes on seeded eigenvalues, and exit 1 at the first spectrum where one
+differs: spectrum_to_json with json.dumps, byte for byte;
+spectrum_from_json of that text with the spectrum itself; and
+spectrum_from_csv of the values' repr, one a line, with
+np.array(lines, dtype=float), bit for bit. One value outside the array
+kernel's grammar sends a whole text to the per-line route, so the lines
+of each spectrum that are inside it (I.F, at most 8 digits each side,
+at most 2^53 as one integer) are also read by g17.read_decimals alone.
 
 The values come in spectra of 10^6 (the last one shorter), drawn in turn
 from six laws: six decimals in [0.05, 50], as measured spectra are
@@ -13,15 +20,18 @@ Usage: PYTHONPATH=src python json_sweep.py [VALUES]   (default: 10000000)
 
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
-from qspectra.spectrum import Spectrum, spectrum_to_json
+from qspectra.g17 import read_decimals
+from qspectra.spectrum import Spectrum, spectrum_from_csv, spectrum_from_json, spectrum_to_json
 
 SPECTRUM = 10**6
 SCALES = (1.0, 1.5, 1e-300)
 LAWS = 6
+DECIMAL = re.compile(r"([0-9]{1,8})\.([0-9]{1,8})")
 
 
 def digits(x: np.ndarray, n: int) -> np.ndarray:
@@ -43,7 +53,7 @@ def law(k: int, rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def main(total: int) -> int:
-    done = 0
+    done = checked = 0
     for k in range(-(-total // SPECTRUM)):
         size = min(SPECTRUM, total - done)
         spec = Spectrum(law(k, np.random.default_rng([2026, k]), size), SCALES[k % len(SCALES)])
@@ -53,8 +63,26 @@ def main(total: int) -> int:
             at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), min(len(text), len(expected)))
             print(f"spectrum {k} (law {k % LAWS}): byte {at}: {text[at - 40 : at + 40]!r} against {expected[at - 40 : at + 40]!r}")
             return 1
+        if spectrum_from_json(text) != spec:
+            print(f"spectrum {k} (law {k % LAWS}): spectrum_from_json does not read back the spectrum")
+            return 1
+        lines = list(map(repr, spec.eigenvalues.tolist()))
+        inside = [line for line in lines if (m := DECIMAL.fullmatch(line)) and int(m[1] + m[2]) <= 2**53]
+        inside_text = "\n".join(inside)
+        for what, part, got in (
+            ("spectrum_from_csv", lines, spectrum_from_csv("\n".join(lines) + "\n").eigenvalues),
+            ("read_decimals", inside, read_decimals(inside_text, "\n", 0, len(inside_text), False) if inside else np.empty(0)),
+        ):
+            expected = np.array(part, dtype=float)
+            if got is None or got.tobytes() != expected.tobytes():
+                at = 0 if got is None else np.flatnonzero(got.view(np.int64) != expected.view(np.int64))[0]
+                print(f"spectrum {k} (law {k % LAWS}): {what}: line {at + 1}: {part[at]!r} read as "
+                      f"{None if got is None else got[at]!r}")
+                return 1
+        checked += len(inside)
         done += size
-    print(f"{done} values in {k + 1} spectra: spectrum_to_json is json.dumps byte for byte")
+    print(f"{done} values in {k + 1} spectra: spectrum_to_json is json.dumps byte for byte, "
+          f"and both readers read the texts back bit for bit ({checked} lines by read_decimals alone)")
     return 0
 
 

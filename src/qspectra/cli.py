@@ -64,11 +64,9 @@ def _load_operand(path: str):
         raise DomainError(f"{path!r}: not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
-            obj = json.loads(text)
-        # a ValueError is malformed JSON or an int beyond the digit limit
-        # of int(); a RecursionError is nesting deeper than the stack
-        except (ValueError, RecursionError) as exc:
-            raise DomainError(f"{path!r}: invalid JSON: {exc}") from exc
+            obj = zt._decode_json(text)
+        except DomainError as exc:
+            raise DomainError(f"{path!r}: {exc}") from exc
         return zt.model_from_dict({"kind": "finite_diag", **obj})
     from .spectrum import spectrum_from_csv
 

@@ -22,16 +22,15 @@ theta_covariance_residual are second names for the last two.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import DomainError, finite, finite_real, finite_vector, nonzero_real, positive_real
-from .g17 import g17_lines, repr_join
+from .g17 import g17_lines, read_decimals, repr_join
 from .qalgebra import ClampedValue, _classical, exact_sum, q_exp, q_log_array
-from .zeta import model_from_dict, relative_qdet_zeta, theta_covariance_zeta
+from .zeta import _decode_json, _model_fields, relative_qdet_zeta, theta_covariance_zeta
 
 # A function alias is listed before its target, so a tool that labels a
 # function by its last name in __all__ (the benchmark's tracer does) uses the
@@ -257,14 +256,51 @@ def spectrum_to_json(spec: FiniteDiag) -> str:
     return f'{{"eigenvalues": [{repr_join(spec.eigenvalues, ", ")}], "scale": {spec.scale!r}}}'
 
 
+_EIGENVALUES = '"eigenvalues": ['
+
+
+def _read_eigenvalue_list(text: str):
+    """(skeleton, eigenvalues) where spectrum_from_json reads the list
+    with read_decimals: the object of the text with the list's items
+    deleted, and their values; None for every other text."""
+    start = text.find(_EIGENVALUES) + len(_EIGENVALUES)
+    if "\\" in text or text.count('"eigenvalues"') != 1 or start < len(_EIGENVALUES):
+        return None
+    end = text.find("]", start)
+    values = read_decimals(text, ", ", start, end, strict=True)
+    if values is None:
+        return None
+    try:
+        skeleton = _decode_json(text[:start] + text[end:])
+    except DomainError:  # the whole text's json.loads names the error
+        return None
+    return (skeleton, values) if isinstance(skeleton, dict) and skeleton.get("eigenvalues") == [] else None
+
+
 def spectrum_from_json(text: str) -> FiniteDiag:
     """Read the JSON form: the finite_diag model, whose 'kind' tag may be
-    left out. zeta.model_from_dict checks the fields; a JSON value that is
-    not an object, or that is tagged with another kind, raises DomainError."""
-    obj = json.loads(text)
+    left out. zeta.model_from_dict checks the fields; malformed JSON, a
+    JSON value that is not an object, or one that is tagged with another
+    kind, raises DomainError.
+
+    The eigenvalue list of the text json.dumps writes is read by
+    g17.read_decimals, with no Python call per value, when its items are
+    decimals I.F in JSON's grammar, joined by ', ', each with at most 8
+    digits on either side of the point and at most 2^53 as an integer of
+    all its digits: there one IEEE division is the correctly rounded read
+    that json.loads makes. That takes a text with no backslash (so no
+    escaped key), with '"eigenvalues"' once, followed by ': [', and whose
+    skeleton, the text with the list's items deleted, is an object whose
+    "eigenvalues" is []. Then that key is the one top-level key, and the
+    skeleton goes through the same checks as a whole text. Any other text
+    is read by json.loads as a whole."""
+    obj, values = _read_eigenvalue_list(text) or (_decode_json(text), None)
     if not isinstance(obj, dict) or obj.get("kind", "finite_diag") != "finite_diag":
         raise DomainError("spectrum JSON must be an object with no kind tag other than finite_diag")
-    return model_from_dict({"kind": "finite_diag", **obj})
+    cls, fields = _model_fields({"kind": "finite_diag", **obj})
+    if values is not None:
+        fields["eigenvalues"] = values
+    return cls(**fields)
 
 
 def spectrum_to_csv(spec: FiniteDiag) -> str:
@@ -279,7 +315,17 @@ def spectrum_to_csv(spec: FiniteDiag) -> str:
 
 def spectrum_from_csv(text: str) -> FiniteDiag:
     """One number per line, each read as float() reads it; blank lines are
-    skipped and any other line that is not a number raises DomainError."""
+    skipped and any other line that is not a number raises DomainError.
+
+    A text of decimals I.F, one a line with '\\n' endings and no blank
+    line, is read by g17.read_decimals with no Python call per line, when
+    each has at most 8 digits on either side of the point and at most 2^53
+    as an integer of all its digits: there one IEEE division is the
+    correctly rounded read that float() makes. Any other text, the 17
+    digits of spectrum_to_csv's own for one, is read line by line."""
+    values = read_decimals(text, "\n", 0, len(text) - text.endswith("\n"), strict=False)
+    if values is not None:
+        return FiniteDiag(values, 1.0)
     lines = text.splitlines()
     try:
         values = np.array(lines, dtype=float)  # fails on a blank or bad line

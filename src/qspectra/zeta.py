@@ -751,8 +751,19 @@ def model_to_json(model: ZetaModel) -> str:
     return json.dumps({"kind": model.kind, **fields}, default=lambda arr: arr.tolist())
 
 
+def _decode_json(text: str):
+    """json.loads(text); DomainError("invalid JSON: ...") for malformed
+    text, which json.loads raises as a ValueError (an int beyond the digit
+    limit of int() included) or, nested deeper than the stack, as a
+    RecursionError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(f"invalid JSON: {exc}") from exc
+
+
 def model_from_json(text: str) -> ZetaModel:
-    return model_from_dict(json.loads(text))
+    return model_from_dict(_decode_json(text))
 
 
 _MODELS = {cls.kind: cls for cls in (ShiftedLinear, PowerSpectrum)}
@@ -764,6 +775,13 @@ def model_from_dict(obj) -> ZetaModel:
     no kind tag, an unknown kind, a missing field, a field that the kind
     does not have, or a value that is not a JSON number (eigenvalues: a
     list of them). float() alone would read true as 1.0 and "2" as 2.0."""
+    cls, values = _model_fields(obj)
+    return cls(**values)
+
+
+def _model_fields(obj):
+    """(cls, fields) of the model a JSON object describes, checked as
+    model_from_dict states, before cls(**fields) checks the values."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("model JSON must be an object with a 'kind' tag")
     kind = obj["kind"]
@@ -794,4 +812,4 @@ def model_from_dict(obj) -> ZetaModel:
             raise DomainError(
                 f"{kind} model field 'eigenvalues' entry {i} must be a number, got {_quote(value[i])}"
             )
-    return cls(**values)
+    return cls, values

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qspectra.g17 as g17
-from qspectra.g17 import g17_cells, g17_lines, repr_join
+from qspectra.g17 import g17_cells, g17_lines, read_decimals, repr_join
 from qspectra.qalgebra import _BLOCK
 
 # g17_cells / g17_lines: '%.17g' text, byte for byte, without a Python call
@@ -171,3 +171,135 @@ def test_repr_array_route_takes_short_values(monkeypatch):
     calls.clear()
     _assert_repr([0.1 + 0.2, 1.5, 0.7 + 0.1, 3.0])
     assert calls == [0.1 + 0.2, 1.5, 0.7 + 0.1]
+
+
+def test_g17_tables_are_the_per_group_construction():
+    groups = [b"%04d" % g for g in range(10_000)]
+    ascii4, zeros4 = g17._g17_tables()[3:5]
+    old_ascii4 = np.frombuffer(b"".join(groups), dtype="<u4")
+    old_zeros4 = np.array([4 - len(g.rstrip(b"0")) for g in groups], dtype=np.int64)
+    assert ascii4.dtype == old_ascii4.dtype and np.array_equal(ascii4, old_ascii4)
+    assert zeros4.dtype == old_zeros4.dtype and np.array_equal(zeros4, old_zeros4)
+
+
+# read_decimals: tokens I.F joined by a separator, each value what float()
+# reads, or None
+
+
+def _read(text: str, sep: str = "\n", strict: bool = False):
+    return read_decimals(text, sep, 0, len(text), strict)
+
+
+def _assert_read(tokens, sep: str = "\n", strict: bool = False) -> None:
+    """read_decimals of the tokens joined by sep takes the array route and
+    gives float(token) for each token, bit for bit."""
+    got = _read(sep.join(tokens), sep, strict)
+    assert got is not None
+    expected = np.array([float(t) for t in tokens])
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    mismatch = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
+    assert not mismatch.size, tokens[mismatch[0]]
+
+
+def _six_decimals(seed: int, size: int) -> list[str]:
+    values = np.round(np.exp(np.random.default_rng(seed).uniform(math.log(0.05), math.log(50.0), size)), 6)
+    return list(map(repr, values.tolist()))
+
+
+def test_read_decimals_six_decimal_texts():
+    for seed, size in ((1, 1), (2, 100), (3, 200_000)):
+        tokens = _six_decimals(seed, size)
+        _assert_read(tokens)
+        _assert_read(tokens, ", ", strict=True)
+
+
+def test_read_decimals_needs_the_gate_at_two_to_the_53():
+    # a 16-digit token whose digits D exceed 2^53 would round before the
+    # division: '90071992.54740993' would read as 90071992.54740992
+    assert float("90071992.54740993") == 90071992.54740994
+    assert _read("90071992.54740993") is None
+    assert _read("1.5\n90071992.54740993\n2.5") is None
+    near = [str(d).zfill(16) for d in range(2**53 - 300, 2**53 + 1)]
+    _assert_read([d[:8] + "." + d[8:] for d in near])
+    for d in range(2**53 + 1, 2**53 + 40):
+        assert _read(f"{str(d)[:8]}.{str(d)[8:]}") is None
+    # 15 digits are below 2^53 at every split
+    fifteen = [str(d) for d in range(2**53 // 10 - 300, 2**53 // 10 + 300)]
+    _assert_read([d[:7] + "." + d[7:] for d in fifteen] + [d[:8] + "." + d[8:] for d in fifteen])
+    # random 16-digit tokens: those at most 2^53 take the array route
+    digits = np.random.default_rng(16).integers(0, 10**16, 100_000)
+    tokens = ["%08d.%08d" % divmod(d, 10**8) for d in digits.tolist() if d <= 2**53]
+    assert len(tokens) > 80_000
+    _assert_read(tokens)
+
+
+@pytest.mark.parametrize(
+    "text, sep, strict",
+    (
+        ("12345678.12345678", "\n", False),
+        ("123456789.5", "\n", False),
+        ("1.123456789", "\n", False),
+        ("99999999.99999999", "\n", False),  # 10^16 - 1 > 2^53
+        (".5\n5.\n0.0\n007.5", "\n", False),
+        (".5", ", ", True),
+        ("5.", ", ", True),
+        ("007.5", ", ", True),
+        ("01.5", ", ", True),
+        ("0.5, 10.25, 0.0", ", ", True),
+        ("1.5\n\n2.5", "\n", False),
+        ("1.5\n", "\n", False),
+        ("1.5\r\n2.5", "\n", False),
+        (" 1.5", "\n", False),
+        ("+1.5", "\n", False),
+        ("-1.5", "\n", False),
+        ("1_0.5", "\n", False),
+        ("1e3", "\n", False),
+        ("1.5e3", ", ", True),
+        ("nan", "\n", False),
+        ("\u0661.\u0665", "\n", False),
+        ("15", "\n", False),
+        (".", "\n", False),
+        ("1..5", "\n", False),
+        ("1.5\n2.5.", "\n", False),
+        ("1.5,2.5", ", ", True),
+        ("1.5, 2.5, ", ", ", True),
+        ("1.5,  2.5", ", ", True),
+        ("1.5,3 2.5", ", ", True),
+        ("", "\n", False),
+    ),
+)
+def test_read_decimals_grammar(text, sep, strict):
+    tokens = text.split(sep)
+    inside = all(
+        len(t) < 18 and t.count(".") == 1 and t.replace(".", "").isdigit() and t.isascii()
+        and max(map(len, t.split("."))) <= 8 and int(t.replace(".", "")) <= 2**53
+        and (not strict or (t[0] != "." and t[-1] != "." and not (t[0] == "0" and t[1] != ".")))
+        for t in tokens
+    )
+    if inside:
+        _assert_read(tokens, sep, strict)
+    else:
+        assert _read(text, sep, strict) is None
+
+
+@pytest.mark.parametrize("block", (17, 18, 19, 20, 64))
+def test_read_decimals_blocks(monkeypatch, block):
+    # blocks are cut at a separator, and no token may straddle a cut; the
+    # longest token has 17 bytes
+    monkeypatch.setattr(g17, "_READ_BLOCK", block)
+    tokens = _six_decimals(block, 2000) + ["12345678.12345678", ".5", "5."]
+    _assert_read(tokens)
+    _assert_read(tokens[:-2], ", ", strict=True)
+    for bad in (1, 999, 2002):
+        text = "\n".join(tokens[:bad] + ["1.5e3"] + tokens[bad:])
+        assert _read(text) is None
+    assert _read("\n".join(tokens) + "\n") is None  # an empty last token
+    assert _read("1." + "2" * 40) is None  # longer than every block here
+
+
+def test_read_decimals_reads_a_range():
+    text = '{"eigenvalues": [0.5, 1.25], "scale": 1.5}'
+    start = text.index("[") + 1
+    got = read_decimals(text, ", ", start, text.index("]"), strict=True)
+    assert got.tolist() == [0.5, 1.25]
+    assert read_decimals(text, ", ", start, start, True) is None

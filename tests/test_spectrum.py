@@ -26,7 +26,7 @@ from qspectra.spectrum import (
     spectrum_to_json,
     theta_covariance_residual,
 )
-from qspectra.zeta import power_spectrum, power_transform_model, zeta_value
+from qspectra.zeta import model_from_dict, model_from_json, power_spectrum, power_transform_model, zeta_value
 
 
 def _random_spectrum(rng, size=None):
@@ -323,6 +323,151 @@ def test_csv_parse_error_names_line():
 def test_csv_refuses_two_numbers_on_one_line():
     with pytest.raises(DomainError, match="line 3: not a number: '0.5 0.7'"):
         spectrum_from_csv("1.0\n\n0.5 0.7\n2.0\n")
+
+
+# the readers against their line-by-line and json.loads routes: the same
+# eigenvalue bits and scale, or the same exception type and message
+
+
+def _csv_line_by_line(text: str) -> FiniteDiag:
+    lines = text.splitlines()
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        entry = line.strip()
+        if entry:
+            try:
+                values.append(float(entry))
+            except ValueError as exc:
+                raise DomainError(f"line {lineno}: not a number: {entry!r}") from exc
+    return FiniteDiag(values, 1.0)
+
+
+def _json_loads_whole(text: str) -> FiniteDiag:
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict) or obj.get("kind", "finite_diag") != "finite_diag":
+        raise DomainError("spectrum JSON must be an object with no kind tag other than finite_diag")
+    return model_from_dict({"kind": "finite_diag", **obj})
+
+
+def _outcome(reader, text: str):
+    try:
+        spec = reader(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return spec.eigenvalues.tobytes(), spec.scale
+
+
+def _assert_reads_as(reader, reference, text: str) -> None:
+    assert _outcome(reader, text) == _outcome(reference, text)
+
+
+_CSV_TEXTS = (
+    ".5\n5.\n007.5\n",
+    "1.5\n0.0\n",
+    "12345678.12345678\n87654321.8765432\n",
+    "123456789.5\n1.123456789\n",
+    "90071992.54740993\n9007199.254740993\n90071992.54740992\n",
+    "1.5\n\n2.5\n",
+    "1.5\r\n2.5\r\n",
+    "1.5\n2.5",
+    " 1.5\n",
+    "+1.5\n",
+    "1_0.5\n",
+    "1e3\n",
+    "1.5\nnan\n",
+    "\u0661.\u0665\n",
+    "1.5\nabc\n",
+    "\n",
+    "",
+)
+
+
+@pytest.mark.parametrize("text", _CSV_TEXTS)
+def test_csv_reader_is_the_line_by_line_route(text):
+    _assert_reads_as(spectrum_from_csv, _csv_line_by_line, text)
+
+
+def test_csv_reader_on_seeded_and_long_texts():
+    rng = np.random.default_rng(29)
+    six = list(map(repr, np.round(np.exp(rng.uniform(math.log(0.05), math.log(50.0), 100_000)), 6).tolist()))
+    for text in ("\n".join(six) + "\n", "\n".join(six), "\n".join(six) + "\n1.5x\n"):
+        _assert_reads_as(spectrum_from_csv, _csv_line_by_line, text)
+    with pytest.raises(DomainError, match="^line 100001: not a number: '1.5x'$"):
+        spectrum_from_csv("\n".join(six) + "\n1.5x\n")
+    # spectrum_to_csv's own 17-digit text takes the line-by-line route
+    spec = Spectrum(np.exp(rng.uniform(-3.0, 3.0, 10_000)), 1.0)
+    _assert_reads_as(spectrum_from_csv, _csv_line_by_line, spectrum_to_csv(spec))
+    assert spectrum_from_csv(spectrum_to_csv(spec)) == spec
+
+
+@pytest.mark.parametrize("size", (2**16 - 3, 2**16 - 1, 2**16, 2**16 + 1, 2**16 + 3))
+def test_csv_reader_at_the_block_size(size):
+    # six-decimal lines up to size bytes, the last token cut or padded to fit
+    rng = np.random.default_rng(size)
+    lines = map(repr, np.round(np.exp(rng.uniform(math.log(0.05), math.log(50.0), size // 4)), 6).tolist())
+    text = "\n".join(lines)[: size - 8]
+    text = text[: text.rindex("\n") + 1]
+    text += "1." + "5" * (size - len(text) - 3) + "\n"
+    assert len(text) == size
+    _assert_reads_as(spectrum_from_csv, _csv_line_by_line, text)
+    _assert_reads_as(spectrum_from_csv, _csv_line_by_line, text[:-1])
+
+
+_JSON_TEXTS = (
+    '{"eigenvalues": [1.5, 2.25], "scale": 1.5}',
+    '{"scale": 0.5, "eigenvalues": [1.5, 2.25], "kind": "finite_diag"}',
+    '{"eigenvalues": [1.5], "eigenvalues": [2.5]}',
+    '{"eigenvalues": [1.5], "eigenvalues": []}',
+    '{"eigenvalues": [1.5], "eigenvalue\\u0073": [2.5]}',
+    '{"eigenvalues": [1.5], "eigenvalue\\u0073": []}',
+    '{"eigenvalue\\u0073": [2.5], "eigenvalues": [1.5]}',
+    '{"eigenvalues": [1.5], "x": {"eigenvalues": [2.5]}}',
+    '{"x": {"eigenvalues": [2.5]}}',
+    '{"x": "\\"eigenvalues\\": [2.5]"}',
+    '{"eigenvalues": [01.5]}',
+    '{"eigenvalues": [-0.5, 1.5]}',
+    '{"eigenvalues": [1.5e3]}',
+    '{"eigenvalues": [NaN]}',
+    '{"eigenvalues": [1.5,2.5]}',
+    '{"eigenvalues": []}',
+    '{"eigenvalues": [1.5, 2.5, ]}',
+    '{"eigenvalues": [1.5, 2.5]',
+    '{"eigenvalues": [1.5, 2.5], "scale": }',
+    '\ufeff{"eigenvalues": [1.5, 2.5]}',
+    '{"eigenvalues": [1.5, 2.5], "scale": true}',
+    '{"eigenvalues": [1.5, 2.5], "sacle": 2.0}',
+    '{"eigenvalues": [1.5, 0.0], "scale": 2.0}',
+    '{"eigenvalues": [1.5, 2.5], "kind": "shifted_linear"}',
+    '[1.5, 2.5]',
+    '{"eigenvalues": [1.5, 2.5]} 3',
+    '[' * 100_000,
+    '{bad',
+)
+
+
+@pytest.mark.parametrize("text", _JSON_TEXTS)
+def test_json_reader_is_the_json_loads_route(text):
+    _assert_reads_as(spectrum_from_json, _json_loads_whole, text)
+
+
+def test_json_reader_on_seeded_texts():
+    rng = np.random.default_rng(30)
+    for law in (np.round(np.exp(rng.uniform(math.log(0.05), math.log(50.0), 100_000)), 6), np.exp(rng.normal(size=1000))):
+        for scale in (1.0, 0.5, 1e-300):
+            text = spectrum_to_json(Spectrum(law, scale))
+            _assert_reads_as(spectrum_from_json, _json_loads_whole, text)
+            assert spectrum_from_json(text) == Spectrum(law, scale)
+
+
+def test_json_readers_refuse_malformed_text_with_domain_error():
+    for reader in (spectrum_from_json, model_from_json):
+        with pytest.raises(DomainError, match="^invalid JSON: maximum recursion depth exceeded"):
+            reader("[" * 100_000)
+        with pytest.raises(DomainError, match="^invalid JSON: Expecting property name enclosed in double quotes"):
+            reader("{bad")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,70 @@
+"""Compare qalgebra.exact_sum with math.fsum on seeded arrays, bit for bit
+(the sign of a zero included), and exit 1 at the first array where they
+differ. Each array is summed twice: as exact_sum is called, and with its
+extraction passes off (_PASSES = 0), the bucket stage alone.
+
+The arrays take sizes in turn from 513 (just above the math.fsum
+shortcut) to 10^6, around the block of 2^16 entries among them, and
+their terms in turn from four laws: log ratios ln x and ln_q terms
+(q uniform in [-2, 3]) of log-uniform ratios x in [1e-3, 1e6]; normal
+mantissas spread over 10^+-20; and pairs x, -x of normal terms, each with
+1e-17 normal noise added. Each array is scaled by 1, 2^-1000 (its small
+terms are then subnormal) or 2^900 in turn.
+
+Usage: PYTHONPATH=src python exact_sum_sweep.py [VALUES]   (default: 10000000)
+"""
+
+import math
+import sys
+from unittest import mock
+
+import numpy as np
+
+from qspectra import qalgebra
+from qspectra.qalgebra import exact_sum, q_log_array
+
+SIZES = (513, 4097, 2**16 - 1, 2**16, 2**16 + 1, 200_003, 10**6)
+LAWS = ("log", "ln_q", "spread", "pairs")
+SCALES = (1.0, 2.0**-1000, 2.0**900)
+
+
+def law(kind: str, rng: np.random.Generator, size: int) -> np.ndarray:
+    ratios = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), size))
+    if kind == "log":
+        return np.log(ratios)
+    if kind == "ln_q":
+        return q_log_array(ratios, float(rng.uniform(-2.0, 3.0)))
+    if kind == "spread":
+        return rng.normal(size=size) * 10.0 ** rng.uniform(-20.0, 20.0, size)
+    half = rng.normal(size=size // 2)
+    x = np.concatenate([half, -half, rng.normal(size=size % 2)]) + rng.normal(size=size) * 1e-17
+    rng.shuffle(x)
+    return x
+
+
+def same(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def main(total: int) -> int:
+    done = k = 0
+    while done < total:
+        size = min(SIZES[k % len(SIZES)], total - done)
+        kind, scale = LAWS[k % len(LAWS)], SCALES[k % len(SCALES)]
+        x = law(kind, np.random.default_rng([2026, k]), size) * scale
+        expected = math.fsum(x.tolist())
+        with mock.patch.object(qalgebra, "_PASSES", 0):
+            buckets = exact_sum(x)
+        for what, got in (("exact_sum", exact_sum(x)), ("the buckets alone", buckets)):
+            if not same(got, expected):
+                print(f"array {k} ({kind}, {size} terms, scale {scale!r}): {what} gives {got!r}, math.fsum {expected!r}")
+                return 1
+        done += size
+        k += 1
+    print(f"{done} values in {k} arrays: exact_sum, with and without its extraction passes, "
+          f"is math.fsum bit for bit")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(int(sys.argv[1]) if len(sys.argv) > 1 else 10**7))

@@ -13,8 +13,6 @@ Importing the package loads none of its modules. Each exported name is
 imported from its module on first access and kept here after that.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # Searched in this order for a name; the modules that load without numpy
@@ -24,8 +22,11 @@ _MODULES = ("errors", "qalgebra", "zeta", "combinatorics", "spectrum", "geometry
 
 def __getattr__(name: str):
     if name in _MODULES:
-        return importlib.import_module(f"{__name__}.{name}")
-    modules = (importlib.import_module(f"{__name__}.{m}") for m in _MODULES)
+        # the interpreter's own import, which -X importtime reports (it does
+        # not report importlib.import_module); it binds the module here
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    modules = (__getattr__(m) for m in _MODULES)
     if name == "__all__":
         value = [n for module in modules for n in module.__all__] + ["__version__"]
     else:

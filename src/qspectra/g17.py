@@ -52,38 +52,39 @@ _G17_CONSTANTS = b"\0-0.e56"
 _G17_BLOCK = 1 << 12
 
 
-def _g17_layout(x: int, digits: int, negative: bool, fraction_zero: bool) -> list[int]:
-    """Source offsets of the '%.17g' cell of a value with exponent x whose
-    17 digits end in 17 - digits zeros: fixed notation for x >= -4 (every
-    integer digit kept), exponent notation below; trailing fractional zeros
-    dropped, and the point with them when nothing follows it. With
-    fraction_zero, the point stays and a 0 follows it: repr's fixed
-    notation, '123.0'."""
-    _, minus, zero, point, e, five, six = range(len(_G17_CONSTANTS))
-    d = list(range(len(_G17_CONSTANTS), len(_G17_CONSTANTS) + 17))
-    if x < -4:
-        cells = d[:1] + ([point] + d[1:digits] if digits > 1 else [])
-        cells += [e, minus, zero, five if x == -5 else six]
-    else:
-        whole = d[: x + 1] if x >= 0 else [zero]
-        fraction = d[x + 1 : digits] if x >= 0 else [zero] * (-x - 1) + d[:digits]
-        fraction = fraction or [zero] * fraction_zero
-        cells = whole + ([point] + fraction if fraction else [])
-    return [minus] * negative + cells
-
-
 @functools.cache
 def _layout_table(xmin: int, xmax: int, fraction_zero: bool) -> np.ndarray:
-    """The layouts of the exponents xmin..xmax, indexed by
-    ((X - xmin) 17 + digits - 1) 2 + negative; made on first use, so a
-    process that writes one text builds one table."""
-    layouts = np.zeros(((xmax - xmin + 1) * 34, _G17_WIDTH), dtype=np.int64)
-    for x in range(xmin, xmax + 1):
-        for digits in range(1, 18):
-            for negative in (False, True):
-                cells = _g17_layout(x, digits, negative, fraction_zero)
-                layouts[((x - xmin) * 17 + digits - 1) * 2 + negative, : len(cells)] = cells
-    return layouts
+    """The source offsets of the '%.17g' cells of the exponents xmin..xmax,
+    one row per (X, digits, negative) at ((X - xmin) 17 + digits - 1) 2 +
+    negative, for a value whose 17 digits end in 17 - digits zeros: fixed
+    notation for X >= -4 (every integer digit kept), exponent notation
+    below; trailing fractional zeros dropped, and the point with them when
+    nothing follows it. With fraction_zero, the point stays and a 0
+    follows it: repr's fixed notation, '123.0'. Made on first use, so a
+    process that writes one text builds one table.
+
+    Cell byte p (after the sign) of a row with W whole digits is digit k,
+    k = p - (p > W) + min(X, 0), where 0 <= k and (p < W or k < digits), a
+    0 at the other p before the point at W, and after the point the
+    fraction; exponent notation lays out its mantissa as X = 0 does, then
+    'e-0' and the exponent's last digit."""
+    _, minus, zero, point, e, five, six = range(len(_G17_CONSTANTS))
+    row = np.arange((xmax - xmin + 1) * 34, dtype=np.int16)[:, None]
+    x, digits, negative = xmin + row // 34, row // 2 % 17 + 1, row % 2
+    sci = x < -4
+    xm = np.where(sci, 0, x)  # the exponent the mantissa is laid out at
+    whole = np.maximum(xm, 0) + 1
+    fraction = np.maximum(digits - 1 - xm, fraction_zero & ~sci)
+    end = whole + (fraction > 0) * (fraction + 1)
+    p = np.arange(_G17_WIDTH, dtype=np.int16) - negative
+    k = p - (p > whole) + np.minimum(xm, 0)
+    cells = np.where((k >= 0) & ((p < whole) | (k < digits)), len(_G17_CONSTANTS) + k, zero)
+    cells[p == whole] = point
+    q = p - end  # the exponent's bytes follow the mantissa
+    tail = np.where(q == 3, np.where(x == -5, five, six), np.take([e, minus, zero, 0], q, mode="clip"))
+    cells = np.where(q < 0, cells, tail * sci)
+    cells[p < 0] = minus
+    return cells.astype(np.int64)
 
 
 @functools.cache

@@ -218,25 +218,48 @@ def q_log_array(x, q: float) -> np.ndarray:
 
 
 # exact_sum hands up to _SMALL entries to math.fsum, which is faster there. It
-# walks longer input in blocks of _BLOCK entries; each entry adds one integer
-# below 2^27 and one below 2^26 into float64 buckets, which stay exact while
-# they take at most _FLUSH entries (3 * 2^51 < 2^53). frexp exponents run from
-# -1073 (the smallest subnormal) to 1024; bucket k weighs 2^(k + _EXP_MIN - 53).
+# walks longer input in blocks of _BLOCK entries, each through at most _PASSES
+# extraction passes; what they leave, and their sums, go into the buckets.
+# Each bucketed entry adds one integer below 2^27 and one below 2^26 into
+# float64 buckets, which stay exact while they take at most _FLUSH input
+# entries plus _PASSES sums per block (3 (2^25 + 3 2^9) 2^26 < 2^53). frexp
+# exponents run from -1073 (the smallest subnormal) to 1024; bucket k weighs
+# 2^(k + _EXP_MIN - 53). A block takes the passes while its largest |entry|
+# is normal and below _HUGE, where sigma <= 2^1023 stays finite.
 _SMALL = 1 << 9
 _BLOCK = 1 << 16
 _FLUSH = 1 << 25
+_PASSES = 3
 _EXP_MIN = -1073
 _BUCKETS = 1024 - _EXP_MIN + 1
+_TINY = 2.0**-1022
+_HUGE = 2.0 ** (1023 - (_BLOCK + 1).bit_length())
 
 
 def exact_sum(x) -> float:
     """math.fsum of a 1-d float array, bit for bit (the sign of a zero
     included), without a Python loop over the entries.
 
-    Each entry m 2^e (np.frexp) is split into two integers below 2^27,
-    hi 2^(e-26) + lo 2^(e-53), and bincount adds them into float64 buckets,
-    one per power of two; every _FLUSH entries the buckets are added into
-    one Python int, which is rounded once, by int true division.
+    A block of n entries r first goes through error-free extraction
+    passes (ExtractVector of Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1),
+    2008). With 2^e > max |r| and 2^M >= n + 2, let sigma = 2^(M + e) and
+    t = (sigma + r) - sigma. Each t is exact and a multiple of
+    2^-53 sigma, with |t| <= 2^-M sigma, so every partial sum of the t is
+    such a multiple below sigma in magnitude and exactly representable:
+    t.sum() is exact in any order, numpy's pairwise order included. The
+    residual r - t is exact too (it is the rounding error of sigma + r),
+    and below 2^-53 sigma, so each pass takes 53 - M bits off the top.
+    The passes stop when the residual is 0. A block they cannot finish
+    (its max nan, inf, subnormal or at least _HUGE, or a residual left
+    after _PASSES passes) goes to the buckets as it stands, and the rest of
+    the input after it goes there without passes.
+
+    In the buckets, each entry m 2^e (np.frexp) is split into two integers
+    below 2^27, hi 2^(e-26) + lo 2^(e-53), and bincount adds them into
+    float64 buckets, one per power of two; the pass sums go in the same
+    way. Every _FLUSH entries the buckets are added into one Python int,
+    which is rounded once, by int true division.
 
     The value is fsum's wherever fsum returns one. Where fsum raises, the
     value is still the exactly rounded sum: finite if only a partial sum
@@ -249,20 +272,40 @@ def exact_sum(x) -> float:
     if arr.size <= _SMALL:
         with contextlib.suppress(OverflowError, ValueError):  # else the buckets decide
             return math.fsum(arr.tolist())
-    total = 0
+    total, passes = 0, _PASSES
+    t_buf, r_buf = np.empty(min(arr.size, _BLOCK)), np.empty(min(arr.size, _BLOCK))
+
+    def bucket(v):
+        m, e = np.frexp(v)
+        m *= 2.0**26
+        hi = np.trunc(m)
+        m -= hi
+        m *= 2.0**27
+        e -= _EXP_MIN
+        acc[:_BUCKETS] += np.bincount(e, m, _BUCKETS)
+        acc[27:] += np.bincount(e, hi, _BUCKETS)
+
     with np.errstate(invalid="ignore"):
         for first in range(0, arr.size, _FLUSH):
             chunk = arr[first : first + _FLUSH]
-            acc = np.zeros(_BUCKETS + 27)
+            acc, sums = np.zeros(_BUCKETS + 27), []
             for start in range(0, chunk.size, _BLOCK):
-                m, e = np.frexp(chunk[start : start + _BLOCK])
-                m *= 2.0**26
-                hi = np.trunc(m)
-                m -= hi
-                m *= 2.0**27
-                e -= _EXP_MIN
-                acc[:_BUCKETS] += np.bincount(e, m, _BUCKETS)
-                acc[27:] += np.bincount(e, hi, _BUCKETS)
+                r = chunk[start : start + _BLOCK]
+                t, bits = t_buf[: r.size], (r.size + 1).bit_length()  # 2^bits >= n + 2
+                for k in range(passes + 1):
+                    top = max(r.max(), -r.min()) if passes else math.inf  # no passes left
+                    if top == 0.0:
+                        break
+                    if k == passes or not _TINY <= top < _HUGE:
+                        passes = 0
+                        bucket(r)
+                        break
+                    sigma = 2.0 ** (bits + math.frexp(top)[1])
+                    np.add(r, sigma, out=t)
+                    t -= sigma
+                    r = np.subtract(r, t, out=r_buf[: r.size])
+                    sums.append(t.sum())
+            bucket(np.array(sums))
             if not math.isfinite(acc.sum()):  # a non-finite entry decides alone
                 return float(arr[~np.isfinite(arr)].sum())
             ks = (acc != 0.0).nonzero()[0]

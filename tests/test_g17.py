@@ -182,6 +182,38 @@ def test_g17_tables_are_the_per_group_construction():
     assert zeros4.dtype == old_zeros4.dtype and np.array_equal(zeros4, old_zeros4)
 
 
+def _g17_layout(x: int, digits: int, negative: bool, fraction_zero: bool) -> list[int]:
+    """Source offsets of the '%.17g' cell of a value with exponent x whose
+    17 digits end in 17 - digits zeros, one layout at a time: fixed notation
+    for x >= -4 (every integer digit kept), exponent notation below;
+    trailing fractional zeros dropped, and the point with them when nothing
+    follows it. With fraction_zero, the point stays and a 0 follows it."""
+    _, minus, zero, point, e, five, six = range(len(g17._G17_CONSTANTS))
+    d = list(range(len(g17._G17_CONSTANTS), len(g17._G17_CONSTANTS) + 17))
+    if x < -4:
+        cells = d[:1] + ([point] + d[1:digits] if digits > 1 else [])
+        cells += [e, minus, zero, five if x == -5 else six]
+    else:
+        whole = d[: x + 1] if x >= 0 else [zero]
+        fraction = d[x + 1 : digits] if x >= 0 else [zero] * (-x - 1) + d[:digits]
+        fraction = fraction or [zero] * fraction_zero
+        cells = whole + ([point] + fraction if fraction else [])
+    return [minus] * negative + cells
+
+
+@pytest.mark.parametrize("layout", ((-6, 16, False), (-4, 15, True), (-6, 16, True), (-4, 15, False)))
+def test_layout_table_is_the_per_layout_construction(layout):
+    xmin, xmax, fraction_zero = layout
+    table = g17._layout_table(*layout)
+    assert table.dtype == np.int64 and table.shape == ((xmax - xmin + 1) * 34, g17._G17_WIDTH)
+    for x in range(xmin, xmax + 1):
+        for digits in range(1, 18):
+            for negative in (False, True):
+                cells = _g17_layout(x, digits, negative, fraction_zero)
+                row = table[((x - xmin) * 17 + digits - 1) * 2 + negative].tolist()
+                assert row == cells + [0] * (g17._G17_WIDTH - len(cells)), (x, digits, negative)
+
+
 # read_decimals: tokens I.F joined by a separator, each value what float()
 # reads, or None
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -253,10 +254,13 @@ def _same_float(a: float, b: float) -> bool:
 
 
 def _both_paths(x) -> list[float]:
-    """exact_sum of x as called, and with the fsum shortcut for short input off."""
+    """exact_sum of x as called, with the fsum shortcut for short input off,
+    and with the extraction passes off too: the buckets alone."""
     with mock.patch.object(qalgebra, "_SMALL", 0):
-        buckets = exact_sum(x)
-    return [exact_sum(x), buckets]
+        passes = exact_sum(x)
+        with mock.patch.object(qalgebra, "_PASSES", 0):
+            buckets = exact_sum(x)
+    return [exact_sum(x), passes, buckets]
 
 
 def _bulk(seed: int, kind: str, size: int) -> np.ndarray:
@@ -307,18 +311,23 @@ def test_exact_sum_keeps_fsum_sign_of_zero():
 
 def test_exact_sum_flushes_buckets_into_one_int():
     # a bucket takes up to two integers per entry, below 2^27 and 2^26, and
-    # must stay below 2^53 to add exactly
-    assert qalgebra._FLUSH * (2**27 + 2**26) <= 2**53
+    # must stay below 2^53 to add exactly; the entries between two flushes
+    # are at most _FLUSH input entries and _PASSES pass sums per block
+    sums = qalgebra._PASSES * (qalgebra._FLUSH // BLOCK)
+    assert (qalgebra._FLUSH + sums) * (2**27 + 2**26) <= 2**53
     x = _bulk(7, "wide", 5 * BLOCK + 3)
     x[:BLOCK] = 2.0**53 - 1.0  # full mantissas, all into one pair of buckets
     expected = math.fsum(x.tolist())
+    logs = _law(7, "log", 5 * BLOCK + 3)  # every block ends in the passes
     for flush in (BLOCK, 2 * BLOCK + 5):
-        with mock.patch.object(qalgebra, "_FLUSH", flush):
-            assert _same_float(exact_sum(x), expected)
-            # a non-finite entry after a flush still gives fsum's result
-            y = x.copy()
-            y[-1] = -math.inf
-            assert exact_sum(y) == -math.inf
+        for passes in (0, qalgebra._PASSES):
+            with mock.patch.object(qalgebra, "_FLUSH", flush), mock.patch.object(qalgebra, "_PASSES", passes):
+                assert _same_float(exact_sum(x), expected)
+                assert _same_float(exact_sum(logs), math.fsum(logs.tolist()))
+                # a non-finite entry after a flush still gives fsum's result
+                y = x.copy()
+                y[-1] = -math.inf
+                assert exact_sum(y) == -math.inf
 
 
 def test_exact_sum_final_overflow_is_signed_inf():
@@ -357,6 +366,85 @@ def test_exact_sum_non_finite_input_gives_fsum_result(size):
     assert math.isnan(exact_sum(x))
     with pytest.raises(DomainError, match="^refused$"):
         finite(exact_sum(x), "refused")
+
+
+def _law(seed: int, law: str, size: int) -> np.ndarray:
+    """size seeded terms of one law: log ratios ln(x / mu) and ln_q terms of
+    log-uniform eigenvalue ratios, normal mantissas spread over 10^+-20,
+    or pairs x, -x each with 1e-17 noise added."""
+    rng = np.random.default_rng([seed, ("log", "ln_q", "spread", "pairs").index(law)])
+    ratios = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), size))
+    if law == "log":
+        return np.log(ratios)
+    if law == "ln_q":
+        return qalgebra.q_log_array(ratios, float(rng.uniform(-2.0, 3.0)))
+    if law == "spread":
+        return rng.normal(size=size) * 10.0 ** rng.uniform(-20.0, 20.0, size)
+    half = rng.normal(size=size // 2)
+    x = np.concatenate([half, -half, rng.normal(size=size % 2)]) + rng.normal(size=size) * 1e-17
+    rng.shuffle(x)
+    return x
+
+
+def _assert_fsum_bits(x) -> None:
+    """Every path of exact_sum gives fsum's bits where fsum returns a value,
+    and the buckets' value where it raises."""
+    got = _both_paths(x)
+    try:
+        expected = math.fsum(np.asarray(x, dtype=float).tolist())
+    except (OverflowError, ValueError):
+        expected = got[-1]
+    for value in got:
+        assert _same_float(value, expected) or math.isnan(value) and math.isnan(expected), (value, expected)
+
+
+@pytest.mark.parametrize("size", (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7))
+@pytest.mark.parametrize("law", ("log", "ln_q", "spread", "pairs"))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_exact_sum_extraction_is_bit_equal_to_fsum(seed, law, size):
+    _assert_fsum_bits(_law(seed, law, size))
+
+
+def test_exact_sum_extraction_edges():
+    logs = _law(3, "log", 3 * BLOCK)
+    spread = _law(3, "spread", BLOCK)
+    subnormal = _bulk(3, "subnormal", BLOCK)
+    # a block past the pass cap, or of subnormals only, sends the rest of
+    # the input to the buckets; the blocks before it keep their pass sums
+    for middle in (spread, subnormal, np.zeros(BLOCK), -np.zeros(BLOCK)):
+        _assert_fsum_bits(np.concatenate([logs[:BLOCK], middle, logs[BLOCK:]]))
+    # one sign, every entry near the max: a block's pass sum comes near
+    # sigma, the bound that keeps it exact
+    near = 2.0**40 * np.random.default_rng(6).uniform(0.9, 1.0, 2 * BLOCK + 1)
+    _assert_fsum_bits(near)
+    _assert_fsum_bits(-near)
+    # subnormals only, and the residual of a pass near the subnormals
+    _assert_fsum_bits(_bulk(4, "subnormal", 2 * BLOCK + 1))
+    _assert_fsum_bits(logs * 2.0**-1000)
+    # a max just below _HUGE takes the passes with sigma = 2^1023; at
+    # _HUGE and above the block goes to the buckets
+    below = np.nextafter(qalgebra._HUGE, 0.0)
+    for top in (below, qalgebra._HUGE, 1e308, np.finfo(float).max):
+        x = _law(5, "pairs", 2 * BLOCK + 3) * (top / 8.0)
+        x[BLOCK // 2] = top
+        _assert_fsum_bits(x)
+        _assert_fsum_bits(-x)
+    # pass sums beyond float64: the total overflows, or only a partial sum
+    x = np.full(5 * BLOCK, below)
+    assert exact_sum(x) == math.inf
+    x[-1] = -np.finfo(float).max
+    expected = float(Fraction(below) * (5 * BLOCK - 1) - Fraction(np.finfo(float).max))
+    assert math.isfinite(expected)
+    for got in _both_paths(x):
+        assert got == expected
+    # a non-finite entry in a block after the passes decides alone
+    for where, special in ((-5, math.inf), (-5, -math.inf), (-5, math.nan), (BLOCK + 1, math.nan)):
+        x = logs.copy()
+        x[where] = special
+        _assert_fsum_bits(x)
+    x = logs.copy()
+    x[2 * BLOCK], x[-1] = math.inf, -math.inf
+    assert all(math.isnan(got) for got in _both_paths(x))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ mantissas spread over 10^+-20; and pairs x, -x of normal terms, each with
 1e-17 normal noise added. Each array is scaled by 1, 2^-1000 (its small
 terms are then subnormal) or 2^900 in turn.
 
+A second section checks the determinants a finite operator keeps:
+FiniteDiag.qdet, warm (its logs kept, each q's sum kept), against the
+cold sum exact_sum(q_log_array(ratios, q)), bit for bit, on 10^6 seeded
+log-uniform eigenvalues at three scales, each over 50 q (some repeated).
+
 Usage: PYTHONPATH=src python exact_sum_sweep.py [VALUES]   (default: 10000000)
 """
 
@@ -22,6 +27,7 @@ import numpy as np
 
 from qspectra import qalgebra
 from qspectra.qalgebra import exact_sum, q_log_array
+from qspectra.spectrum import FiniteDiag
 
 SIZES = (513, 4097, 2**16 - 1, 2**16, 2**16 + 1, 200_003, 10**6)
 LAWS = ("log", "ln_q", "spread", "pairs")
@@ -46,6 +52,23 @@ def same(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+def determinants(size: int = 10**6) -> int:
+    rng = np.random.default_rng([2026, 17])
+    ratios = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), size))
+    # q = 1, the band point, +-0, near 2, where terms overflow, and seeded q
+    qs = [1.0, 1.0 + 5e-9, 0.0, -0.0, 2.0 - 1e-12, 400.0, -400.0, *rng.uniform(-3.0, 4.0, 33).tolist()]
+    qs += qs[::4]  # repeats, from the memo
+    for scale in (1.0, 1.37, 1e-100):
+        spec = FiniteDiag(ratios * scale, scale)
+        for q in qs:
+            warm, cold = spec.qdet(q), exact_sum(q_log_array(spec.dimensionless(), q))
+            if warm.hex() != cold.hex():
+                print(f"qdet at scale {scale!r}, q = {q!r}: warm {warm!r}, cold {cold!r}")
+                return 1
+    print(f"{size} eigenvalues at 3 scales, {len(qs)} q each: FiniteDiag.qdet warm is the cold sum bit for bit")
+    return 0
+
+
 def main(total: int) -> int:
     done = k = 0
     while done < total:
@@ -63,7 +86,7 @@ def main(total: int) -> int:
         k += 1
     print(f"{done} values in {k} arrays: exact_sum, with and without its extraction passes, "
           f"is math.fsum bit for bit")
-    return 0
+    return determinants()
 
 
 if __name__ == "__main__":

@@ -194,27 +194,36 @@ def spectral_weight(lam: float, q: float) -> float:
 
 def q_log_array(x, q: float) -> np.ndarray:
     """Vectorised q_log kernel for strictly positive arrays, at the exact q:
-    ln x at q == 1, else expm1((1-q) ln x) / (1-q), formed in place in the
-    one buffer np.log returns.
+    np.log, then the deformation _ln_q_of_log in place in the one buffer
+    np.log returns.
 
     Internal helper shared by the spectrum and combinatorics aggregates;
     positivity is the caller's responsibility. Unlike q_log it
     has no classical band: a caller that keeps the band passes q = 1.0
     inside it. It is within 2 ulp of q_log, not bit for bit: np.expm1 and
     math.expm1 round differently, and about 8% of points differ (x in
-    [0.1, 100], q in [-3, 3]).
+    [0.1, 100], q in [-3, 3]). FiniteDiag.qdet applies the same deformation
+    to the logs it keeps, so its terms are these bit for bit.
     """
     import numpy as np
 
     t = np.log(np.asarray(x, dtype=float))
+    return _ln_q_of_log(t, q, out=t)
+
+
+def _ln_q_of_log(t, q: float, out=None) -> np.ndarray:
+    """ln_q x from the array t = ln x at the exact q: t itself at q == 1,
+    else expm1((1-q) t) / (1-q), formed in out (a new array if None)."""
+    import numpy as np
+
     if q == 1.0:
         return t
     r = 1.0 - q
     with np.errstate(over="ignore"):
-        t *= r
-        np.expm1(t, out=t)
-        t /= r
-    return t
+        u = np.multiply(t, r, out=out)
+        np.expm1(u, out=u)
+        u /= r
+    return u
 
 
 # exact_sum hands up to _SMALL entries to math.fsum, which is faster there. It
@@ -224,8 +233,9 @@ def q_log_array(x, q: float) -> np.ndarray:
 # float64 buckets, which stay exact while they take at most _FLUSH input
 # entries plus _PASSES sums per block (3 (2^25 + 3 2^9) 2^26 < 2^53). frexp
 # exponents run from -1073 (the smallest subnormal) to 1024; bucket k weighs
-# 2^(k + _EXP_MIN - 53). A block takes the passes while its largest |entry|
-# is normal and below _HUGE, where sigma <= 2^1023 stays finite.
+# 2^(k + _EXP_MIN - 53). A block takes the passes while its largest |entry|,
+# and then the residual's bound, is normal and below _HUGE, where
+# sigma <= 2^1023 stays finite.
 _SMALL = 1 << 9
 _BLOCK = 1 << 16
 _FLUSH = 1 << 25
@@ -243,17 +253,22 @@ def exact_sum(x) -> float:
     A block of n entries r first goes through error-free extraction
     passes (ExtractVector of Rump, Ogita and Oishi, "Accurate floating-point
     summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1),
-    2008). With 2^e > max |r| and 2^M >= n + 2, let sigma = 2^(M + e) and
+    2008). With 2^e >= max |r| and 2^M >= n + 2, let sigma = 2^(M + e) and
     t = (sigma + r) - sigma. Each t is exact and a multiple of
     2^-53 sigma, with |t| <= 2^-M sigma, so every partial sum of the t is
     such a multiple below sigma in magnitude and exactly representable:
     t.sum() is exact in any order, numpy's pairwise order included. The
     residual r - t is exact too (it is the rounding error of sigma + r),
-    and below 2^-53 sigma, so each pass takes 53 - M bits off the top.
-    The passes stop when the residual is 0. A block they cannot finish
-    (its max nan, inf, subnormal or at least _HUGE, or a residual left
-    after _PASSES passes) goes to the buckets as it stands, and the rest of
-    the input after it goes there without passes.
+    and at most 2^-53 sigma, so each pass takes 53 - M bits off the top.
+    The first pass takes e from the max and the min of r (2^e > max |r|),
+    and each later one takes 2^e = 2^-53 sigma, its predecessor's bound,
+    with no reduction. The passes stop when the residual is
+    0 (its max, and its min where the max is 0). A block they cannot finish
+    (its max nan, inf, subnormal or at least _HUGE, a subnormal bound, or a
+    residual left after _PASSES passes) goes to the buckets as it stands,
+    and the rest of the input after it goes there without passes. A
+    subnormal residual under a normal bound still passes exactly: the
+    rounding error of an addition is always representable.
 
     In the buckets, each entry m 2^e (np.frexp) is split into two integers
     below 2^27, hi 2^(e-26) + lo 2^(e-53), and bincount adds them into
@@ -292,19 +307,22 @@ def exact_sum(x) -> float:
             for start in range(0, chunk.size, _BLOCK):
                 r = chunk[start : start + _BLOCK]
                 t, bits = t_buf[: r.size], (r.size + 1).bit_length()  # 2^bits >= n + 2
+                top = max(r.max(), -r.min()) if passes else math.inf  # no passes left
+                e = math.frexp(top)[1]  # max |r| <= 2^e
                 for k in range(passes + 1):
-                    top = max(r.max(), -r.min()) if passes else math.inf  # no passes left
-                    if top == 0.0:
+                    if top == 0.0 or k and not (r.max() or r.min()):
                         break
                     if k == passes or not _TINY <= top < _HUGE:
                         passes = 0
                         bucket(r)
                         break
-                    sigma = 2.0 ** (bits + math.frexp(top)[1])
+                    sigma = 2.0 ** (bits + e)
                     np.add(r, sigma, out=t)
                     t -= sigma
                     r = np.subtract(r, t, out=r_buf[: r.size])
                     sums.append(t.sum())
+                    e += bits - 53
+                    top = 2.0**e  # the pass's bound on the residual
             bucket(np.array(sums))
             if not math.isfinite(acc.sum()):  # a non-finite entry decides alone
                 return float(arr[~np.isfinite(arr)].sum())

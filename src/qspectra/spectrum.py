@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, finite, finite_real, finite_vector, nonzero_real, positive_real
 from .g17 import g17_lines, read_decimals, repr_join
-from .qalgebra import ClampedValue, _classical, exact_sum, q_exp, q_log_array
+from .qalgebra import ClampedValue, _classical, _ln_q_of_log, exact_sum, q_exp
 from .zeta import _decode_json, _model_fields, relative_qdet_zeta, theta_covariance_zeta
 
 # A function alias is listed before its target, so a tool that labels a
@@ -54,6 +54,9 @@ __all__ = [
     "spectrum_from_csv",
 ]
 
+# FiniteDiag.qdet keeps the sums of at most this many q per operator
+_QDETS = 64
+
 
 @dataclass(frozen=True)
 class FiniteDiag:
@@ -71,6 +74,13 @@ class FiniteDiag:
     lambda_k / mu (dimensionless): q_logdet calls it with the classical
     band, zeta.qdet_zeta and jet0 at the exact q. Where a ratio leaves
     float64 every one of them refuses with DomainError.
+
+    qdet keeps what does not depend on q on the operator: the logs
+    ln(lambda_k / mu) from its first call, a read-only array of 8 bytes
+    per eigenvalue for the operator's lifetime, and the sum at each q it
+    took, at most _QDETS of them. Neither is a field: equality, hash,
+    repr and the JSON form ignore them, and a copy or a pickle starts
+    without them.
     """
 
     eigenvalues: np.ndarray
@@ -93,8 +103,13 @@ class FiniteDiag:
         arr.flags.writeable = False
         object.__setattr__(self, "eigenvalues", arr)
         object.__setattr__(self, "scale", positive_real("scale", self.scale))
-        # not a field, so equality, repr and the JSON form ignore it
+        # not fields, so equality, repr and the JSON form ignore them
         object.__setattr__(self, "_extremes", (lo, hi))
+        object.__setattr__(self, "_logs", None)
+        object.__setattr__(self, "_qdets", {})
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_logs": None, "_qdets": {}}
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -137,8 +152,24 @@ class FiniteDiag:
     def qdet(self, q: float) -> float:
         """The determinant sum_k ln_q(x_k) of the ratios x_k = lambda_k / mu
         at the exact q, exactly rounded and unchecked: +-inf where the sum
-        leaves float64. DomainError where a ratio does (dimensionless)."""
-        return exact_sum(q_log_array(self.dimensionless(), q))
+        leaves float64. DomainError where a ratio does (dimensionless).
+
+        The first call keeps the logs ln x_k (8 bytes per eigenvalue, for
+        the operator's lifetime); each q forms its terms from them with
+        q_log_array's deformation, so they are q_log_array's bit for bit.
+        The sum is kept for up to _QDETS q, and the memo starts afresh
+        when full. A DomainError is raised before anything is kept."""
+        value = self._qdets.get(q)
+        if value is None:
+            if self._logs is None:
+                logs = np.log(self.dimensionless())
+                logs.flags.writeable = False
+                object.__setattr__(self, "_logs", logs)
+            value = exact_sum(_ln_q_of_log(self._logs, q))
+            if len(self._qdets) >= _QDETS:
+                self._qdets.clear()
+            self._qdets[q] = value
+        return value
 
     def power(self, theta: float) -> FiniteDiag:
         return power_transform(self, theta)
@@ -206,7 +237,8 @@ def action_variation(spec: FiniteDiag, variation, q: float) -> float:
     q = finite_real("deformation index", q)
     deltas = _deltas_for(spec, variation)
     with np.errstate(all="ignore"):
-        terms = spec.dimensionless() ** (-q) * (deltas / spec.scale)
+        terms = spec.dimensionless() ** (-q)
+        terms *= deltas / spec.scale
     return finite(exact_sum(terms), "action_variation overflows float64 at q = {!r}", q)
 
 

@@ -447,6 +447,30 @@ def test_exact_sum_extraction_edges():
     assert all(math.isnan(got) for got in _both_paths(x))
 
 
+def test_exact_sum_later_passes_take_the_first_pass_bound():
+    # max 1 in a block of 2^16: sigma = 2^18, and a residual is at most
+    # 2^-35, which the second pass takes for max |r| without a reduction
+    ones = np.ones(BLOCK)
+    tie = ones + 2.0**-35  # sigma + r is a tie: the residual is the bound itself
+    up = ones + 3 * 2.0**-36  # rounds up: a residual of -2^-36
+    for x in (tie, -tie, up, np.where(np.arange(BLOCK) % 2, up, ones)):  # the last: max 0, min < 0
+        _assert_fsum_bits(np.concatenate([x, x + 2.0**-52, x]))
+    # n = 2^16 - 2 takes 2^M = n + 2, with no slack: sigma = 2^17 and the
+    # bound 2^-36. Entries just above 2^-36 round up to 2^-35 and leave
+    # residuals just inside -2^-36, of one sign and with bits far below it,
+    # so the second pass's sum comes near its sigma (one bit less for e
+    # there rounds a partial sum of this seed)
+    x = 2.0**-36 * (1.0 + np.random.default_rng(10).uniform(0.0, 2.0**-10, BLOCK - 2))
+    x[:2] = 1.0, -1.0  # they set sigma and cancel, so the total shows every bit
+    _assert_fsum_bits(x)
+    _assert_fsum_bits(-x)
+    # the first pass normal and its bound at the normals' edge or below, so
+    # the second pass meets subnormal residuals under a normal bound
+    logs = _law(7, "log", 2 * BLOCK + 1)
+    for k in range(982, 996):
+        _assert_fsum_bits(logs * 2.0**-k)
+
+
 # ---------------------------------------------------------------------------
 # exact_row_sums: rows of three summed as arrays, fsum's bits row by row
 

@@ -1,14 +1,17 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qspectra import spectrum
 from qspectra.errors import DomainError
 from qspectra.g17 import _G17_BLOCK as G17_BLOCK
-from qspectra.qalgebra import _BLOCK, spectral_weight, theta_reparam
+from qspectra.qalgebra import _BLOCK, exact_sum, q_log_array, spectral_weight, theta_reparam
 from qspectra.spectrum import (
     FiniteDiag,
     Spectrum,
@@ -523,6 +526,75 @@ def test_equality_and_hash_agree():
     # one finite class: Spectrum is a second name for FiniteDiag
     assert Spectrum is FiniteDiag
     assert a == FiniteDiag((2.0, 3.0), scale=1.5) and hash(a) == hash(FiniteDiag((2.0, 3.0), scale=1.5))
+
+
+# ---------------------------------------------------------------------------
+# qdet keeps the logs and the sum at each q
+
+
+# the band point, +-0, near 2, negative, and |q| where terms overflow to +-inf
+QDET_QS = (1.0, 1.0 + 5e-9, 0.0, -0.0, 2.0 - 1e-12, 1.9, -1.5, 0.37, 400.0, -400.0)
+
+
+def _cold_qdet(spec: FiniteDiag, q: float) -> float:
+    return exact_sum(q_log_array(spec.dimensionless(), q))
+
+
+@pytest.mark.parametrize("size", (1, 512, 513, _BLOCK - 1, _BLOCK + 1))
+@pytest.mark.parametrize("scale", (1.0, 1.37, 1e100, 1e-100))
+def test_warm_qdet_is_the_cold_sum_bit_for_bit(size, scale):
+    rng = np.random.default_rng([23, size])
+    ratios = np.exp(rng.uniform(-7.0, 14.0, size))
+    ratios[0] = 1e-3  # one ratio below 1, where q = 400 overflows
+    # each q twice, the second time from the memo, and in two orders, so
+    # that the logs are first taken at a deformed q and at q = 1
+    for qs in (QDET_QS + QDET_QS, QDET_QS[::-1]):
+        spec = FiniteDiag(ratios * scale, scale)
+        for q in qs:
+            assert spec.qdet(q).hex() == _cold_qdet(spec, q).hex()
+    assert spec.qdet(400.0) == -math.inf and (size == 1 or spec.qdet(-400.0) == math.inf)
+    assert not spec._logs.flags.writeable
+    # the band point reads qdet(1.0), from the memo once it is there
+    assert q_logdet(spec, 1.0 + 5e-9) == q_logdet(spec, 1.0) == spec.qdet(1.0)
+
+
+def test_qdet_errors_are_raised_on_every_call_and_never_kept():
+    spec = Spectrum((1e308, 2.0), 0.5)  # a ratio lambda / scale overflows
+    for _ in range(3):
+        for op in (lambda: spec.qdet(0.5), lambda: spec.qdet(1.0), lambda: q_logdet(spec, 0.5)):
+            with pytest.raises(DomainError, match="a ratio lambda / scale leaves float64"):
+                op()
+    assert spec._logs is None and spec._qdets == {}
+    spec = Spectrum((1e300, 2.0))  # the sum overflows: qdet's inf is kept, q_logdet refuses it
+    for _ in range(3):
+        with pytest.raises(DomainError, match="q_logdet overflows float64 at q = -1.0"):
+            q_logdet(spec, -1.0)
+        assert spec.qdet(-1.0) == math.inf
+    assert spec._qdets == {-1.0: math.inf}
+
+
+def test_warm_caches_leave_the_operator_unchanged():
+    values = np.random.default_rng(29).uniform(0.1, 10.0, 600)
+    cold, warm = Spectrum(values, 1.37), Spectrum(values, 1.37)
+    before = (repr(warm), hash(warm), spectrum_to_json(warm), pickle.dumps(warm))
+    for q in QDET_QS:
+        warm.qdet(q)
+    assert warm._logs is not None and warm._qdets
+    assert warm == cold and (repr(warm), hash(warm), spectrum_to_json(warm), pickle.dumps(warm)) == before
+    for twin in (copy.copy(warm), copy.deepcopy(warm), pickle.loads(pickle.dumps(warm))):
+        # a copy starts cold and takes the same sums
+        assert twin == warm and twin._logs is None and twin._qdets == {}
+        assert pickle.dumps(twin) == before[-1]
+        assert [twin.qdet(q) for q in QDET_QS] == [warm.qdet(q) for q in QDET_QS]
+    assert warm._qdets is not copy.copy(warm)._qdets
+
+
+def test_the_qdet_memo_keeps_its_bound():
+    spec = Spectrum(np.random.default_rng(31).uniform(0.1, 10.0, 700))
+    qs = np.linspace(-2.0, 3.0, 3 * spectrum._QDETS + 5).tolist()
+    for q in qs + qs[::-1]:
+        assert spec.qdet(q).hex() == _cold_qdet(spec, q).hex()
+        assert 1 <= len(spec._qdets) <= spectrum._QDETS
 
 
 positive_floats = st.floats(min_value=5e-324, max_value=1e300)

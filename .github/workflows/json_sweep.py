@@ -1,7 +1,9 @@
 """Compare the spectrum text readers and writers with their per-value
 routes on seeded eigenvalues, and exit 1 at the first spectrum where one
 differs: spectrum_to_json with json.dumps, byte for byte;
-spectrum_from_json of that text with the spectrum itself; and
+spectrum_to_csv of the values at scale 1, and g17_lines of the negated
+values, with '%.17g\\n' % v for each value, byte for byte;
+spectrum_from_json of the JSON text with the spectrum itself; and
 spectrum_from_csv of the values' repr, one a line, with
 np.array(lines, dtype=float), bit for bit. One value outside the array
 kernel's grammar sends a whole text to the per-line route, so the lines
@@ -25,8 +27,8 @@ import sys
 
 import numpy as np
 
-from qspectra.g17 import read_decimals
-from qspectra.spectrum import Spectrum, spectrum_from_csv, spectrum_from_json, spectrum_to_json
+from qspectra.g17 import g17_lines, read_decimals
+from qspectra.spectrum import Spectrum, spectrum_from_csv, spectrum_from_json, spectrum_to_csv, spectrum_to_json
 
 SPECTRUM = 10**6
 SCALES = (1.0, 1.5, 1e-300)
@@ -63,6 +65,14 @@ def main(total: int) -> int:
             at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), min(len(text), len(expected)))
             print(f"spectrum {k} (law {k % LAWS}): byte {at}: {text[at - 40 : at + 40]!r} against {expected[at - 40 : at + 40]!r}")
             return 1
+        x = spec.eigenvalues  # at scale 1, which no ratio leaves float64 at
+        for what, values, got in (("spectrum_to_csv", x, spectrum_to_csv(Spectrum(x, 1.0))), ("g17_lines", -x, g17_lines(-x))):
+            cells = ["%.17g\n" % v for v in values.tolist()]
+            if got != "".join(cells):
+                at = next((i for i, (a, b) in enumerate(zip(got.splitlines(True), cells)) if a != b), len(cells))
+                print(f"spectrum {k} (law {k % LAWS}): {what}: line {at + 1}: {got.splitlines(True)[at:at + 1]!r} "
+                      f"against {cells[at:at + 1]!r}")
+                return 1
         if spectrum_from_json(text) != spec:
             print(f"spectrum {k} (law {k % LAWS}): spectrum_from_json does not read back the spectrum")
             return 1
@@ -81,8 +91,9 @@ def main(total: int) -> int:
                 return 1
         checked += len(inside)
         done += size
-    print(f"{done} values in {k + 1} spectra: spectrum_to_json is json.dumps byte for byte, "
-          f"and both readers read the texts back bit for bit ({checked} lines by read_decimals alone)")
+    print(f"{done} values in {k + 1} spectra: spectrum_to_json is json.dumps byte for byte, spectrum_to_csv "
+          f"and g17_lines of the negated values are '%.17g' byte for byte, and both readers read the texts "
+          f"back bit for bit ({checked} lines by read_decimals alone)")
     return 0
 
 

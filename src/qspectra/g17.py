@@ -6,7 +6,8 @@ g17_lines, one line per value) and repr(v) for the JSON writer
 (repr_join, the values joined by a separator as json.dumps joins the
 floats of a list). Each is written without a Python call per value where
 the decimal exponent allows it: the digits come from an exact integer
-array, and the layout of each cell from a table keyed by the exponent,
+array, as ASCII in three uint64 words per cell, and each cell is laid out
+by shifts, masks and constant bytes from a table keyed by the exponent,
 the digits left after trailing zeros and the sign. Every other value keeps
 '%.17g' % v or repr(v) itself.
 
@@ -43,63 +44,74 @@ _G17_WIDTH = 24
 _REPR_XMIN = -4
 _REPR_XMAX = 15
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter
-# A source row is these constants, then the 17 digits; a layout lists the
-# source offsets of a cell's bytes, and offset 0 (NUL) pads it.
-_G17_CONSTANTS = b"\0-0.e56"
-# The kernel holds about 360 bytes of temporaries per value, 192 of them the
-# (n, 24) int64 layout index, so it works in blocks of _G17_BLOCK values: in
-# blocks of 2^16 it was no faster and held 22 MB more at its peak.
+# A cell is three little-endian uint64 words. The 17 ASCII digits fill bytes
+# 0..16 of the digit words (the lead digit, then the 4-digit groups at bytes
+# 1, 5, 9 and 13), and a layout row of prefix P (the sign, and '0.000'
+# before small values) takes two copies of them: the left one shifted up by
+# 8P bits for the digits before the point, the right one by 8P + 8 for those
+# after it. Each copy is ANDed with the row's masks and the row's constant
+# bytes are ORed in; every other byte is NUL. A block holds about 200 bytes
+# of temporaries per value (its tracemalloc peak, the digits included), so
+# the kernel works in blocks of _G17_BLOCK values, which stay in L2: on 10^6
+# values, blocks of 2^11 took 12-25% longer, of 2^13 and 2^14 within 5%,
+# and of 2^16 about 20% longer.
 _G17_BLOCK = 1 << 12
+# shift counts as np.uint64: numpy before 2.0 can promote uint64 with an int to float64
+_U8, _U32, _U63 = np.uint64(8), np.uint64(32), np.uint64(63)
 
 
 @functools.cache
 def _layout_table(xmin: int, xmax: int, fraction_zero: bool) -> np.ndarray:
-    """The source offsets of the '%.17g' cells of the exponents xmin..xmax,
-    one row per (X, digits, negative) at ((X - xmin) 17 + digits - 1) 2 +
-    negative, for a value whose 17 digits end in 17 - digits zeros: fixed
-    notation for X >= -4 (every integer digit kept), exponent notation
-    below; trailing fractional zeros dropped, and the point with them when
-    nothing follows it. With fraction_zero, the point stays and a 0
-    follows it: repr's fixed notation, '123.0'. Made on first use, so a
-    process that writes one text builds one table.
+    """The layouts of the '%.17g' cells of the exponents xmin..xmax as a
+    (10, rows) uint64 array, one column per (X, digits, negative) at
+    ((X - xmin) 17 + digits - 1) 2 + negative, for a value whose 17 digits
+    end in 17 - digits zeros: the shift 8P, then the three words of the
+    left copy's mask, of the right copy's mask and of the constant bytes.
+    Fixed notation for X >= -4 (every integer digit kept), exponent
+    notation below; trailing fractional zeros dropped, and the point with
+    them when nothing follows it. With fraction_zero, the point stays and
+    a 0 follows it: repr's fixed notation, '123.0'. Made on first use, so
+    a process that writes one text builds one table.
 
-    Cell byte p (after the sign) of a row with W whole digits is digit k,
-    k = p - (p > W) + min(X, 0), where 0 <= k and (p < W or k < digits), a
-    0 at the other p before the point at W, and after the point the
-    fraction; exponent notation lays out its mantissa as X = 0 does, then
-    'e-0' and the exponent's last digit."""
-    _, minus, zero, point, e, five, six = range(len(_G17_CONSTANTS))
-    row = np.arange((xmax - xmin + 1) * 34, dtype=np.int16)[:, None]
+    The left copy gives the digits at bytes P to the point: one in
+    exponent notation, all of them after '0.000' at X < 0, the X + 1
+    integer digits otherwise; the right copy gives the rest after the
+    point, and exponent notation ends in 'e-0' and the exponent's last
+    digit."""
+    row = np.arange((xmax - xmin + 1) * 34, dtype=np.int16)
     x, digits, negative = xmin + row // 34, row // 2 % 17 + 1, row % 2
-    sci = x < -4
-    xm = np.where(sci, 0, x)  # the exponent the mantissa is laid out at
-    whole = np.maximum(xm, 0) + 1
-    fraction = np.maximum(digits - 1 - xm, fraction_zero & ~sci)
-    end = whole + (fraction > 0) * (fraction + 1)
-    p = np.arange(_G17_WIDTH, dtype=np.int16) - negative
-    k = p - (p > whole) + np.minimum(xm, 0)
-    cells = np.where((k >= 0) & ((p < whole) | (k < digits)), len(_G17_CONSTANTS) + k, zero)
-    cells[p == whole] = point
-    q = p - end  # the exponent's bytes follow the mantissa
-    tail = np.where(q == 3, np.where(x == -5, five, six), np.take([e, minus, zero, 0], q, mode="clip"))
-    cells = np.where(q < 0, cells, tail * sci)
-    cells[p < 0] = minus
-    return cells.astype(np.int64)
+    sci, small = x < -4, (x < 0) & (x >= -4)
+    prefix = negative + small * (1 - x)  # P: the sign, and '0.000' before a small X's digits
+    point = prefix + np.where(sci, 1, np.where(small, digits, x + 1))
+    right = np.maximum(digits + prefix - point, 0)  # the digits after the point
+    end = point + (right > 0) * (right + 1) + (fraction_zero & (x >= 0) & (right == 0)) * 2
+    # byte b of every row at once, as sums of disjoint uint8 terms (np.where is slower)
+    b, u = np.arange(_G17_WIDTH, dtype=np.int16)[:, None], np.uint8
+    q = b - end
+    const = (b < negative) * u(45) + ((b >= negative) & (b < prefix)) * u(48) - (small & (b == negative + 1)) * u(2)
+    const += ((b == point) & (end > point)) * u(46) + ((b > point) & (b < end) & (right == 0)) * u(48)
+    const += sci * ((q == 0) * u(101) + (q == 1) * u(45) + (q == 2) * u(48) + (q == 3) * (48 - x).astype(u))
+    masks = np.stack([(b >= prefix) & (b < point), (b > point) & (b <= point + right)]) * u(255)
+    words = np.concatenate([masks, const[None]]).transpose(0, 2, 1).copy().view("<u8")  # (3, rows, 3)
+    return np.concatenate([8 * prefix[None].astype(np.uint64), words.transpose(0, 2, 1).reshape(9, -1)])
 
 
 @functools.cache
 def _g17_tables():
     """10^k for k = 0..22 with the Veltkamp halves of each; the 4-digit ASCII
-    groups 0000..9999 as little-endian uint32; the trailing zeros of each
-    group (4 for 0000)."""
+    groups 0000..9999 at bytes 1..4 of little-endian uint64 words; the
+    digits up to the last nonzero one of each group at group position
+    k = 0..3 (bytes 1 + 4k of the digit words), as int8: 0 for 0000 (1 at
+    k = 0, for the lead digit)."""
     pow10 = np.array([10.0**k for k in range(_G17_XMAX - _G17_XMIN + 1)])
     c = pow10 * _SPLIT
     pow10_hi = c - (c - pow10)
     g = np.arange(10_000)
-    # the digit of 10^3 is the first byte, the lowest of the little-endian word
-    ascii4 = sum((g // 10**k % 10 + 48) << 8 * (3 - k) for k in range(4)).astype("<u4")
+    # the digit of 10^3 is byte 1, the second lowest of the little-endian word
+    ascii4 = sum((g // 10**k % 10 + 48) << 8 * (4 - k) for k in range(4)).astype("<u8")
     zeros4 = (g % 10 == 0).astype(np.int64) + (g % 100 == 0) + (g % 1000 == 0) + (g == 0)
-    return pow10, pow10_hi, pow10 - pow10_hi, ascii4, zeros4
+    last = np.where(g > 0, 5 - zeros4 + 4 * np.arange(4)[:, None], np.arange(4)[:, None] == 0)
+    return pow10, pow10_hi, pow10 - pow10_hi, ascii4, last.astype(np.int8)
 
 
 def _g17_round(v, ex):
@@ -121,27 +133,44 @@ def _g17_round(v, ex):
     return d, (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
 
 
-def _layout_cells(a, d, ex, xmin, layouts) -> np.ndarray:
-    """The (n, _G17_WIDTH) uint8 cells of the values a from their 17-digit
-    integers d and decimal exponents ex in the range of layouts, whose
-    exponents start at xmin."""
-    ascii4, zeros4 = _g17_tables()[3:5]
-    n = a.size
-    top, low = np.divmod(d, 10**8)
-    lead, mid = np.divmod(top, 10**8)
-    g = (*np.divmod(mid, 10**4), *np.divmod(low, 10**4))
-    src = np.empty((n, 6), dtype="<u4")  # the constants, then the 17 digits
-    src[:, 0] = int.from_bytes(_G17_CONSTANTS[:4], "little")
-    src[:, 1] = int.from_bytes(_G17_CONSTANTS[4:], "little") | (lead.astype("<u4") + 48) << 24
-    for word, group in enumerate(g, start=2):
-        src[:, word] = ascii4[group]
-    zeros = zeros4[g[3]]
-    # a group of 0000 adds its 4 zeros to those of the group before it
-    zeros += (g[3] == 0) * (zeros4[g[2]] + (g[2] == 0) * (zeros4[g[1]] + (g[1] == 0) * zeros4[g[0]]))
-    key = (ex - xmin) * 34 + (16 - zeros) * 2 + (a < 0)
-    index = layouts.take(key, axis=0)
-    index += np.arange(0, n * _G17_WIDTH, _G17_WIDTH)[:, None]
-    return src.view(np.uint8).ravel()[index]
+def _digit_words(d):
+    """(words, digits): the three uint64 digit words of the 17-digit
+    integers d, and the digits of each left after trailing zeros. Each
+    split is a division by a constant and a multiply-subtract."""
+    ascii4, last = _g17_tables()[3:5]
+    top = d // 10**8
+    lead = top // 10**8
+    groups = []
+    for part in (top - lead * 10**8, d - top * 10**8):
+        high = part // 10**4
+        groups += [high, part - high * 10**4]
+    digits = last[0].take(groups[0])
+    for k in (1, 2, 3):
+        np.maximum(digits, last[k].take(groups[k]), out=digits)
+    a = [ascii4.take(group) for group in groups]  # at bytes 1..4: << 32 moves them to 5..8, >> 32 to 0
+    w0 = a[0] | lead.astype(np.uint64) + np.uint64(48) | a[1] << _U32
+    w1 = a[1] >> _U32 | a[2] | a[3] << _U32
+    return (w0, w1, a[3] >> _U32), digits
+
+
+def _layout_cells(words, key, layouts, cells) -> None:
+    """Write into the (n, 3) uint64 cells the digit words laid out at the
+    layout columns key. A copy shifted up by s bits takes x << s from its
+    own word and x >> (64 - s) from the word below, written
+    (x >> 1) >> (63 - s) so that no shift count reaches 64."""
+    shift, *columns = (column.take(key) for column in layouts)
+    back, shift_right = _U63 - shift, shift + _U8
+    back_right = back - _U8
+    for w, word in enumerate(words):
+        left, right = word << shift, word << shift_right
+        if w:
+            left |= carry >> back
+            right |= carry >> back_right
+        carry = word >> np.uint64(1)
+        left &= columns[w]
+        right &= columns[3 + w]
+        left |= right
+        np.bitwise_or(left, columns[6 + w], out=cells[:, w])
 
 
 def _g17_digits(a):
@@ -220,8 +249,11 @@ def _write_block(a, out, style, route) -> None:
     text(v) for the others."""
     _, layout, text = style
     fast, d, ex = route
-    # the rows off the route get any layout here and are overwritten below
-    out[:, :_G17_WIDTH] = _layout_cells(a, d, ex, layout[0], _layout_table(*layout))
+    words, digits = _digit_words(d)
+    key = (ex - layout[0]) * 34 + (digits - 1) * 2 + (a < 0)
+    # the rows off the route get any layout here and are overwritten below; numpy
+    # >= 1.23 views the cells as uint64 in place, since their last axis is contiguous
+    _layout_cells(words, key, _layout_table(*layout), out[:, :_G17_WIDTH].view(np.uint64))
     slow = (~fast).nonzero()[0]
     if slow.size:
         texts = np.array(list(map(text, a[slow].tolist())), dtype=f"S{_G17_WIDTH}")

@@ -238,7 +238,7 @@ def action_variation(spec: FiniteDiag, variation, q: float) -> float:
     deltas = _deltas_for(spec, variation)
     with np.errstate(all="ignore"):
         terms = spec.dimensionless() ** (-q)
-        terms *= deltas / spec.scale
+        terms *= deltas if spec.scale == 1.0 else deltas / spec.scale
     return finite(exact_sum(terms), "action_variation overflows float64 at q = {!r}", q)
 
 

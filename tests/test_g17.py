@@ -175,11 +175,15 @@ def test_repr_array_route_takes_short_values(monkeypatch):
 
 def test_g17_tables_are_the_per_group_construction():
     groups = [b"%04d" % g for g in range(10_000)]
-    ascii4, zeros4 = g17._g17_tables()[3:5]
-    old_ascii4 = np.frombuffer(b"".join(groups), dtype="<u4")
-    old_zeros4 = np.array([4 - len(g.rstrip(b"0")) for g in groups], dtype=np.int64)
-    assert ascii4.dtype == old_ascii4.dtype and np.array_equal(ascii4, old_ascii4)
-    assert zeros4.dtype == old_zeros4.dtype and np.array_equal(zeros4, old_zeros4)
+    ascii4, last = g17._g17_tables()[3:5]
+    old_ascii4 = np.frombuffer(b"".join(groups), dtype="<u4").astype("<u8") << np.uint64(8)
+    old_last = np.array([[4 * k + 1 + len(g.rstrip(b"0")) if g != b"0000" else int(k == 0) for g in groups] for k in range(4)])
+    assert ascii4.dtype == np.dtype("<u8") and np.array_equal(ascii4, old_ascii4)
+    assert last.dtype == np.int8 and np.array_equal(last, old_last)
+
+
+# a layout's source row: these constants, then the 17 digits
+_CONSTANTS = b"\0-0.e56"
 
 
 def _g17_layout(x: int, digits: int, negative: bool, fraction_zero: bool) -> list[int]:
@@ -188,8 +192,8 @@ def _g17_layout(x: int, digits: int, negative: bool, fraction_zero: bool) -> lis
     for x >= -4 (every integer digit kept), exponent notation below;
     trailing fractional zeros dropped, and the point with them when nothing
     follows it. With fraction_zero, the point stays and a 0 follows it."""
-    _, minus, zero, point, e, five, six = range(len(g17._G17_CONSTANTS))
-    d = list(range(len(g17._G17_CONSTANTS), len(g17._G17_CONSTANTS) + 17))
+    _, minus, zero, point, e, five, six = range(len(_CONSTANTS))
+    d = list(range(len(_CONSTANTS), len(_CONSTANTS) + 17))
     if x < -4:
         cells = d[:1] + ([point] + d[1:digits] if digits > 1 else [])
         cells += [e, minus, zero, five if x == -5 else six]
@@ -203,15 +207,44 @@ def _g17_layout(x: int, digits: int, negative: bool, fraction_zero: bool) -> lis
 
 @pytest.mark.parametrize("layout", ((-6, 16, False), (-4, 15, True), (-6, 16, True), (-4, 15, False)))
 def test_layout_table_is_the_per_layout_construction(layout):
+    # every row of the table, applied to one digit string by the kernel, is
+    # the cell the per-layout construction spells from the same digits; no
+    # digit is 0, so a digit byte masked off or one too many shows
     xmin, xmax, fraction_zero = layout
     table = g17._layout_table(*layout)
-    assert table.dtype == np.int64 and table.shape == ((xmax - xmin + 1) * 34, g17._G17_WIDTH)
+    rows = (xmax - xmin + 1) * 34
+    assert table.dtype == np.uint64 and table.shape == (10, rows)
+    digits = b"12345678912345678"
+    words = g17._digit_words(np.full(rows, int(digits)))[0]
+    cells = np.zeros((rows, 3), dtype=np.uint64)
+    g17._layout_cells(words, np.arange(rows), table, cells)
+    source = _CONSTANTS + digits
     for x in range(xmin, xmax + 1):
-        for digits in range(1, 18):
+        for n in range(1, 18):
             for negative in (False, True):
-                cells = _g17_layout(x, digits, negative, fraction_zero)
-                row = table[((x - xmin) * 17 + digits - 1) * 2 + negative].tolist()
-                assert row == cells + [0] * (g17._G17_WIDTH - len(cells)), (x, digits, negative)
+                row = ((x - xmin) * 17 + n - 1) * 2 + negative
+                cell = bytes(source[k] for k in _g17_layout(x, n, negative, fraction_zero))
+                assert cells[row].tobytes() == cell.ljust(g17._G17_WIDTH, b"\0"), (x, n, negative)
+
+
+def test_cells_at_the_width_edge_and_every_prefix():
+    # the longest cells of the array routes, and every prefix P = 0..6 (the
+    # sign, and '0.000' before the digits) of their layouts, both signs
+    x = np.array([1.2345678901234567 * 10.0**k for k in range(-6, 17)] + [0.00012345678901234567, 1.2345678901234567e-05])
+    x = np.concatenate([x, -x])
+    short = _digits(x[(np.abs(x) >= 1e-4) & (np.abs(x) < 1e16)], 15)  # repr's exponents, -4 .. 15
+    for fast, text, values in ((g17._g17_digits, "%.17g".__mod__, x), (g17._repr_digits, repr, short)):
+        assert fast(values)[0].all()
+        texts = list(map(text, values.tolist()))
+        assert {len(t) - len(t.lstrip("-0.")) for t in texts} == set(range(7))
+        assert max(map(len, texts)) == (21 if text is repr else 23)
+    # 23 bytes and a NUL: the two longest '%.17g' layouts, fixed and exponent
+    assert g17_lines([-0.00012345678901234567, -1.2345678901234567e-05]) == "-0.00012345678901234567\n-1.2345678901234568e-05\n"
+    assert repr_join([-0.000123456789012345], "") == "-0.000123456789012345"
+    _assert_g17(x)
+    _assert_g17(x, "")
+    _assert_repr(short)
+    _assert_repr(short, "")
 
 
 # read_decimals: tokens I.F joined by a separator, each value what float()

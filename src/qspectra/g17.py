@@ -253,7 +253,7 @@ def _write_block(a, out, style, route) -> None:
     key = (ex - layout[0]) * 34 + (digits - 1) * 2 + (a < 0)
     # the rows off the route get any layout here and are overwritten below; numpy
     # >= 1.23 views the cells as uint64 in place, since their last axis is contiguous
-    _layout_cells(words, key, _layout_table(*layout), out[:, :_G17_WIDTH].view(np.uint64))
+    _layout_cells(words, key, _layout_table(*layout), out[:, :_G17_WIDTH].view("<u8"))
     slow = (~fast).nonzero()[0]
     if slow.size:
         texts = np.array(list(map(text, a[slow].tolist())), dtype=f"S{_G17_WIDTH}")

@@ -231,7 +231,7 @@ def _ln_q_of_log(t, q: float, out=None) -> np.ndarray:
 # extraction passes; what they leave, and their sums, go into the buckets.
 # Each bucketed entry adds one integer below 2^27 and one below 2^26 into
 # float64 buckets, which stay exact while they take at most _FLUSH input
-# entries plus _PASSES sums per block (3 (2^25 + 5 2^9) 2^26 < 2^53). frexp
+# entries plus _PASSES sums per block (3 (2^25 + 3 2^9) 2^26 < 2^53). frexp
 # exponents run from -1073 (the smallest subnormal) to 1024; bucket k weighs
 # 2^(k + _EXP_MIN - 53). A block takes the passes while its largest |entry|,
 # and then the residual's bound, is normal and below _HUGE, where
@@ -239,7 +239,7 @@ def _ln_q_of_log(t, q: float, out=None) -> np.ndarray:
 _SMALL = 1 << 9
 _BLOCK = 1 << 16
 _FLUSH = 1 << 25
-_PASSES = 5
+_PASSES = 3
 _EXP_MIN = -1073
 _BUCKETS = 1024 - _EXP_MIN + 1
 _TINY = 2.0**-1022

@@ -1,7 +1,10 @@
 """Compare qalgebra.exact_sum with math.fsum on seeded arrays, bit for bit
 (the sign of a zero included), and exit 1 at the first array where they
 differ. Each array is summed twice: as exact_sum is called, and with its
-extraction passes off (_PASSES = 0), the bucket stage alone.
+extraction passes off (_PASSES = 0), the bucket stage alone. The sweep
+counts the route that rounded each array as called: math.fsum of the
+pass sums, where every block finished in the passes, or the buckets,
+where np.bincount ran with the passes on. It exits 1 unless both occur.
 
 The arrays take sizes in turn from 513 (just above the math.fsum
 shortcut) to 10^6, around the block of 2^16 entries among them, and
@@ -19,6 +22,7 @@ log-uniform eigenvalues at three scales, each over 50 q (some repeated).
 Usage: PYTHONPATH=src python exact_sum_sweep.py [VALUES]   (default: 10000000)
 """
 
+import collections
 import math
 import sys
 from unittest import mock
@@ -71,6 +75,7 @@ def determinants(size: int = 10**6) -> int:
 
 def main(total: int) -> int:
     done = k = 0
+    routes = collections.Counter()
     while done < total:
         size = min(SIZES[k % len(SIZES)], total - done)
         kind, scale = LAWS[k % len(LAWS)], SCALES[k % len(SCALES)]
@@ -78,14 +83,21 @@ def main(total: int) -> int:
         expected = math.fsum(x.tolist())
         with mock.patch.object(qalgebra, "_PASSES", 0):
             buckets = exact_sum(x)
-        for what, got in (("exact_sum", exact_sum(x)), ("the buckets alone", buckets)):
-            if not same(got, expected):
-                print(f"array {k} ({kind}, {size} terms, scale {scale!r}): {what} gives {got!r}, math.fsum {expected!r}")
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+            got = exact_sum(x)
+        routes["the buckets" if bincount.called else "math.fsum of the pass sums"] += 1
+        for what, value in (("exact_sum", got), ("the buckets alone", buckets)):
+            if not same(value, expected):
+                print(f"array {k} ({kind}, {size} terms, scale {scale!r}): {what} gives {value!r}, math.fsum {expected!r}")
                 return 1
         done += size
         k += 1
     print(f"{done} values in {k} arrays: exact_sum, with and without its extraction passes, "
           f"is math.fsum bit for bit")
+    print("rounded by: " + ", ".join(f"{route} {count}" for route, count in sorted(routes.items())))
+    if len(routes) < 2:
+        print("exact_sum took one route only; the sweep must reach both")
+        return 1
     return determinants()
 
 

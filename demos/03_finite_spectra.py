@@ -13,7 +13,6 @@ import numpy as np
 from qspectra import (
     Spectrum,
     action_variation,
-    effective_action,
     power_transform,
     q_det,
     q_logdet,
@@ -58,8 +57,6 @@ def main() -> None:
     inv = power_transform(spec, -1.0)
     print(f"  inversion duality: Gamma_0.6[A] = {q_logdet(spec, 0.6):+.10f}")
     print(f"                    -Gamma_1.4[A^-1] = {-q_logdet(inv, 1.4):+.10f}")
-
-    print(f"\n  effective_action is the same map: {effective_action(spec, 0.6):+.10f}")
 
 
 if __name__ == "__main__":

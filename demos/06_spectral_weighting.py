@@ -6,7 +6,7 @@ larger q amplifies, above it larger q suppresses. The flow derivative
 applies the same weight to a whole spectrum moving under a flow.
 """
 
-from qspectra import Spectrum, flow_derivative, spectral_weight
+from qspectra import Spectrum, action_variation, spectral_weight
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
     spec = Spectrum((0.2, 1.0, 5.0), scale=1.0)
     rates = (0.1, 0.1, 0.1)  # uniform drift of all eigenvalues
     for q in qs:
-        print(f"  q = {q:3}: dGamma/dt = {flow_derivative(spec, rates, q):+.8f}")
+        print(f"  q = {q:3}: dGamma/dt = {action_variation(spec, rates, q):+.8f}")
     print("  small eigenvalues dominate once q > 0: the 0.2 mode carries")
     print(f"  weight {spectral_weight(0.2, 2.0):.1f} at q = 2, the 5.0 mode only "
           f"{spectral_weight(5.0, 2.0):.3f}")
@@ -33,7 +33,7 @@ def main() -> None:
     print("\n= the q = 1 row is the ordinary d(log det) =")
     classical = sum(r / lam for lam, r in zip(spec.eigenvalues, rates))
     print(f"  sum rate/lambda = {classical:.8f}")
-    print(f"  flow_derivative = {flow_derivative(spec, rates, 1.0):.8f}")
+    print(f"  action_variation = {action_variation(spec, rates, 1.0):.8f}")
 
 
 if __name__ == "__main__":

@@ -117,7 +117,11 @@ def _g17_tables():
 def _g17_round(v, ex):
     """(D, below): D = v 10^(16 - ex) rounded half to even, as int64, and
     whether the exact product is below 10^16. hi + lo is the product
-    exactly (Dekker), hi is an integer once it is >= 2^53 and |lo| <= 8."""
+    exactly (Dekker), with |lo| <= 8. Where the product is at least
+    10^16 > 2^53, hi is a double above 2^53 and so an even integer; then
+    hi + rint(lo), rint rounding half to even, is hi + lo rounded half to
+    even: at lo = k + 1/2 both pick the even one of hi + k and hi + k + 1.
+    Rows below 10^16 are redone at ex - 1 by the caller."""
     pow10, pow10_hi, pow10_lo = _g17_tables()[:3]
     k = 16 - ex
     b_hi, b_lo = pow10_hi[k], pow10_lo[k]
@@ -126,10 +130,8 @@ def _g17_round(v, ex):
     v_hi = c - (c - v)
     v_lo = v - v_hi
     lo = ((v_hi * b_hi - hi) + v_hi * b_lo + v_lo * b_hi) + v_lo * b_lo
-    whole = np.floor(lo)
-    rest = lo - whole
-    d = hi.astype(np.int64) + whole.astype(np.int64)
-    d += (rest > 0.5) | ((rest == 0.5) & (d & 1 == 1))
+    d = hi.astype(np.int64)
+    d += np.rint(lo).astype(np.int64)
     return d, (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
 
 
@@ -173,16 +175,24 @@ def _layout_cells(words, key, layouts, cells) -> None:
         np.bitwise_or(left, columns[6 + w], out=cells[:, w])
 
 
+def _exponents(a, xmin: int, xmax: int):
+    """(fast, v, X): whether X = floor(log10 |a|) of each value of a, one
+    off next to a power of ten, is in [xmin, xmax], and there |a| and X;
+    elsewhere 1.0 and 0. Where every X is in the window, v is |a| itself."""
+    mag = np.abs(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ex0 = np.floor(np.log10(mag))
+    fast = (ex0 >= xmin) & (ex0 <= xmax)
+    if fast.all():
+        return fast, mag, ex0.astype(np.int64)
+    return fast, np.where(fast, mag, 1.0), np.where(fast, ex0, 0.0).astype(np.int64)
+
+
 def _g17_digits(a):
     """(fast, D, X): whether each value of a takes the '%.17g' array route,
     and there its 17-digit integer D and decimal exponent X. Off the route
     X is still an exponent of the layouts, so that every row has one."""
-    mag = np.abs(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ex0 = np.floor(np.log10(mag))  # X, or one off next to a power of ten
-    fast = (ex0 >= _G17_XMIN) & (ex0 <= _G17_XMAX)
-    v = np.where(fast, mag, 1.0)
-    ex = np.where(fast, ex0, 0.0).astype(np.int64)
+    fast, v, ex = _exponents(a, _G17_XMIN, _G17_XMAX)
     d, below = _g17_round(v, ex)
     up = d >= 10**17  # 10^17 after rounding is 10^16 at X + 1
     rows = (up | below).nonzero()[0]
@@ -224,12 +234,7 @@ def _repr_digits(a):
     next to a power of ten whose floor(log10) is one off.
     """
     pow10 = _g17_tables()[0]
-    mag = np.abs(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ex0 = np.floor(np.log10(mag))
-    fast = (ex0 >= _REPR_XMIN) & (ex0 <= _REPR_XMAX)
-    v = np.where(fast, mag, 1.0)
-    ex = np.where(fast, ex0, 0.0).astype(np.int64)
+    fast, v, ex = _exponents(a, _REPR_XMIN, _REPR_XMAX)
     k = 14 - ex  # in [-1, 18]
     p = pow10[np.abs(k)]
     d = np.rint(np.where(k < 0, v / p, v * p))
@@ -318,31 +323,36 @@ def repr_join(x, sep: str) -> str:
 # separator: in one block, the 2.3 MB text of 208,057 lines read in 36 ms
 # against 16 ms, for the fresh pages of its temporaries.
 _READ_BLOCK = 1 << 16
-# the top k bytes of a little-endian word, k = 0..8, and '0' in each of them
+# the top k bytes of a little-endian word, k = 0..8
 _TOP = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)
-_ASCII_ZEROS = _TOP & np.uint64(0x3030303030303030)
+_ASCII_ZERO = np.uint64(0x3030303030303030)
 _POW10_INT = 10 ** np.arange(9, dtype=np.int64)
 _POW10_FLOAT = _POW10_INT.astype(float)
-# (multiplier, shift, mask) of the three SWAR steps: pairs of digits, then
-# groups of four, then eight; np.uint64 scalars throughout, since numpy
-# before 2.0 can promote uint64 with a Python int to float64
-_SWAR = tuple(
-    (np.uint64(10**k), np.uint64(8 * k), np.uint64(mask))
-    for k, mask in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0x00000000FFFFFFFF))
+# (multiplier 10^k 2^(8k) + 1, shift 8k, mask) of the three SWAR steps: pairs
+# of digits, then groups of four, then eight, whose shift by 32 leaves nothing
+# to mask; np.uint64 scalars throughout, since numpy before 2.0 can promote
+# uint64 with a Python int to float64
+_SWAR = (
+    (np.uint64(10 << 8 | 1), np.uint64(8), np.uint64(0x00FF00FF00FF00FF)),
+    (np.uint64(100 << 16 | 1), np.uint64(16), np.uint64(0x0000FFFF0000FFFF)),
+    (np.uint64(10_000 << 32 | 1), np.uint64(32), None),
 )
 
 
 def _eight_digits(x: np.ndarray) -> np.ndarray:
     """The integers of uint64 words that hold 8 digits 0..9, one a byte,
-    the first (most significant) in the lowest byte: each step joins
-    neighbouring groups as high 10^k + low in one multiply-add and masks
-    off the rest (Lemire, Softw. Pract. Exp. 51(8), 2021). No lane
-    carries into the next: 99, 9999 and 99999999 fit in 8, 16 and 32 bits."""
+    the first (most significant) in the lowest byte, in place. Step k
+    multiplies by 10^k 2^(8k) + 1, which adds 10^k times each group of 8k
+    bits into the group above it; the shift by 8k brings that sum,
+    high 10^k + low, down to the place of the high group, and the mask
+    clears the group above it (Lemire, Softw. Pract. Exp. 51(8), 2021).
+    No lane carries into the next: 99, 9999 and 99999999 fit in 8, 16 and
+    32 bits, and what the multiply pushes past bit 63 is never kept."""
     for mul, shift, mask in _SWAR:
-        low = x >> shift
         x *= mul
-        x += low
-        x &= mask
+        x >>= shift
+        if mask is not None:
+            x &= mask
     return x
 
 
@@ -361,21 +371,26 @@ def _read_block(buf: np.ndarray, size: int, sep: bytes, strict: bool):
     start = np.append(0, p[len(sep) :: period] + 1)
     whole = point - start
     frac = end - point - 1
-    if (start[1:] - end[:-1] != len(sep)).any() or max(whole.max(), frac.max()) > 8 or (whole + frac).min() == 0:
+    # start and end come from the same separator bytes: one byte apart for a
+    # one-byte sep, and len(sep) apart for a longer one only where no other
+    # byte is between its bytes
+    if len(sep) > 1 and (start[1:] - end[:-1] != len(sep)).any():
+        return None
+    if max(whole.max(), frac.max()) > 8 or (whole + frac).min() == 0:
         return None
     if strict and (min(whole.min(), frac.min()) == 0 or ((whole > 1) & (b[start] == 48)).any()):
         return None
     # word i of buf is its bytes i .. i + 7: the 8 bytes that end at byte i of b
     words = np.ndarray((size + 1,), dtype="<u8", buffer=buf, strides=(1,))
     lengths = np.concatenate((whole, frac))
-    x = words[np.concatenate((point, end))]
-    x &= _TOP[lengths]
-    x -= _ASCII_ZEROS[lengths]  # no borrow: the bytes left are digits
+    x = words.take(np.concatenate((point, end)))
+    x ^= _ASCII_ZERO  # a digit byte '0'..'9' becomes 0..9
+    x &= _TOP.take(lengths)
     x = _eight_digits(x).view(np.int64)
-    d = x[:n] * _POW10_INT[frac] + x[n:]
+    d = x[:n] * _POW10_INT.take(frac) + x[n:]
     if d.max() > 2**53:
         return None
-    return d / _POW10_FLOAT[frac]
+    return d / _POW10_FLOAT.take(frac)
 
 
 def read_decimals(text: str, sep: str, start: int, end: int, strict: bool):

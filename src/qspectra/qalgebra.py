@@ -270,6 +270,13 @@ def exact_sum(x) -> float:
     subnormal residual under a normal bound still passes exactly: the
     rounding error of an addition is always representable.
 
+    Where every block finished in the passes, the pass sums are doubles
+    whose exact sum is that of x, so their math.fsum is the value. The
+    buckets take every other input: one with a bucketed block, with more
+    than _FLUSH entries, or with zeros only (no pass runs on a zero block,
+    and fsum of x picks the sign), and one where that fsum raises
+    OverflowError.
+
     In the buckets, each entry m 2^e (np.frexp) is split into two integers
     below 2^27, hi 2^(e-26) + lo 2^(e-53), and bincount adds them into
     float64 buckets, one per power of two; the pass sums go in the same
@@ -323,6 +330,9 @@ def exact_sum(x) -> float:
                     sums.append(t.sum())
                     e += bits - 53
                     top = 2.0**e  # the pass's bound on the residual
+            if passes and sums and chunk.size == arr.size:  # every block finished in the passes
+                with contextlib.suppress(OverflowError):  # else the buckets decide
+                    return math.fsum(sums)
             bucket(np.array(sums))
             if not math.isfinite(acc.sum()):  # a non-finite entry decides alone
                 return float(arr[~np.isfinite(arr)].sum())

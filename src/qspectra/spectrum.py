@@ -32,19 +32,15 @@ from .g17 import g17_lines, read_decimals, repr_join
 from .qalgebra import ClampedValue, _classical, _ln_q_of_log, exact_sum, q_exp
 from .zeta import _decode_json, _model_fields, relative_qdet_zeta, theta_covariance_zeta
 
-# A function alias is listed before its target, so a tool that labels a
-# function by its last name in __all__ (the benchmark's tracer does) uses the
-# target's. Spectrum, the finite operator's name from before it was one class
-# with FiniteDiag, stays exported so that code written against it keeps working.
+# Spectrum, the finite operator's name from before it was one class with
+# FiniteDiag, stays exported so that code written against it keeps working.
 __all__ = [
     "FiniteDiag",
     "Spectrum",
     "concatenate",
-    "effective_action",
     "q_logdet",
     "q_det",
     "relative_q_logdet",
-    "flow_derivative",
     "action_variation",
     "power_transform",
     "theta_covariance_residual",
@@ -64,7 +60,11 @@ class FiniteDiag:
 
     The eigenvalues are held as one read-only float64 array, copied from
     the input, so changing the caller's array later leaves the operator
-    alone. Equality and hash follow the scale and the eigenvalue values.
+    alone. The library's own constructions (the text readers,
+    power_transform and concatenate) hand over the new array they built
+    for the operator instead, which it keeps without a copy, after the
+    same checks. Equality and hash follow the scale and the eigenvalue
+    values.
 
     This is the finite_diag zeta model and the one finite spectrum class;
     Spectrum is a second name for it. Its zeta function
@@ -75,10 +75,11 @@ class FiniteDiag:
     band, zeta.qdet_zeta and jet0 at the exact q. Where a ratio leaves
     float64 every one of them refuses with DomainError.
 
-    qdet keeps what does not depend on q on the operator: the logs
-    ln(lambda_k / mu) from its first call, a read-only array of 8 bytes
-    per eigenvalue for the operator's lifetime, and the sum at each q it
-    took, at most _QDETS of them. Neither is a field: equality, hash,
+    The operator keeps what does not depend on q: at a scale other than 1
+    the ratios lambda_k / mu, divided on first use; the logs
+    ln(lambda_k / mu) from qdet's first call; each a read-only array of
+    8 bytes per eigenvalue for the operator's lifetime; and the sum at each
+    q qdet took, at most _QDETS of them. None is a field: equality, hash,
     repr and the JSON form ignore them, and a copy or a pickle starts
     without them.
     """
@@ -91,25 +92,44 @@ class FiniteDiag:
     _fields = ("eigenvalues", "scale")
     kind: ClassVar[str] = "finite_diag"
     pole: ClassVar[None] = None
+    # the ratios at a scale other than 1 once dimensionless divided them; an
+    # operator without them, a pickle of any version included, reads None here
+    _ratios = None
 
     def __post_init__(self) -> None:
         arr = finite_vector("eigenvalues", self.eigenvalues)
         if arr is self.eigenvalues or not arr.flags.owndata:
             arr = arr.copy()
+        self._hold(arr, self.scale)
+
+    @classmethod
+    def _owning(cls, eigenvalues, scale: float = 1.0) -> FiniteDiag:
+        """FiniteDiag(eigenvalues, scale) for a new array that the caller
+        built for the operator and holds nowhere else: the same checks, and
+        the array is kept, not copied."""
+        spec = object.__new__(cls)
+        spec._hold(finite_vector("eigenvalues", eigenvalues), scale)
+        return spec
+
+    def _hold(self, arr: np.ndarray, scale: float) -> None:
+        """Check the eigenvalues arr (finite already) and the scale, and
+        keep arr, made read-only, as the operator's eigenvalues."""
         lo, hi = arr.min().item(), arr.max().item()
         if not lo > 0.0:
             first = int(np.argmin(arr > 0.0))
             positive_real(f"eigenvalue {first}", arr[first].item())
         arr.flags.writeable = False
         object.__setattr__(self, "eigenvalues", arr)
-        object.__setattr__(self, "scale", positive_real("scale", self.scale))
+        object.__setattr__(self, "scale", positive_real("scale", scale))
         # not fields, so equality, repr and the JSON form ignore them
         object.__setattr__(self, "_extremes", (lo, hi))
         object.__setattr__(self, "_logs", None)
         object.__setattr__(self, "_qdets", {})
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "_logs": None, "_qdets": {}}
+        state = {**self.__dict__, "_logs": None, "_qdets": {}}
+        state.pop("_ratios", None)
+        return state
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -127,15 +147,18 @@ class FiniteDiag:
         if a ratio overflows or rounds to 0. The ratio is monotone in lambda,
         so the smallest and the largest eigenvalue decide. At scale 1 the
         ratios are the eigenvalues themselves (x / 1 is exact), and the
-        stored array is returned."""
+        stored array is returned; at any other scale they are divided on
+        the first call and kept. A DomainError is raised on every call."""
         if self.scale == 1.0:
             return self.eigenvalues
-        lo, hi = self._extremes
-        if not (lo / self.scale > 0.0 and hi / self.scale < np.inf):
-            raise DomainError(f"a ratio lambda / scale leaves float64 at scale = {self.scale!r}")
-        ratios = self.eigenvalues / self.scale
-        ratios.flags.writeable = False
-        return ratios
+        if self._ratios is None:
+            lo, hi = self._extremes
+            if not (lo / self.scale > 0.0 and hi / self.scale < np.inf):
+                raise DomainError(f"a ratio lambda / scale leaves float64 at scale = {self.scale!r}")
+            ratios = self.eigenvalues / self.scale
+            ratios.flags.writeable = False
+            object.__setattr__(self, "_ratios", ratios)
+        return self._ratios
 
     def zeta(self, s: float) -> float:
         """Bare zeta sum_k lambda_k^(-s) of the raw eigenvalues, exactly
@@ -195,11 +218,12 @@ def concatenate(*specs: FiniteDiag) -> FiniteDiag:
     """
     if not specs:
         raise DomainError("concatenate needs at least one spectrum")
-    return FiniteDiag(np.concatenate([s.dimensionless() for s in specs]), 1.0)
+    return FiniteDiag._owning(np.concatenate([s.dimensionless() for s in specs]))
 
 
 def q_logdet(spec: FiniteDiag, q: float) -> float:
-    """Deformed log-determinant sum_k ln_q(lambda_k / scale).
+    """Deformed log-determinant sum_k ln_q(lambda_k / scale): the
+    finite-difference effective action Gamma_q[A] of the operator.
 
     Each term goes through the stabilised q_log kernel and the terms are
     summed exactly, with one rounding at the end (the same bits as
@@ -231,8 +255,9 @@ def action_variation(spec: FiniteDiag, variation, q: float) -> float:
 
     This is the exact directional derivative of q_logdet with respect to
     the raw eigenvalues; the deformation enters only through the spectral
-    weight (lambda/mu)^(-q). The sum is exactly rounded; a value beyond
-    float64 raises DomainError.
+    weight (lambda/mu)^(-q). For eigenvalues flowing with rates
+    dlambda_k/dtau it is the flow derivative d Gamma_q / d tau. The sum is
+    exactly rounded; a value beyond float64 raises DomainError.
     """
     q = finite_real("deformation index", q)
     deltas = _deltas_for(spec, variation)
@@ -242,11 +267,6 @@ def action_variation(spec: FiniteDiag, variation, q: float) -> float:
     return finite(exact_sum(terms), "action_variation overflows float64 at q = {!r}", q)
 
 
-# The finite-difference effective action Gamma_q[A] is q_logdet under its
-# field-theory reading; d Gamma_q / d tau for eigenvalues flowing with rates
-# dlambda_k/dtau is the same contraction as action_variation.
-effective_action = q_logdet
-flow_derivative = action_variation
 # The relative determinant and the theta-covariance residual of a finite
 # operator are those of its zeta model, taken at the exact q.
 relative_q_logdet = relative_qdet_zeta
@@ -264,9 +284,10 @@ def power_transform(spec: FiniteDiag, theta: float) -> FiniteDiag:
     th = nonzero_real("theta", theta)
     with np.errstate(all="ignore"):
         eigs = spec.dimensionless() ** th
-    if not (np.isfinite(eigs) & (eigs > 0.0)).all():
-        raise DomainError(f"the power map A^theta leaves float64 at theta = {th!r}")
-    return FiniteDiag(eigs, 1.0)
+    try:
+        return FiniteDiag._owning(eigs)
+    except DomainError:  # an eigenvalue went to inf or to 0
+        raise DomainError(f"the power map A^theta leaves float64 at theta = {th!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +353,7 @@ def spectrum_from_json(text: str) -> FiniteDiag:
     cls, fields = _model_fields({"kind": "finite_diag", **obj})
     if values is not None:
         fields["eigenvalues"] = values
-    return cls(**fields)
+    return cls._owning(**fields)  # json.loads' list or read_decimals' array, both new
 
 
 def spectrum_to_csv(spec: FiniteDiag) -> str:
@@ -357,7 +378,7 @@ def spectrum_from_csv(text: str) -> FiniteDiag:
     digits of spectrum_to_csv's own for one, is read line by line."""
     values = read_decimals(text, "\n", 0, len(text) - text.endswith("\n"), strict=False)
     if values is not None:
-        return FiniteDiag(values, 1.0)
+        return FiniteDiag._owning(values)
     lines = text.splitlines()
     try:
         values = np.array(lines, dtype=float)  # fails on a blank or bad line
@@ -371,4 +392,4 @@ def spectrum_from_csv(text: str) -> FiniteDiag:
                 values.append(float(entry))
             except ValueError as exc:
                 raise DomainError(f"line {lineno}: not a number: {entry!r}") from exc
-    return FiniteDiag(values, 1.0)
+    return FiniteDiag._owning(values)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +70,24 @@ def test_g17_exact_ties_round_half_to_even():
     j = np.arange(2**17 + 1, 10 * 2**17, 2, dtype=float)
     _assert_g17(j / 2**17)
     assert g17_lines([1.0000076293945312]) == "1.0000076293945312\n"
+    # and v 10^(16 - X) for v = j 2^(X - 17) at the other exponents; above
+    # 2^53 its Dekker remainder lo = P - fl(P) is k + 1/2, and every k in
+    # [-8, 7] occurs where the ulp of P is 16
+    rng = np.random.default_rng(34)
+    values, remainders = [], set()
+    for x in range(-6, 15):
+        low, high = math.ceil(10**x * 2 ** (17 - x)), math.ceil(10 ** (x + 1) * 2 ** (17 - x))
+        j = rng.integers(low // 2, high // 2, 20_000) * 2 + 1
+        v = np.ldexp(j.astype(float), x - 17)
+        values.append(v)
+        for jj, vv in zip(j[:2000].tolist(), v[:2000].tolist()):
+            hi = vv * 10.0 ** (16 - x)
+            if hi >= 1e16:
+                remainders.add(Fraction(jj * 10 ** (16 - x), 2 ** (17 - x)) - Fraction(hi))
+    assert {Fraction(2 * k + 1, 2) for k in range(-8, 8)} <= remainders
+    x = np.concatenate(values)
+    assert g17._g17_digits(x)[0].mean() > 0.99
+    _assert_g17(np.concatenate([x, -x]))
 
 
 G17_BLOCK = g17._G17_BLOCK
@@ -278,6 +297,30 @@ def test_read_decimals_six_decimal_texts():
         _assert_read(tokens, ", ", strict=True)
 
 
+def test_read_decimals_every_digit_count_and_digit_place():
+    # I.F with 0..8 digits on each side (not both none), each digit 0..9 at
+    # each place, the other digits seeded; a 16-digit token starts below 9,
+    # or is 9 and zeros, so that every token stays at most 2^53
+    rng = np.random.default_rng(34)
+    tokens = []
+    for whole in range(9):
+        for frac in range(9):
+            n = whole + frac
+            for place in range(n):
+                for digit in range(10):
+                    digits = rng.integers(0, 10, n)
+                    if n == 16:
+                        digits[0] = rng.integers(0, 9)
+                    digits[place] = digit
+                    if n == 16 and digits[0] == 9:
+                        digits[1:] = 0
+                    text = "".join(map(str, digits.tolist()))
+                    tokens.append(f"{text[:whole]}.{text[whole:]}")
+    assert len(tokens) == 6480
+    _assert_read(tokens)
+    _assert_read(tokens[::-1])
+
+
 def test_read_decimals_needs_the_gate_at_two_to_the_53():
     # a 16-digit token whose digits D exceed 2^53 would round before the
     # division: '90071992.54740993' would read as 90071992.54740992
@@ -329,7 +372,8 @@ def test_read_decimals_needs_the_gate_at_two_to_the_53():
         ("1.5,2.5", ", ", True),
         ("1.5, 2.5, ", ", ", True),
         ("1.5,  2.5", ", ", True),
-        ("1.5,3 2.5", ", ", True),
+        ("1.5,3 2.5", ", ", True),  # a digit inside the separator
+        ("1.5, 2.5, 0.5,3 2.5", ", ", False),
         ("", "\n", False),
     ),
 )

@@ -447,6 +447,42 @@ def test_exact_sum_extraction_edges():
     assert all(math.isnan(got) for got in _both_paths(x))
 
 
+def _rounded(x) -> tuple[float, str]:
+    """exact_sum(x) and the route that rounded it: "fsum", math.fsum of the
+    pass sums, or "buckets", where np.bincount ran."""
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+        value = exact_sum(x)
+    return value, "buckets" if bincount.called else "fsum"
+
+
+def test_exact_sum_rounds_the_pass_sums_with_fsum():
+    logs = _law(11, "log", 3 * BLOCK + 5)
+    zeros = np.zeros(BLOCK)
+    # pass sums 1, 2^-53, 2^-53: added in order they round to 1
+    ulps = np.zeros(3 * BLOCK)
+    ulps[0], ulps[BLOCK], ulps[2 * BLOCK] = 1.0, 2.0**-53, 2.0**-53
+    below = np.nextafter(qalgebra._HUGE, 0.0)
+    for x, route in (
+        (logs, "fsum"),
+        (ulps, "fsum"),
+        (np.concatenate([logs, -logs[::-1]]), "fsum"),  # cancels to 0
+        (np.concatenate([logs, -logs[::-1], -zeros]), "fsum"),
+        (np.concatenate([logs[:BLOCK], zeros, logs[BLOCK:]]), "fsum"),  # a zero block among others
+        (np.concatenate([logs[:BLOCK], -zeros, logs[BLOCK:]]), "fsum"),
+        (np.zeros(BLOCK + 1), "buckets"),  # zeros only: fsum of x picks the sign
+        (-np.zeros(BLOCK + 1), "buckets"),
+        (np.full(5 * BLOCK, below), "buckets"),  # fsum of the pass sums overflows
+        (-np.full(5 * BLOCK, below), "buckets"),
+    ):
+        value, taken = _rounded(x)
+        try:
+            expected = math.fsum(x.tolist())
+        except OverflowError:
+            expected = math.copysign(math.inf, x[0])
+        assert taken == route and _same_float(value, expected), (taken, value, expected)
+    assert _rounded(ulps)[0] == 1.0 + 2.0**-52
+
+
 def test_exact_sum_later_passes_take_the_first_pass_bound():
     # max 1 in a block of 2^16: sigma = 2^18, and a residual is at most
     # 2^-35, which the second pass takes for max |r| without a reduction

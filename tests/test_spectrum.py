@@ -17,8 +17,6 @@ from qspectra.spectrum import (
     Spectrum,
     action_variation,
     concatenate,
-    effective_action,
-    flow_derivative,
     power_transform,
     q_det,
     q_logdet,
@@ -95,11 +93,6 @@ def test_q_det_classical_and_clamped():
     assert res.value == 0.0 and res.clamped
 
 
-def test_effective_action_is_q_logdet():
-    spec = Spectrum((1.5, 2.5, 3.5))
-    assert effective_action(spec, 1.3) == q_logdet(spec, 1.3)
-
-
 def test_concatenate_folds_scales():
     a = Spectrum((2.0, 4.0), scale=2.0)
     b = Spectrum((3.0,), scale=1.0)
@@ -156,7 +149,7 @@ def test_non_finite_perturbations_are_refused():
             with pytest.raises(DomainError, match="variation entry"):
                 action_variation(spec, deltas, 0.5)
             with pytest.raises(DomainError, match="variation entry"):
-                flow_derivative(spec, deltas, 1.5)
+                action_variation(spec, deltas, 1.5)
 
 
 def test_non_finite_theta_is_refused_with_a_theta_message():
@@ -182,13 +175,6 @@ def test_action_variation_respects_scale():
         assert action_variation(spec, deltas, q) == pytest.approx(
             action_variation(folded, folded_deltas, q), rel=1e-13
         )
-
-
-def test_flow_derivative_alias():
-    spec = Spectrum((1.0, 3.0))
-    assert flow_derivative(spec, (0.2, 0.1), 1.2) == action_variation(
-        spec, (0.2, 0.1), 1.2
-    )
 
 
 def test_power_transform():
@@ -515,6 +501,42 @@ def test_the_callers_array_is_copied_not_aliased():
     assert values.flags.writeable
 
 
+def test_the_library_hands_its_new_arrays_over_without_a_copy(monkeypatch):
+    rng = np.random.default_rng(37)
+    values = np.round(rng.uniform(0.05, 50.0, 3000), 6)
+    read = []
+
+    def reading(*args, **kwargs):
+        read.append(g17_read_decimals(*args, **kwargs))
+        return read[-1]
+
+    g17_read_decimals = spectrum.read_decimals
+    monkeypatch.setattr(spectrum, "read_decimals", reading)
+    csv_text = "\n".join(map(repr, values.tolist()))
+    json_text = json.dumps({"eigenvalues": values.tolist(), "scale": 1.5})
+    for reader, text in ((spectrum_from_csv, csv_text), (spectrum_from_json, json_text)):
+        # the reader's array is the operator's, now read-only
+        spec = reader(text)
+        assert spec.eigenvalues is read.pop() and not spec.eigenvalues.flags.writeable
+        assert spec.eigenvalues.tolist() == values.tolist()
+    spec = Spectrum(values, 2.0)
+    # the CSV readers' other routes: np.array of 17-digit lines, and a line by line list
+    texts = (spectrum_to_csv(spec), csv_text + "\n\n")
+    built = (power_transform(spec, 0.5), concatenate(spec, spec), concatenate(spec), *map(spectrum_from_csv, texts))
+    for arr in (b.eigenvalues for b in built):
+        assert arr.flags.owndata and not arr.flags.writeable
+        assert not np.shares_memory(arr, values) and not np.shares_memory(arr, spec.dimensionless())
+    # a caller's array is still copied, and stays the caller's to write
+    assert not np.shares_memory(spec.eigenvalues, values) and values.flags.writeable
+    # the checks are the constructor's
+    with pytest.raises(DomainError, match="^eigenvalue 1 must be a finite positive number, got 0.0$"):
+        FiniteDiag._owning(np.array([1.0, 0.0]))
+    with pytest.raises(DomainError, match="^eigenvalues entry 0 must be finite, got inf$"):
+        FiniteDiag._owning(np.array([math.inf, 1.0]))
+    with pytest.raises(DomainError, match="scale"):
+        FiniteDiag._owning(np.array([1.0]), -1.0)
+
+
 def test_equality_and_hash_agree():
     a = Spectrum((2.0, 3.0), scale=1.5)
     b = Spectrum(np.array([2.0, 3.0]), scale=1.5)
@@ -577,15 +599,20 @@ def test_warm_caches_leave_the_operator_unchanged():
     values = np.random.default_rng(29).uniform(0.1, 10.0, 600)
     cold, warm = Spectrum(values, 1.37), Spectrum(values, 1.37)
     before = (repr(warm), hash(warm), spectrum_to_json(warm), pickle.dumps(warm))
+    ratios = warm.dimensionless()
+    assert warm.dimensionless() is ratios and not ratios.flags.writeable
+    assert ratios.tolist() == (values / 1.37).tolist()
     for q in QDET_QS:
         warm.qdet(q)
-    assert warm._logs is not None and warm._qdets
+    text, variation = spectrum_to_csv(warm), action_variation(warm, values, 0.5)
+    assert warm._ratios is ratios and warm._logs is not None and warm._qdets
     assert warm == cold and (repr(warm), hash(warm), spectrum_to_json(warm), pickle.dumps(warm)) == before
     for twin in (copy.copy(warm), copy.deepcopy(warm), pickle.loads(pickle.dumps(warm))):
-        # a copy starts cold and takes the same sums
-        assert twin == warm and twin._logs is None and twin._qdets == {}
+        # a copy starts cold and takes the same values
+        assert twin == warm and twin._ratios is None and twin._logs is None and twin._qdets == {}
         assert pickle.dumps(twin) == before[-1]
         assert [twin.qdet(q) for q in QDET_QS] == [warm.qdet(q) for q in QDET_QS]
+        assert spectrum_to_csv(twin) == text and action_variation(twin, values, 0.5) == variation
     assert warm._qdets is not copy.copy(warm)._qdets
 
 

@@ -1,10 +1,8 @@
 """Compare qalgebra.exact_sum with math.fsum on seeded arrays, bit for bit
 (the sign of a zero included), and exit 1 at the first array where they
-differ. Each array is summed twice: as exact_sum is called, and with its
-extraction passes off (_PASSES = 0), the bucket stage alone. The sweep
-counts the route that rounded each array as called: math.fsum of the
-pass sums, where every block finished in the passes, or the buckets,
-where np.bincount ran with the passes on. It exits 1 unless both occur.
+differ. The sweep counts the extraction passes of each array (one np.add
+into sigma each) and exits 1 unless some block takes more than 3: an
+array of B blocks that takes more than 3 B passes has one.
 
 The arrays take sizes in turn from 513 (just above the math.fsum
 shortcut) to 10^6, around the block of 2^16 entries among them, and
@@ -22,15 +20,13 @@ log-uniform eigenvalues at three scales, each over 50 q (some repeated).
 Usage: PYTHONPATH=src python exact_sum_sweep.py [VALUES]   (default: 10000000)
 """
 
-import collections
 import math
 import sys
 from unittest import mock
 
 import numpy as np
 
-from qspectra import qalgebra
-from qspectra.qalgebra import exact_sum, q_log_array
+from qspectra.qalgebra import _BLOCK, exact_sum, q_log_array
 from qspectra.spectrum import FiniteDiag
 
 SIZES = (513, 4097, 2**16 - 1, 2**16, 2**16 + 1, 200_003, 10**6)
@@ -74,29 +70,25 @@ def determinants(size: int = 10**6) -> int:
 
 
 def main(total: int) -> int:
-    done = k = 0
-    routes = collections.Counter()
+    done = k = deep = passes = 0
     while done < total:
         size = min(SIZES[k % len(SIZES)], total - done)
         kind, scale = LAWS[k % len(LAWS)], SCALES[k % len(SCALES)]
         x = law(kind, np.random.default_rng([2026, k]), size) * scale
         expected = math.fsum(x.tolist())
-        with mock.patch.object(qalgebra, "_PASSES", 0):
-            buckets = exact_sum(x)
-        with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+        with mock.patch.object(np, "add", wraps=np.add) as add:
             got = exact_sum(x)
-        routes["the buckets" if bincount.called else "math.fsum of the pass sums"] += 1
-        for what, value in (("exact_sum", got), ("the buckets alone", buckets)):
-            if not same(value, expected):
-                print(f"array {k} ({kind}, {size} terms, scale {scale!r}): {what} gives {value!r}, math.fsum {expected!r}")
-                return 1
+        if not same(got, expected):
+            print(f"array {k} ({kind}, {size} terms, scale {scale!r}): exact_sum gives {got!r}, math.fsum {expected!r}")
+            return 1
+        deep += add.call_count > 3 * -(-size // _BLOCK)
+        passes += add.call_count
         done += size
         k += 1
-    print(f"{done} values in {k} arrays: exact_sum, with and without its extraction passes, "
-          f"is math.fsum bit for bit")
-    print("rounded by: " + ", ".join(f"{route} {count}" for route, count in sorted(routes.items())))
-    if len(routes) < 2:
-        print("exact_sum took one route only; the sweep must reach both")
+    print(f"{done} values in {k} arrays: exact_sum is math.fsum bit for bit")
+    print(f"{passes} extraction passes; {deep} arrays have a block of more than 3")
+    if not deep:
+        print("no block took more than 3 passes; the sweep must reach one")
         return 1
     return determinants()
 

@@ -227,22 +227,13 @@ def _ln_q_of_log(t, q: float, out=None) -> np.ndarray:
 
 
 # exact_sum hands up to _SMALL entries to math.fsum, which is faster there. It
-# walks longer input in blocks of _BLOCK entries, each through at most _PASSES
-# extraction passes; what they leave, and their sums, go into the buckets.
-# Each bucketed entry adds one integer below 2^27 and one below 2^26 into
-# float64 buckets, which stay exact while they take at most _FLUSH input
-# entries plus _PASSES sums per block (3 (2^25 + 3 2^9) 2^26 < 2^53). frexp
-# exponents run from -1073 (the smallest subnormal) to 1024; bucket k weighs
-# 2^(k + _EXP_MIN - 53). A block takes the passes while its largest |entry|,
-# and then the residual's bound, is normal and below _HUGE, where
-# sigma <= 2^1023 stays finite.
+# walks longer input in blocks of _BLOCK entries, each through extraction
+# passes until its residual is 0, and rounds the pass sums once, with
+# math.fsum. A block takes the passes while its largest |entry| is below
+# _HUGE, where sigma <= 2^1023 stays finite; a larger block gives its entries
+# to the list of pass sums as they stand.
 _SMALL = 1 << 9
 _BLOCK = 1 << 16
-_FLUSH = 1 << 25
-_PASSES = 3
-_EXP_MIN = -1073
-_BUCKETS = 1024 - _EXP_MIN + 1
-_TINY = 2.0**-1022
 _HUGE = 2.0 ** (1023 - (_BLOCK + 1).bit_length())
 
 
@@ -250,8 +241,8 @@ def exact_sum(x) -> float:
     """math.fsum of a 1-d float array, bit for bit (the sign of a zero
     included), without a Python loop over the entries.
 
-    A block of n entries r first goes through error-free extraction
-    passes (ExtractVector of Rump, Ogita and Oishi, "Accurate floating-point
+    A block of n entries r goes through error-free extraction passes
+    (ExtractVector of Rump, Ogita and Oishi, "Accurate floating-point
     summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1),
     2008). With 2^e >= max |r| and 2^M >= n + 2, let sigma = 2^(M + e) and
     t = (sigma + r) - sigma. Each t is exact and a multiple of
@@ -262,26 +253,30 @@ def exact_sum(x) -> float:
     and at most 2^-53 sigma, so each pass takes 53 - M bits off the top.
     The first pass takes e from the max and the min of r (2^e > max |r|),
     and each later one takes 2^e = 2^-53 sigma, its predecessor's bound,
-    with no reduction. The passes stop when the residual is
-    0 (its max, and its min where the max is 0). A block they cannot finish
-    (its max nan, inf, subnormal or at least _HUGE, a subnormal bound, or a
-    residual left after _PASSES passes) goes to the buckets as it stands,
-    and the rest of the input after it goes there without passes. A
-    subnormal residual under a normal bound still passes exactly: the
-    rounding error of an addition is always representable.
+    with no reduction. The passes stop when the residual is 0 (its max,
+    and its min where the max is 0). A subnormal residual or bound passes
+    exactly too: the rounding error of an addition is always
+    representable, and an addition of subnormals is exact, so a pass whose
+    sigma has an ulp of at most 2^-1074 leaves 0. The input sets the
+    count: 1 to 3 passes a block on the spectra and sums of the library,
+    and at most 58 for a block whose entries span the whole double range.
 
-    Where every block finished in the passes, the pass sums are doubles
-    whose exact sum is that of x, so their math.fsum is the value. The
-    buckets take every other input: one with a bucketed block, with more
-    than _FLUSH entries, or with zeros only (no pass runs on a zero block,
-    and fsum of x picks the sign), and one where that fsum raises
-    OverflowError.
+    The pass sums, and the entries of any block whose max |entry| is at
+    least _HUGE, are doubles whose exact sum is that of x, and one
+    math.fsum rounds them. Where that fsum raises OverflowError, they are
+    added exactly as Python ints in units of 2^-1074 and rounded once, by
+    int true division. A non-finite entry decides the result alone, and
+    input of zeros only takes math.fsum of x, which picks the sign.
 
-    In the buckets, each entry m 2^e (np.frexp) is split into two integers
-    below 2^27, hi 2^(e-26) + lo 2^(e-53), and bincount adds them into
-    float64 buckets, one per power of two; the pass sums go in the same
-    way. Every _FLUSH entries the buckets are added into one Python int,
-    which is rounded once, by int true division.
+    Cost, on 730,527 terms (median of 21, two runs, one core of an x86-64
+    Xeon, numpy 2.4), with the passes each block took: log ratios of a
+    spectrum 3.3-4.1 ms (2), ln_q at q = -1.5 of ratios spread over 21
+    e-folds 5.8-6.9 ms (4), mantissas over 10^+-20 6.5-8.2 ms (6),
+    subnormals only 12-14 ms (2), and mantissas over 10^+-300 63-74 ms
+    (58), where math.fsum takes 271-275 ms. The trade against an
+    accumulator of frexp/bincount buckets, which takes 5.6-7.9 ms on each
+    of the last four whatever the spread: the passes are faster on the
+    spectra and slower on the last three kinds, which no caller sums.
 
     The value is fsum's wherever fsum returns one. Where fsum raises, the
     value is still the exactly rounded sum: finite if only a partial sum
@@ -292,58 +287,39 @@ def exact_sum(x) -> float:
 
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size <= _SMALL:
-        with contextlib.suppress(OverflowError, ValueError):  # else the buckets decide
+        with contextlib.suppress(OverflowError, ValueError):  # else the passes decide
             return math.fsum(arr.tolist())
-    total, passes = 0, _PASSES
+    sums = []
     t_buf, r_buf = np.empty(min(arr.size, _BLOCK)), np.empty(min(arr.size, _BLOCK))
-
-    def bucket(v):
-        m, e = np.frexp(v)
-        m *= 2.0**26
-        hi = np.trunc(m)
-        m -= hi
-        m *= 2.0**27
-        e -= _EXP_MIN
-        acc[:_BUCKETS] += np.bincount(e, m, _BUCKETS)
-        acc[27:] += np.bincount(e, hi, _BUCKETS)
-
-    with np.errstate(invalid="ignore"):
-        for first in range(0, arr.size, _FLUSH):
-            chunk = arr[first : first + _FLUSH]
-            acc, sums = np.zeros(_BUCKETS + 27), []
-            for start in range(0, chunk.size, _BLOCK):
-                r = chunk[start : start + _BLOCK]
-                t, bits = t_buf[: r.size], (r.size + 1).bit_length()  # 2^bits >= n + 2
-                top = max(r.max(), -r.min()) if passes else math.inf  # no passes left
-                e = math.frexp(top)[1]  # max |r| <= 2^e
-                for k in range(passes + 1):
-                    if top == 0.0 or k and not (r.max() or r.min()):
-                        break
-                    if k == passes or not _TINY <= top < _HUGE:
-                        passes = 0
-                        bucket(r)
-                        break
-                    sigma = 2.0 ** (bits + e)
-                    np.add(r, sigma, out=t)
-                    t -= sigma
-                    r = np.subtract(r, t, out=r_buf[: r.size])
-                    sums.append(t.sum())
-                    e += bits - 53
-                    top = 2.0**e  # the pass's bound on the residual
-            if passes and sums and chunk.size == arr.size:  # every block finished in the passes
-                with contextlib.suppress(OverflowError):  # else the buckets decide
-                    return math.fsum(sums)
-            bucket(np.array(sums))
-            if not math.isfinite(acc.sum()):  # a non-finite entry decides alone
-                return float(arr[~np.isfinite(arr)].sum())
-            ks = (acc != 0.0).nonzero()[0]
-            total += sum(int(v) << k for k, v in zip(ks.tolist(), acc[ks].tolist()))
-    if total == 0 and not arr.any():
+    for start in range(0, arr.size, _BLOCK):
+        r = arr[start : start + _BLOCK]
+        top = max(r.max(), -r.min())
+        if not top < _HUGE:  # nan or inf, or sigma would overflow
+            if not math.isfinite(top):  # a non-finite entry decides alone
+                with np.errstate(invalid="ignore"):
+                    return float(arr[~np.isfinite(arr)].sum())
+            sums += r.tolist()
+            continue
+        t, bits = t_buf[: r.size], (r.size + 1).bit_length()  # 2^bits >= n + 2
+        e = math.frexp(top)[1]  # max |r| <= 2^e
+        while top:
+            sigma = 2.0 ** (bits + e)
+            np.add(r, sigma, out=t)
+            t -= sigma
+            r = np.subtract(r, t, out=r_buf[: r.size])
+            sums.append(t.sum())
+            e += bits - 53  # the pass's bound on the residual
+            top = r.max() or r.min()
+    if not sums:
         return math.fsum(arr.tolist())  # zeros only: fsum picks the sign
     try:
-        return total / (1 << (53 - _EXP_MIN))
-    except OverflowError:
-        return math.inf if total > 0 else -math.inf
+        return math.fsum(sums)
+    except OverflowError:  # a partial sum left float64: add in ints of 2^-1074
+        total = sum(n * ((1 << 1074) // d) for n, d in map(float.as_integer_ratio, sums))
+        try:
+            return total / (1 << 1074)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
 
 
 def _two_sum(a, b):
@@ -365,8 +341,9 @@ def exact_row_sums(x) -> np.ndarray:
     algorithms using rounding to odd", IEEE Trans. Computers 57(4), 2008).
     It needs every operation rounded on its own; numpy never fuses a
     multiply-add. A row whose sum comes out zero or not finite, and every
-    row of another width, takes exact_sum, which leaves fsum the sign of a
-    zero and the rows it cannot sum.
+    row of another width, takes exact_sum: math.fsum of the row, its sign
+    of a zero included, or, where fsum raises, the exactly rounded sum
+    (+-inf past float64, nan for inf - inf).
     """
     import numpy as np
 

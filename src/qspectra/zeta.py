@@ -593,12 +593,13 @@ def zeta_value(model: ZetaModel, s: float) -> float:
     Raises PoleError, naming s and the model's pole, when the argument of
     the Hurwitz zeta behind the model falls within POLE_EPS of its pole at
     1 (s for shifted_linear, alpha s for power_spectrum; finite_diag has
-    no pole), and DomainError when the value is beyond float64.
+    no pole), and DomainError when s is not a finite real number or the
+    value is beyond float64.
 
     >>> zeta_value(finite_diag((2.0, 3.0)), 1.0)
     0.8333333333333333
     """
-    sf = float(s)
+    sf = finite_real("s", s)
     try:  # scale**s is exactly 1.0 at scale 1
         value = model.zeta(sf) * model.scale**sf
     except OverflowError:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,8 @@ from conftest import run_cli
 
 from qspectra import spectrum as spc
 from qspectra import zeta as zt
-from qspectra.cli import _weight_lambdas
+from qspectra.cli import _MAX_SAMPLES, _weight_lambdas
+from qspectra.errors import DomainError
 from qspectra.geometry import MAX_RESOLUTION
 
 
@@ -228,6 +230,18 @@ def test_zeta_pole_exits_2(shifted_json):
     proc = run_cli("zeta", "--input", shifted_json, "--s", "1")
     assert proc.returncode == 2
     assert "pole" in proc.stderr
+
+
+@pytest.mark.parametrize("s", ("nan", "inf", "-inf"))
+def test_zeta_refuses_s_that_is_not_finite(tmp_path, s):
+    # on a finite_diag file nan was reported as an overflow and inf gave 0
+    for model in ('"finite_diag", "eigenvalues": [2.0, 3.0]', '"shifted_linear", "a": 1.0'):
+        path = tmp_path / "model.json"
+        path.write_text(f"{{\"kind\": {model}}}")
+        proc = run_cli("zeta", f"--s={s}", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: s must be finite, got {float(s)!r}\n"
+        assert proc.stdout == ""
 
 
 def test_zeta_accepts_spectrum_input(spectrum_csv):
@@ -621,6 +635,22 @@ def test_weight_grid_equals_linspace_bit_for_bit():
 def test_weight_rejects_bad_bounds():
     assert run_cli("weight", "--lambda-min", "-1").returncode == 2
     assert run_cli("weight", "--lambda-min", "5", "--lambda-max", "1").returncode == 2
+
+
+def test_weight_rejects_samples_above_bound():
+    # refused before the grid is built: the grid starts with the log10 of
+    # its ends, which is never taken
+    with mock.patch.object(math, "log10") as log10:
+        with pytest.raises(DomainError, match=f"^samples must be <= {_MAX_SAMPLES}, got {_MAX_SAMPLES + 1}$"):
+            _weight_lambdas(0.1, 10.0, _MAX_SAMPLES + 1)
+    assert not log10.called
+    assert len(_weight_lambdas(2.0, 10.0, _MAX_SAMPLES)) == _MAX_SAMPLES
+    proc = run_cli("weight", "--samples", str(_MAX_SAMPLES + 1))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: samples must be <= 100000, got {_MAX_SAMPLES + 1}\n"
+    assert proc.stdout == ""
+    assert run_cli("weight", "--samples", "1").stderr == "error: samples must be >= 2, got 1\n"
+    assert f"2 to {_MAX_SAMPLES}" in run_cli("weight", "--help").stdout
 
 
 @pytest.mark.parametrize(

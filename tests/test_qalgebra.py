@@ -254,13 +254,11 @@ def _same_float(a: float, b: float) -> bool:
 
 
 def _both_paths(x) -> list[float]:
-    """exact_sum of x as called, with the fsum shortcut for short input off,
-    and with the extraction passes off too: the buckets alone."""
+    """exact_sum of x as called, and with the fsum shortcut for short input
+    off: the extraction passes alone."""
     with mock.patch.object(qalgebra, "_SMALL", 0):
         passes = exact_sum(x)
-        with mock.patch.object(qalgebra, "_PASSES", 0):
-            buckets = exact_sum(x)
-    return [exact_sum(x), passes, buckets]
+    return [exact_sum(x), passes]
 
 
 def _bulk(seed: int, kind: str, size: int) -> np.ndarray:
@@ -307,27 +305,6 @@ def test_exact_sum_keeps_fsum_sign_of_zero():
         expected = math.fsum(x)
         for got in _both_paths(x):
             assert _same_float(got, expected), (x, got)
-
-
-def test_exact_sum_flushes_buckets_into_one_int():
-    # a bucket takes up to two integers per entry, below 2^27 and 2^26, and
-    # must stay below 2^53 to add exactly; the entries between two flushes
-    # are at most _FLUSH input entries and _PASSES pass sums per block
-    sums = qalgebra._PASSES * (qalgebra._FLUSH // BLOCK)
-    assert (qalgebra._FLUSH + sums) * (2**27 + 2**26) <= 2**53
-    x = _bulk(7, "wide", 5 * BLOCK + 3)
-    x[:BLOCK] = 2.0**53 - 1.0  # full mantissas, all into one pair of buckets
-    expected = math.fsum(x.tolist())
-    logs = _law(7, "log", 5 * BLOCK + 3)  # every block ends in the passes
-    for flush in (BLOCK, 2 * BLOCK + 5):
-        for passes in (0, qalgebra._PASSES):
-            with mock.patch.object(qalgebra, "_FLUSH", flush), mock.patch.object(qalgebra, "_PASSES", passes):
-                assert _same_float(exact_sum(x), expected)
-                assert _same_float(exact_sum(logs), math.fsum(logs.tolist()))
-                # a non-finite entry after a flush still gives fsum's result
-                y = x.copy()
-                y[-1] = -math.inf
-                assert exact_sum(y) == -math.inf
 
 
 def test_exact_sum_final_overflow_is_signed_inf():
@@ -386,14 +363,34 @@ def _law(seed: int, law: str, size: int) -> np.ndarray:
     return x
 
 
+def _exactly_rounded(values: list[float]) -> float:
+    """The sum of finite values rounded once: each m 2^k (frexp, m scaled to
+    an integer) as an int in units of 2^-1074, then int true division; +-inf
+    beyond float64. A subnormal's scaled m ends in enough zero bits for the
+    right shift to be exact."""
+    total = 0
+    for v in values:
+        m, k = math.frexp(v)
+        n, shift = int(m * 2.0**53), k - 53 + 1074
+        total += n << shift if shift >= 0 else n >> -shift
+    try:
+        return total / (1 << 1074)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
 def _assert_fsum_bits(x) -> None:
     """Every path of exact_sum gives fsum's bits where fsum returns a value,
-    and the buckets' value where it raises."""
+    nan for inf - inf, and the exactly rounded sum where a partial sum
+    overflows."""
     got = _both_paths(x)
+    values = np.asarray(x, dtype=float).tolist()
     try:
-        expected = math.fsum(np.asarray(x, dtype=float).tolist())
-    except (OverflowError, ValueError):
-        expected = got[-1]
+        expected = math.fsum(values)
+    except ValueError:
+        expected = math.nan
+    except OverflowError:
+        expected = _exactly_rounded(values)
     for value in got:
         assert _same_float(value, expected) or math.isnan(value) and math.isnan(expected), (value, expected)
 
@@ -409,10 +406,17 @@ def test_exact_sum_extraction_edges():
     logs = _law(3, "log", 3 * BLOCK)
     spread = _law(3, "spread", BLOCK)
     subnormal = _bulk(3, "subnormal", BLOCK)
-    # a block past the pass cap, or of subnormals only, sends the rest of
-    # the input to the buckets; the blocks before it keep their pass sums
+    # a block of many passes, of subnormals only, or of zeros (no pass)
+    # among blocks of few passes
     for middle in (spread, subnormal, np.zeros(BLOCK), -np.zeros(BLOCK)):
         _assert_fsum_bits(np.concatenate([logs[:BLOCK], middle, logs[BLOCK:]]))
+    # a block of full mantissas (2^53 - 1, one value) before wide ones, and
+    # a non-finite entry after many blocks: it decides alone
+    x = _bulk(7, "wide", 5 * BLOCK + 3)
+    x[:BLOCK] = 2.0**53 - 1.0
+    _assert_fsum_bits(x)
+    x[-1] = -math.inf
+    assert exact_sum(x) == -math.inf
     # one sign, every entry near the max: a block's pass sum comes near
     # sigma, the bound that keeps it exact
     near = 2.0**40 * np.random.default_rng(6).uniform(0.9, 1.0, 2 * BLOCK + 1)
@@ -422,7 +426,7 @@ def test_exact_sum_extraction_edges():
     _assert_fsum_bits(_bulk(4, "subnormal", 2 * BLOCK + 1))
     _assert_fsum_bits(logs * 2.0**-1000)
     # a max just below _HUGE takes the passes with sigma = 2^1023; at
-    # _HUGE and above the block goes to the buckets
+    # _HUGE and above the block's entries go to the pass sums as they stand
     below = np.nextafter(qalgebra._HUGE, 0.0)
     for top in (below, qalgebra._HUGE, 1e308, np.finfo(float).max):
         x = _law(5, "pairs", 2 * BLOCK + 3) * (top / 8.0)
@@ -448,11 +452,21 @@ def test_exact_sum_extraction_edges():
 
 
 def _rounded(x) -> tuple[float, str]:
-    """exact_sum(x) and the route that rounded it: "fsum", math.fsum of the
-    pass sums, or "buckets", where np.bincount ran."""
-    with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+    """exact_sum(x) and the route that rounded it: "fsum", one math.fsum of
+    the pass sums (or of x, for zeros only), or "integers", where that
+    fsum raised OverflowError and Python ints took the sum."""
+    fsum, raised = math.fsum, []
+
+    def watched(values):
+        try:
+            return fsum(values)
+        except OverflowError:
+            raised.append(True)
+            raise
+
+    with mock.patch.object(math, "fsum", watched):
         value = exact_sum(x)
-    return value, "buckets" if bincount.called else "fsum"
+    return value, "integers" if raised else "fsum"
 
 
 def test_exact_sum_rounds_the_pass_sums_with_fsum():
@@ -462,6 +476,7 @@ def test_exact_sum_rounds_the_pass_sums_with_fsum():
     ulps = np.zeros(3 * BLOCK)
     ulps[0], ulps[BLOCK], ulps[2 * BLOCK] = 1.0, 2.0**-53, 2.0**-53
     below = np.nextafter(qalgebra._HUGE, 0.0)
+    huge = np.concatenate([logs, [1e308, -1e308]])  # a block at _HUGE gives its entries
     for x, route in (
         (logs, "fsum"),
         (ulps, "fsum"),
@@ -469,10 +484,11 @@ def test_exact_sum_rounds_the_pass_sums_with_fsum():
         (np.concatenate([logs, -logs[::-1], -zeros]), "fsum"),
         (np.concatenate([logs[:BLOCK], zeros, logs[BLOCK:]]), "fsum"),  # a zero block among others
         (np.concatenate([logs[:BLOCK], -zeros, logs[BLOCK:]]), "fsum"),
-        (np.zeros(BLOCK + 1), "buckets"),  # zeros only: fsum of x picks the sign
-        (-np.zeros(BLOCK + 1), "buckets"),
-        (np.full(5 * BLOCK, below), "buckets"),  # fsum of the pass sums overflows
-        (-np.full(5 * BLOCK, below), "buckets"),
+        (np.zeros(BLOCK + 1), "fsum"),  # zeros only: fsum of x picks the sign
+        (-np.zeros(BLOCK + 1), "fsum"),
+        (huge, "fsum"),
+        (np.full(5 * BLOCK, below), "integers"),  # fsum of the pass sums overflows
+        (-np.full(5 * BLOCK, below), "integers"),
     ):
         value, taken = _rounded(x)
         try:
@@ -481,6 +497,27 @@ def test_exact_sum_rounds_the_pass_sums_with_fsum():
             expected = math.copysign(math.inf, x[0])
         assert taken == route and _same_float(value, expected), (taken, value, expected)
     assert _rounded(ulps)[0] == 1.0 + 2.0**-52
+
+
+def _passes(x) -> int:
+    """exact_sum(x) checked against math.fsum, and the number of extraction
+    passes it ran (one np.add into sigma each)."""
+    with mock.patch.object(np, "add", wraps=np.add) as add:
+        value = exact_sum(x)
+    assert _same_float(value, math.fsum(x.tolist()))
+    return add.call_count
+
+
+def test_exact_sum_passes_until_the_residual_is_zero():
+    # ln_q at q = -1.5 of ratios in [e^-7, e^14], a spectrum about 21
+    # e-folds wide, and mantissas spread over 10^+-300: each one block,
+    # which the passes finish however many it takes
+    ratios = np.exp(np.random.default_rng(12).uniform(-7.0, 14.0, BLOCK))
+    wide = qalgebra.q_log_array(ratios, -1.5)
+    assert 3 < _passes(wide) < 10
+    assert 40 < _passes(_bulk(12, "wide", BLOCK)) <= 58
+    # the log ratios of the library's spectra take at most three
+    assert 1 <= _passes(_law(12, "log", BLOCK)) <= 3
 
 
 def test_exact_sum_later_passes_take_the_first_pass_bound():

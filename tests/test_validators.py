@@ -176,6 +176,22 @@ def test_q_that_is_not_a_finite_real_is_refused(name, bad):
     assert isinstance(Q_CALLS[name](0.5), (float, tuple, np.ndarray, geom.MetricField))
 
 
+@pytest.mark.parametrize(
+    "bad", (math.nan, math.inf, -math.inf, None, "x", 10**400),
+    ids=("nan", "inf", "-inf", "None", "text", "int-beyond-float64"),
+)
+@pytest.mark.parametrize(
+    "model", (zt.finite_diag((2.0, 3.0)), ShiftedLinear(1.5), PowerSpectrum(2.0)),
+    ids=("finite_diag", "shifted_linear", "power_spectrum"),
+)
+def test_zeta_value_refuses_s_that_is_not_a_finite_real(model, bad):
+    # float(s) raised TypeError, ValueError or OverflowError, and a
+    # finite_diag took inf to 0 and called nan an overflow
+    with pytest.raises(DomainError, match="^s must be finite, got "):
+        zeta_value(model, bad)
+    assert math.isfinite(zeta_value(model, 2.5))
+
+
 def _message(call, *args) -> str:
     with pytest.raises(DomainError) as info:
         call(*args)

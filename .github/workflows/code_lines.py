@@ -12,7 +12,10 @@ from the source without importing it, so numpy need not be installed. A
 module without a literal ``__all__`` list shows "-": the package's
 ``__init__`` builds its list from the other modules at run time.
 
-Usage: python code_lines.py [DIR ...]   (default: src)
+Usage: python code_lines.py [PATH ...]   (default: src)
+
+A directory counts every .py file under it, a .py file counts itself; any
+other path exits with status 2 before anything is printed.
 """
 
 import ast
@@ -70,10 +73,19 @@ def code_lines(source: bytes, tree: ast.Module) -> int:
     return len(lines)
 
 
-def main(dirs: list[str]) -> int:
+def main(args: list[str]) -> int:
+    paths = []
+    for arg in map(Path, args):
+        if arg.is_dir():
+            paths.extend(arg.rglob("*.py"))
+        elif arg.is_file() and arg.suffix == ".py":
+            paths.append(arg)
+        else:
+            print(f"code_lines.py: {arg} is neither a directory nor a .py file", file=sys.stderr)
+            return 2
     total = total_names = 0
     print("  code  names  module")
-    for path in sorted(p for d in dirs for p in Path(d).rglob("*.py")):
+    for path in sorted(paths):
         source = path.read_bytes()
         tree = ast.parse(source)
         count, names = code_lines(source, tree), public_names(tree)

@@ -209,11 +209,15 @@ def _parse_q_list(text: str) -> list[float]:
 # Largest weight grid: its points, rows and text take about 0.33 KB a
 # sample plus 0.12 KB per q in the list. At 100,000 samples the three
 # default q peak at 87 MB resident, 71 MB above the interpreter (JSON; CSV
-# 68 MB), and ten q at 186 MB (measured with CPython 3.11).
+# 68 MB), and ten q at 186 MB (measured with CPython 3.11). So the weights,
+# samples x q, are bounded too, by the default list at the samples bound;
+# within it fewer samples peak lower (30,000 x 10 q: 68 MB, 3,000 x 100 q:
+# 55 MB).
 _MAX_SAMPLES = 100_000
+_MAX_WEIGHTS = 3 * _MAX_SAMPLES
 
 
-def _weight_lambdas(lmin: float, lmax: float, samples: int) -> list[float]:
+def _weight_lambdas(lmin: float, lmax: float, samples: int, curves: int = 1) -> list[float]:
     lmin = positive_real("lambda-min", lmin)
     lmax = positive_real("lambda-max", lmax)
     if not lmin < lmax:
@@ -222,6 +226,10 @@ def _weight_lambdas(lmin: float, lmax: float, samples: int) -> list[float]:
         raise DomainError(f"samples must be >= 2, got {samples}")
     if samples > _MAX_SAMPLES:
         raise DomainError(f"samples must be <= {_MAX_SAMPLES}, got {samples}")
+    if samples * curves > _MAX_WEIGHTS:
+        raise DomainError(
+            f"samples x q values must be <= {_MAX_WEIGHTS}, got {samples} x {curves}"
+        )
     # np.linspace's arithmetic, bit for bit: start + i * step, then stop
     start, stop = math.log10(lmin), math.log10(lmax)
     step = (stop - start) / (samples - 1)
@@ -236,7 +244,7 @@ def _weight_lambdas(lmin: float, lmax: float, samples: int) -> list[float]:
 
 def _cmd_weight(args: argparse.Namespace) -> int:
     qs = _parse_q_list(args.q_list)
-    lams = _weight_lambdas(args.lambda_min, args.lambda_max, args.samples)
+    lams = _weight_lambdas(args.lambda_min, args.lambda_max, args.samples, len(qs))
     labels = [f"q={q:g}" for q in qs]
     rows = [[lam] + [spectral_weight(lam, q) for q in qs] for lam in lams]
     if args.format == "json":
@@ -339,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_weight = sub.add_parser("weight", help="spectral-weight curves lambda^(-q)")
     p_weight.add_argument(
         "--q-list", default="0.5,1,2",
-        help="comma-separated deformation indices (default %(default)s)",
+        help="comma-separated deformation indices (default %(default)s); "
+        "samples x q values at most 300000",  # _MAX_WEIGHTS
     )
     p_weight.add_argument("--lambda-min", type=float, default=0.1)
     p_weight.add_argument("--lambda-max", type=float, default=10.0)

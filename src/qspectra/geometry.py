@@ -179,9 +179,10 @@ class MetricField:
     phi: np.ndarray
     volume: np.ndarray
     q: float
-    # the CSV table as _csv_columns returns it, where the builder knows it
-    # (grid_field); else _csv_columns builds it
-    _columns: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
+    # the CSV table as _csv_columns returns it, set by grid_field on the
+    # fields it builds; not an argument, so dataclasses.replace drops it and
+    # _csv_columns builds the table from the arrays
+    _columns: tuple | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if np.shape(self.points)[1:] != (3,):
@@ -303,8 +304,9 @@ def grid_field(resolution: int, q: float, margin: float) -> MetricField:
     lattice = _lattice(resolution, margin)
     phi = _potential_rows(lattice.firsts, q)
     vol = _volume_rows(lattice.firsts, q)
-    columns = ((lattice.fractions,) * 3 + (phi, vol), lattice.index)
-    return MetricField(lattice.points.copy(), phi[lattice.orbit], vol[lattice.orbit], q, columns)
+    field = MetricField(lattice.points.copy(), phi[lattice.orbit], vol[lattice.orbit], q)
+    object.__setattr__(field, "_columns", ((lattice.fractions,) * 3 + (phi, vol), lattice.index))
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +322,8 @@ def _field_table(field: MetricField) -> np.ndarray:
 def _csv_columns(field: MetricField) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The CSV table as (floats, index): one float array per column, and an
     (N, 5) index into their concatenation, row r's cells being
-    np.concatenate(floats)[index[r]]. grid_field passes its lattice
-    fractions, its orbit values and its lattice's index; for any other field
+    np.concatenate(floats)[index[r]]. A field from grid_field carries its
+    lattice fractions, its orbit values and its lattice's index; for any other field
     the floats are each column's distinct values, keyed on their bits so
     that -0.0 and 0.0 stay apart, and the index is np.unique's inverse."""
     if field._columns is not None:

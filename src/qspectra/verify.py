@@ -304,19 +304,30 @@ def _check_classical_product() -> tuple[float, str]:
     return worst, "q = 1 determinant equals the plain eigenvalue product"
 
 
+def _unit_direction(rng, size: int) -> np.ndarray:
+    delta = rng.uniform(-1.0, 1.0, size)
+    return delta / np.linalg.norm(delta)
+
+
+def _central_difference(spec, delta: np.ndarray, gamma) -> float:
+    """(gamma(A + eps delta) - gamma(A - eps delta)) / 2 eps, eps = 1e-5, for
+    a function gamma of spectra; lam + (-eps) delta is lam - eps delta bit for bit."""
+    eps = 1e-5
+
+    def at(e: float) -> float:
+        return gamma(spc.Spectrum(spec.eigenvalues + e * delta, spec.scale))
+
+    return (at(eps) - at(-eps)) / (2.0 * eps)
+
+
 def _check_variation_fd() -> tuple[float, str]:
     rng = np.random.default_rng(_SEED + 3)
-    eps = 1e-5
     worst = 0.0
     for spec in _random_spectra(rng, 6):
-        lam = spec.eigenvalues
-        delta = rng.uniform(-1.0, 1.0, len(spec))
-        delta /= np.linalg.norm(delta)
+        delta = _unit_direction(rng, len(spec))
         for q in (0.3, 1.0, 1.7):
             analytic = spc.action_variation(spec, tuple(delta), q)
-            up = spc.Spectrum(lam + eps * delta, spec.scale)
-            dn = spc.Spectrum(lam - eps * delta, spec.scale)
-            fd = (spc.q_logdet(up, q) - spc.q_logdet(dn, q)) / (2.0 * eps)
+            fd = _central_difference(spec, delta, lambda moved: spc.q_logdet(moved, q))
             worst = max(worst, abs(analytic - fd))
     return worst, "analytic variation matches central differences (unit norm)"
 
@@ -347,22 +358,15 @@ def _check_theta_inversion_duality() -> tuple[float, str]:
 
 def _check_variation_covariance() -> tuple[float, str]:
     rng = np.random.default_rng(_SEED + 6)
-    eps = 1e-5
     worst = 0.0
     for spec in _random_spectra(rng, 4):
-        lam = spec.eigenvalues
-        delta = rng.uniform(-1.0, 1.0, len(spec))
-        delta /= np.linalg.norm(delta)
+        delta = _unit_direction(rng, len(spec))
         for q in (0.5, 1.3):
             for th in (0.5, 2.0, -1.0):
-                qprime = qa.theta_reparam(q, th)
-                analytic = spc.action_variation(spec, tuple(delta), qprime)
-
-                def gamma_of(e: float) -> float:
-                    moved = spc.Spectrum(lam + e * delta, spec.scale)
-                    return spc.q_logdet(spc.power_transform(moved, th), q) / th
-
-                fd = (gamma_of(eps) - gamma_of(-eps)) / (2.0 * eps)
+                analytic = spc.action_variation(spec, tuple(delta), qa.theta_reparam(q, th))
+                fd = _central_difference(
+                    spec, delta, lambda moved: spc.q_logdet(spc.power_transform(moved, th), q) / th
+                )
                 worst = max(worst, abs(analytic - fd))
     return worst, "variation transforms with the reparametrised index"
 
@@ -513,28 +517,23 @@ def _check_hessian_consistency() -> tuple[float, str]:
     worst = 0.0
     for p in _interior_points(rng, 12):
         arr = np.asarray(p)
+        m = arr.size
+        eye = np.eye(m)
+        i, j = np.triu_indices(m, 1)
+        ei, ej = eye[i], eye[j]
+        # the stencil rows: the centre, p + h e_i, p - h e_i, then
+        # p + h e_i + h e_j, p + h e_i - h e_j, p - h e_i + h e_j, p - h e_i - h e_j
+        rows = arr + h * np.vstack([np.zeros(m), eye, -eye, ei + ej, ei - ej, -ei + ej, -ei - ej])
         for q in (0.0, 0.5, 1.0, 1.4, 1.9):
-            analytic = geom.potential_hessian(arr, q)
-            m = arr.size
-            for i in range(m):
-                ei = np.zeros(m)
-                ei[i] = h
-                fd_ii = (
-                    geom.potential(arr + ei, q)
-                    - 2.0 * geom.potential(arr, q)
-                    + geom.potential(arr - ei, q)
-                ) / h**2
-                worst = max(worst, abs(fd_ii - analytic[i, i]) / abs(analytic[i, i]))
-                for j in range(i + 1, m):
-                    ej = np.zeros(m)
-                    ej[j] = h
-                    fd_ij = (
-                        geom.potential(arr + ei + ej, q)
-                        - geom.potential(arr + ei - ej, q)
-                        - geom.potential(arr - ei + ej, q)
-                        + geom.potential(arr - ei - ej, q)
-                    ) / (4.0 * h**2)
-                    worst = max(worst, abs(fd_ij) / abs(analytic[i, i]))
+            diag = np.diag(geom.potential_hessian(arr, q))
+            # the row kernel of potential, on every stencil row at once
+            phi = geom._potential_rows(rows, q)
+            centre, plus, minus = phi[0], phi[1 : m + 1], phi[m + 1 : 2 * m + 1]
+            pp, pm, mp, mm = phi[2 * m + 1 :].reshape(4, -1)
+            fd_ii = (plus - 2.0 * centre + minus) / h**2
+            fd_ij = (pp - pm - mp + mm) / (4.0 * h**2)
+            rel_ii = np.abs(fd_ii - diag) / np.abs(diag)
+            worst = max(worst, float(rel_ii.max()), float((np.abs(fd_ij) / np.abs(diag[i])).max()))
     return worst, "diag(-p^-q) Hessian against second differences"
 
 
@@ -554,10 +553,8 @@ def _check_metric_construction() -> tuple[float, str]:
 
 def _check_positive_definiteness() -> tuple[float, str]:
     field = geom.grid_field(20, 1.4, 1e-3)
-    worst = math.inf
-    for row in field.points:
-        eigs = np.linalg.eigvalsh(geom.induced_metric(row, 1.4))
-        worst = min(worst, float(eigs.min()))
+    metrics = np.stack([geom.induced_metric(row, 1.4) for row in field.points])
+    worst = float(np.linalg.eigvalsh(metrics).min())
     return max(0.0, -worst), "metric eigenvalues stay positive on the grid"
 
 

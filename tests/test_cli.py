@@ -11,7 +11,7 @@ from conftest import run_cli
 
 from qspectra import spectrum as spc
 from qspectra import zeta as zt
-from qspectra.cli import _MAX_SAMPLES, _weight_lambdas
+from qspectra.cli import _MAX_SAMPLES, _MAX_WEIGHTS, _weight_lambdas
 from qspectra.errors import DomainError
 from qspectra.geometry import MAX_RESOLUTION
 
@@ -651,6 +651,24 @@ def test_weight_rejects_samples_above_bound():
     assert proc.stdout == ""
     assert run_cli("weight", "--samples", "1").stderr == "error: samples must be >= 2, got 1\n"
     assert f"2 to {_MAX_SAMPLES}" in run_cli("weight", "--help").stdout
+
+
+def test_weight_rejects_weights_above_bound():
+    # the q list is bounded through samples x q values, refused before the
+    # grid is built; the default three q at the samples bound are accepted
+    assert _MAX_WEIGHTS == 3 * _MAX_SAMPLES
+    assert len(_weight_lambdas(2.0, 10.0, _MAX_SAMPLES, 3)) == _MAX_SAMPLES
+    with mock.patch.object(math, "log10") as log10:
+        with pytest.raises(DomainError, match=r"^samples x q values must be <= 300000, got 75001 x 4$"):
+            _weight_lambdas(0.1, 10.0, 75_001, 4)
+    assert not log10.called
+    proc = run_cli("weight", "--samples", "30001", "--q-list", ",".join(["1"] * 10))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: samples x q values must be <= 300000, got 30001 x 10\n"
+    assert proc.stdout == ""
+    assert run_cli("weight", "--samples", "30000", "--q-list", ",".join(["1"] * 10)).returncode == 0
+    # argparse may wrap the help at any space
+    assert "samples x q values at most 300000" in " ".join(run_cli("weight", "--help").stdout.split())
 
 
 @pytest.mark.parametrize(

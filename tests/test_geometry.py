@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,6 +15,7 @@ from qspectra.geometry import (
     MetricField,
     _csv_columns,
     _lattice,
+    _potential_rows,
     field_to_csv,
     field_to_json,
     grid_field,
@@ -58,6 +60,17 @@ def test_potential_extends_off_simplex():
     assert math.isfinite(val)
     with pytest.raises(DomainError):
         potential((0.5, -0.5), 0.5)
+
+
+@pytest.mark.parametrize("q", (0.0, 0.5, 1.0, 1.0 + 5e-9, 1.4, 2.0, 2.5))
+def test_potential_rows_equal_pointwise_calls(q):
+    # rows of widths 2 to 5 off the simplex, as the battery's stencil rows
+    # are; widths other than 3 take exact_row_sums' per-row route
+    rng = np.random.default_rng(11)
+    for m in range(2, 6):
+        rows = rng.uniform(0.05, 0.6, (40, m))
+        pointwise = np.array([potential(row, q) for row in rows])
+        assert np.array_equal(_potential_rows(rows, q).view(np.uint64), pointwise.view(np.uint64))
 
 
 def test_potential_hessian_diagonal():
@@ -364,6 +377,18 @@ def test_field_csv_reads_back_exactly():
     assert np.array_equal(table[:, :3], field.points)
     assert np.array_equal(table[:, 3], field.phi)
     assert np.array_equal(table[:, 4], field.volume)
+
+
+def test_field_csv_of_a_replaced_field_reads_back_to_its_arrays():
+    # the CSV table grid_field keeps with its field is not carried over by
+    # dataclasses.replace: the copy's text is written from its own arrays
+    field = grid_field(4, 0.7, 1e-3)
+    moved = dataclasses.replace(field, phi=field.phi + 1.0)
+    table = np.array([[float(c) for c in line.split(",")] for line in field_to_csv(moved).splitlines()[1:]])
+    assert np.array_equal(table, np.column_stack([moved.points, moved.phi, moved.volume]))
+    assert field_to_csv(moved) != field_to_csv(field)
+    with pytest.raises(TypeError):
+        MetricField(field.points, field.phi, field.volume, 0.7, None)
 
 
 def _csv_reference(field):

@@ -2,7 +2,9 @@
 routes on seeded eigenvalues, and exit 1 at the first spectrum where one
 differs: spectrum_to_json with json.dumps, byte for byte;
 spectrum_to_csv of the values at scale 1, and g17_lines of the negated
-values, with '%.17g\\n' % v for each value, byte for byte;
+values, with '%.17g\\n' % v for each value, byte for byte; g17_table of
+the two columns (x, -x), one row per value, with '%.17g,%.17g\\n' of each
+row, byte for byte (the cell array's V-item view and gather included);
 spectrum_from_json of the JSON text with the spectrum itself; and
 spectrum_from_csv of the values' repr, one a line, with
 np.array(lines, dtype=float), bit for bit. One value outside the array
@@ -27,7 +29,7 @@ import sys
 
 import numpy as np
 
-from qspectra.g17 import g17_lines, read_decimals
+from qspectra.g17 import g17_lines, g17_table, read_decimals
 from qspectra.spectrum import Spectrum, spectrum_from_csv, spectrum_from_json, spectrum_to_csv, spectrum_to_json
 
 SPECTRUM = 10**6
@@ -66,8 +68,13 @@ def main(total: int) -> int:
             print(f"spectrum {k} (law {k % LAWS}): byte {at}: {text[at - 40 : at + 40]!r} against {expected[at - 40 : at + 40]!r}")
             return 1
         x = spec.eigenvalues  # at scale 1, which no ratio leaves float64 at
-        for what, values, got in (("spectrum_to_csv", x, spectrum_to_csv(Spectrum(x, 1.0))), ("g17_lines", -x, g17_lines(-x))):
-            cells = ["%.17g\n" % v for v in values.tolist()]
+        rows = np.arange(size)
+        table = g17_table("", (x, -x), np.column_stack([rows, rows + size]))
+        for what, got, cells in (
+            ("spectrum_to_csv", spectrum_to_csv(Spectrum(x, 1.0)), ["%.17g\n" % v for v in x.tolist()]),
+            ("g17_lines", g17_lines(-x), ["%.17g\n" % v for v in (-x).tolist()]),
+            ("g17_table", table, ["%.17g,%.17g\n" % (v, -v) for v in x.tolist()]),
+        ):
             if got != "".join(cells):
                 at = next((i for i, (a, b) in enumerate(zip(got.splitlines(True), cells)) if a != b), len(cells))
                 print(f"spectrum {k} (law {k % LAWS}): {what}: line {at + 1}: {got.splitlines(True)[at:at + 1]!r} "
@@ -91,9 +98,9 @@ def main(total: int) -> int:
                 return 1
         checked += len(inside)
         done += size
-    print(f"{done} values in {k + 1} spectra: spectrum_to_json is json.dumps byte for byte, spectrum_to_csv "
-          f"and g17_lines of the negated values are '%.17g' byte for byte, and both readers read the texts "
-          f"back bit for bit ({checked} lines by read_decimals alone)")
+    print(f"{done} values in {k + 1} spectra: spectrum_to_json is json.dumps byte for byte, spectrum_to_csv, "
+          f"g17_lines of the negated values and g17_table of both are '%.17g' byte for byte, and both readers "
+          f"read the texts back bit for bit ({checked} lines by read_decimals alone)")
     return 0
 
 

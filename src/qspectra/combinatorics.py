@@ -102,14 +102,24 @@ def _as_partition(part) -> Partition:
     return part if isinstance(part, Partition) else Partition.from_parts(part)
 
 
+# Largest generalized_harmonic n: its n terms are one float64 array, 134 MB
+# at 2^24, and summing them raises the peak resident memory by about 256 MB
+# (measured with CPython 3.11, numpy 2.4)
+_MAX_HARMONIC_TERMS = 1 << 24
+
+
 def generalized_harmonic(n: int, r: float) -> float:
     """Power sum H(n, r) = sum_{k=1..n} k^r, exactly rounded; a value
-    beyond float64 raises DomainError.
+    beyond float64 raises DomainError. The n terms are summed as one
+    array, so n is at most 2^24 = 16,777,216: a larger n raises
+    DomainError before any term is computed.
 
     >>> generalized_harmonic(4, 1.0)
     10.0
     """
     n = positive_int("n", n)
+    if n > _MAX_HARMONIC_TERMS:
+        raise DomainError(f"n must be <= {_MAX_HARMONIC_TERMS} (2^24), got {n}")
     r = finite_real("r", r)
     with np.errstate(all="ignore"):
         terms = np.arange(1, n + 1, dtype=float) ** r

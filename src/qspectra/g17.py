@@ -1,15 +1,18 @@
 """Float text of float arrays, byte for byte, for the CSV and JSON writers,
 and float arrays of short decimal text for the spectrum readers.
 
-Two texts are written: '%.17g' % v for the CSV writers (g17_cells, and
-g17_lines, one line per value) and repr(v) for the JSON writer
-(repr_join, the values joined by a separator as json.dumps joins the
-floats of a list). Each is written without a Python call per value where
-the decimal exponent allows it: the digits come from an exact integer
-array, as ASCII in three uint64 words per cell, and each cell is laid out
-by shifts, masks and constant bytes from a table keyed by the exponent,
-the digits left after trailing zeros and the sign. Every other value keeps
-'%.17g' % v or repr(v) itself.
+Two texts are written: '%.17g' % v for the CSV writers (g17_lines, one
+line per value, and g17_table, the rows of a table whose cells gather
+floats formatted once) and repr(v) for the JSON writer (repr_join, the
+values joined by a separator as json.dumps joins the floats of a list).
+Each is written without a Python call per value where the decimal
+exponent allows it: the digits come from an exact integer array, as ASCII
+in three uint64 words per cell, and each cell is laid out by shifts, masks
+and constant bytes from a table keyed by the exponent, the digits left
+after trailing zeros and the sign. Every other value keeps '%.17g' % v or
+repr(v) itself. One block loop (_texts) serves all three writers, and no
+other module knows the cell layout: the NUL-padded rows of _G17_WIDTH
+bytes, their blocks and the strip of the padding.
 
 One text is read: read_decimals takes tokens I.F of at most 8 digits on
 either side of the point, joined by a separator, and returns what float()
@@ -27,7 +30,7 @@ import functools
 
 import numpy as np
 
-# g17_cells writes '%.17g' text without a Python call per value where the
+# The _G17 style writes '%.17g' text without a Python call per value where the
 # decimal exponent X of the 17-digit form lies in [_G17_XMIN, _G17_XMAX]:
 # there 10^(16 - X) is an exact double, so the 17-digit integer
 # D = |x| 10^(16 - X), rounded half to even as '%.17g' rounds, comes out
@@ -248,12 +251,11 @@ _G17 = (_g17_digits, (_G17_XMIN, _G17_XMAX, False), "%.17g".__mod__)
 _REPR = (_repr_digits, (_REPR_XMIN, _REPR_XMAX, True), repr)
 
 
-def _write_block(a, out, style, route) -> None:
-    """Write into out[:, :_G17_WIDTH] the cells of a in style, from route,
-    the (fast, D, X) of its digits: the layout cells of the fast values,
-    text(v) for the others."""
-    _, layout, text = style
-    fast, d, ex = route
+def _write_block(a, out, style) -> None:
+    """Write into out[:, :_G17_WIDTH] the cells of a in style: the layout
+    cells of the values on its array route, text(v) for the others."""
+    route, layout, text = style
+    fast, d, ex = route(a)
     words, digits = _digit_words(d)
     key = (ex - layout[0]) * 34 + (digits - 1) * 2 + (a < 0)
     # the rows off the route get any layout here and are overwritten below; numpy
@@ -265,37 +267,34 @@ def _write_block(a, out, style, route) -> None:
         out[slow, :_G17_WIDTH] = texts.view(np.uint8).reshape(-1, _G17_WIDTH)
 
 
-def _texts(arr, end: str, style):
+def _strip(cells: np.ndarray) -> str:
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _texts(arr, end: str, style, index=None, newlines: int = 0):
     """The text of each value of arr in style followed by end, one str per
-    _G17_BLOCK values: the cells with their NUL padding deleted, or, where
-    most values of a block are off the array route, text(v) + end for
-    each value of it."""
-    digits, _, text = style
-    out = np.empty((min(arr.size, _G17_BLOCK), _G17_WIDTH + len(end)), dtype=np.uint8)
+    _G17_BLOCK values: their cells with the NUL padding deleted.
+
+    With an (N, k) integer index the text is N rows of k cells instead,
+    row r the cells of arr[index[r]]. The last newlines values of arr end
+    with '\\n' in place of end; the index takes the last cell of each row,
+    and no other, from them. Each value is written once, into one array of
+    every cell, and the rows are gathered and stripped about _G17_BLOCK
+    cells at a time, so no padded copy of the whole text is held."""
+    out = np.empty((min(arr.size, _G17_BLOCK) if index is None else arr.size, _G17_WIDTH + len(end)), dtype=np.uint8)
     out[:, _G17_WIDTH:] = np.frombuffer(end.encode("ascii"), dtype=np.uint8)
     for start in range(0, arr.size, _G17_BLOCK):
         a = arr[start : start + _G17_BLOCK]
-        route = digits(a)
-        if 2 * np.count_nonzero(route[0]) < a.size:
-            yield end.join(map(text, a.tolist())) + end
-        else:
-            cells = out[: a.size]
-            _write_block(a, cells, style, route)
-            yield cells.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def g17_cells(x, end: bytes) -> np.ndarray:
-    """'%.17g' % v + end for each entry of a 1-d float array, byte for byte,
-    as the rows of one uint8 array of width _G17_WIDTH + len(end): the text,
-    NUL bytes up to _G17_WIDTH, then end. bytes.translate(None, b"\\0")
-    deletes the padding. Works in blocks of _G17_BLOCK entries."""
-    arr = np.asarray(x, dtype=float).ravel()
-    out = np.empty((arr.size, _G17_WIDTH + len(end)), dtype=np.uint8)
-    out[:, _G17_WIDTH:] = np.frombuffer(end, dtype=np.uint8)
-    for start in range(0, arr.size, _G17_BLOCK):
-        a = arr[start : start + _G17_BLOCK]
-        _write_block(a, out[start : start + _G17_BLOCK], _G17, _g17_digits(a))
-    return out
+        cells = out[: a.size] if index is None else out[start : start + a.size]
+        _write_block(a, cells, style)
+        if index is None:
+            yield _strip(cells)
+    if index is not None:
+        out[arr.size - newlines :, -1] = ord("\n")
+        cells = out.view(f"V{out.shape[1]}").ravel()  # one item per cell: take copies whole cells
+        step = max(1, _G17_BLOCK // index.shape[1])
+        for start in range(0, len(index), step):
+            yield _strip(cells.take(index[start : start + step]))
 
 
 def g17_lines(x) -> str:
@@ -304,12 +303,22 @@ def g17_lines(x) -> str:
     return "".join(_texts(np.asarray(x, dtype=float).ravel(), "\n", _G17))
 
 
+def g17_table(header: str, columns, index) -> str:
+    """The CSV text of a float table, byte for byte: header, then one line
+    per row r of an (N, k) integer index, '%.17g' % v of each v in
+    np.concatenate(columns)[index[r]] joined by ','. Column c of index
+    takes its floats from columns[c]: the cells of the last column's
+    floats are the ones that end a line. Each float is formatted once,
+    however many cells hold it."""
+    arr = np.concatenate(columns).astype(float, copy=False)
+    return "".join([header, *_texts(arr, ",", _G17, index, newlines=len(columns[-1]))])
+
+
 def repr_join(x, sep: str) -> str:
     """sep.join(map(repr, x)) for a 1-d float array, byte for byte: the
     text json.dumps writes for the floats of a list, with sep ', '. Values
     with at most 15 significant digits and a decimal exponent in [-4, 15]
-    take the array route (_repr_digits), unless most of the _G17_BLOCK
-    values around them do not; every other value keeps repr(v)."""
+    take the array route (_repr_digits); every other value keeps repr(v)."""
     arr = np.asarray(x, dtype=float).ravel()
     if not arr.size:
         return ""

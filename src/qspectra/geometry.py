@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, finite, finite_real, finite_vector, positive_int, positive_real
 from .combinatorics import _check_simplex_sum, _entropy_kernel
-from .g17 import _G17_BLOCK, g17_cells
+from .g17 import g17_table
 from .qalgebra import exact_row_sums
 
 __all__ = [
@@ -78,6 +78,13 @@ def _weights(x: np.ndarray, q: float) -> np.ndarray:
     if not (w >= np.finfo(float).tiny).all():
         raise DomainError(f"a metric weight p^(-q) underflows float64 at q = {q!r}")
     return w
+
+
+def _metric_rows(x: np.ndarray, q: float) -> np.ndarray:
+    """The induced metric g of each row of x (N, m), rows strictly
+    positive, as an (N, m - 1, m - 1) array."""
+    w = _weights(x, q)
+    return w[:, :-1, None] * np.eye(x.shape[1] - 1) + w[:, -1:, None]
 
 
 def _volume_rows(x: np.ndarray, q: float) -> np.ndarray:
@@ -144,8 +151,7 @@ def induced_metric(p, q: float) -> np.ndarray:
     >>> induced_metric((0.5, 0.5), 0.0)
     array([[2.]])
     """
-    w = _weights(_simplex_point(p), finite_real("deformation index", q))
-    return np.diag(w[:-1]) + w[-1]
+    return _metric_rows(_simplex_point(p)[None, :], finite_real("deformation index", q))[0]
 
 
 def volume_element(p, q: float) -> float:
@@ -323,35 +329,21 @@ def _csv_columns(field: MetricField) -> tuple[tuple[np.ndarray, ...], np.ndarray
     """The CSV table as (floats, index): one float array per column, and an
     (N, 5) index into their concatenation, row r's cells being
     np.concatenate(floats)[index[r]]. A field from grid_field carries its
-    lattice fractions, its orbit values and its lattice's index; for any other field
-    the floats are each column's distinct values, keyed on their bits so
-    that -0.0 and 0.0 stay apart, and the index is np.unique's inverse."""
+    lattice fractions, its orbit values and its lattice's index; any other
+    field passes its five columns with the identity index."""
     if field._columns is not None:
         return field._columns
-    # as floats: the bits of integer cells would be misread
-    table = _field_table(field).astype(float, copy=False)
-    distinct = [np.unique(column.view(np.uint64), return_inverse=True) for column in table.T]
-    floats = tuple(bits.view(float) for bits, _ in distinct)
-    offsets = np.cumsum([0] + [values.size for values in floats[:-1]])
-    return floats, np.column_stack([where for _, where in distinct]) + offsets
+    table = _field_table(field)
+    return tuple(table.T), np.arange(table.size).reshape(5, -1).T
 
 
 def field_to_csv(field: MetricField) -> str:
     """CSV with columns p1,p2,p3,phi,sqrt_det_g, one '%.17g' per cell,
-    '\\n' line endings; byte-stable for identical inputs."""
-    # each float of a column's encoding is formatted once; one kernel call
-    # takes every column's floats, and a gather puts their cells in row order
-    floats, index = _csv_columns(field)
-    cells = g17_cells(np.concatenate(floats), b",")
-    cells[len(cells) - floats[-1].size :, -1] = ord("\n")  # the last column ends the line
-    cells = cells.view(f"V{cells.shape[1]}").ravel()  # one item per cell: take copies whole cells
-    # text in blocks of about _G17_BLOCK cells, so no padded copy of the whole table is held
-    step = max(1, _G17_BLOCK // index.shape[1])
-    pieces = [",".join(_FIELD_COLUMNS) + "\n"]
-    for start in range(0, len(index), step):
-        block = cells.take(index[start : start + step]).tobytes()
-        pieces.append(block.translate(None, b"\0").decode("ascii"))
-    return "".join(pieces)
+    '\\n' line endings; byte-stable for identical inputs. g17.g17_table
+    writes the rows, formatting each float of the field's columns once:
+    for a grid_field result, the lattice fractions of the point columns
+    and one phi and sqrt_det_g per permutation orbit."""
+    return g17_table(",".join(_FIELD_COLUMNS) + "\n", *_csv_columns(field))
 
 
 def field_to_json(field: MetricField) -> str:

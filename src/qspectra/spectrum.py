@@ -303,8 +303,7 @@ def spectrum_to_json(spec: FiniteDiag) -> str:
     an eigenvalue with at most 15 significant digits and a decimal exponent
     in [-4, 15] (where repr writes fixed notation: '0.0001', '0.05',
     '123.0') is written by an array kernel, with no Python call per value;
-    every other one keeps repr(v), and so does a block of 4096 eigenvalues
-    that is mostly such others.
+    every other one keeps repr(v).
     """
     return f'{{"eigenvalues": [{repr_join(spec.eigenvalues, ", ")}], "scale": {spec.scale!r}}}'
 

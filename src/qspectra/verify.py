@@ -553,7 +553,7 @@ def _check_metric_construction() -> tuple[float, str]:
 
 def _check_positive_definiteness() -> tuple[float, str]:
     field = geom.grid_field(20, 1.4, 1e-3)
-    metrics = np.stack([geom.induced_metric(row, 1.4) for row in field.points])
+    metrics = geom._metric_rows(field.points, 1.4)
     worst = float(np.linalg.eigvalsh(metrics).min())
     return max(0.0, -worst), "metric eigenvalues stay positive on the grid"
 

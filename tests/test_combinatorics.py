@@ -174,6 +174,14 @@ def test_generalized_harmonic():
         generalized_harmonic(0, 1.0)
 
 
+def test_generalized_harmonic_refuses_n_above_its_bound():
+    # refused before the term array is built: numpy raised MemoryError
+    # ("Unable to allocate 7.11 PiB") at 10**15
+    for n in (10**15, 2**24 + 1):
+        with pytest.raises(DomainError, match=f"n must be <= 16777216 \\(2\\^24\\), got {n}"):
+            generalized_harmonic(n, 1.0)
+
+
 def test_q_factorial_log_classical_is_lgamma():
     for n in (1, 2, 5, 40):
         assert q_factorial_log(n, 1.0) == math.lgamma(n + 1)

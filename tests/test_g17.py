@@ -5,29 +5,42 @@ import numpy as np
 import pytest
 
 import qspectra.g17 as g17
-from qspectra.g17 import g17_cells, g17_lines, read_decimals, repr_join
+from qspectra.g17 import g17_lines, g17_table, read_decimals, repr_join
 from qspectra.qalgebra import _BLOCK
 
-# g17_cells / g17_lines: '%.17g' text, byte for byte, without a Python call
+# g17_lines / g17_table: '%.17g' text, byte for byte, without a Python call
 # per value
 
-
-def _g17_reference(x, end: str = "\n") -> str:
-    return "".join("%.17g" % v + end for v in np.asarray(x, dtype=float).tolist())
+G17_BLOCK = g17._G17_BLOCK
 
 
-def _assert_g17(x, end: str = "\n") -> None:
-    """The text of g17_cells(x, end), and g17_lines(x) for end '\\n', is
-    _g17_reference(x, end); a failure names the first value whose cell
-    differs (a diff of the whole text would take minutes)."""
-    texts = [g17_cells(x, end.encode()).tobytes().translate(None, b"\0").decode("ascii")]
-    if end == "\n":
-        texts.append(g17_lines(x))
-    for text in texts:
-        if text != _g17_reference(x, end):
-            for v, cell in zip(np.asarray(x, dtype=float).tolist(), text.split(end)):
-                assert cell == "%.17g" % v, v.hex()
-            pytest.fail("the texts differ in their number of cells")
+def _table_index(n: int) -> np.ndarray:
+    """A gather index into the concatenation of two columns of n values:
+    every row r of (x, -x) once, then G17_BLOCK seeded rows again, so that
+    rows repeat and the table crosses the block of G17_BLOCK // 2 rows that
+    g17_table gathers at a time."""
+    again = np.random.default_rng(n).integers(0, n, G17_BLOCK if n else 0)
+    rows = np.concatenate([np.arange(n), again])
+    return np.column_stack([rows, rows + n])
+
+
+def _assert_g17(x) -> None:
+    """g17_lines(x) is '%.17g\\n' % v for each value v of x, and the table
+    of the columns (x, -x) gathered by _table_index is its header, then
+    the rows of their '%.17g' cells joined by ',', each ended by '\\n'; a
+    failure names the first line that differs (a diff of the whole text
+    would take minutes)."""
+    values = np.asarray(x, dtype=float).ravel()
+    lines = ["%.17g\n" % v for v in values.tolist()]
+    cells = np.concatenate([values, -values])
+    index = _table_index(values.size)
+    rows = [",".join("%.17g" % v for v in row) + "\n" for row in cells[index].tolist()]
+    table = g17_table("x,-x\n", (values, -values), index)
+    for got, want in ((g17_lines(x), lines), (table, ["x,-x\n", *rows])):
+        if got != "".join(want):
+            for line, reference in zip(got.splitlines(True), want):
+                assert line == reference, reference
+            pytest.fail("the texts differ in their number of lines")
 
 
 def _powers_of_ten() -> np.ndarray:
@@ -90,18 +103,17 @@ def test_g17_exact_ties_round_half_to_even():
     _assert_g17(np.concatenate([x, -x]))
 
 
-G17_BLOCK = g17._G17_BLOCK
-
-
 @pytest.mark.parametrize("size", (0, 1, G17_BLOCK - 1, G17_BLOCK, 2 * G17_BLOCK + 3, _BLOCK + 1))
 def test_g17_blocks(size):
     x = np.random.default_rng(size).lognormal(0.0, 3.0, size)
     x[::3] *= -1.0
     _assert_g17(x)
-    _assert_g17(x, ",")
-    cells = g17_cells(x, b";\n")
-    assert cells.shape == (size, g17._G17_WIDTH + 2) and cells.dtype == np.uint8
-    assert (cells[:, -2:] == np.frombuffer(b";\n", dtype=np.uint8)).all()
+    # a table of one column and of five, each with the identity index
+    assert g17_table("", (x,), np.arange(size)[:, None]) == g17_lines(x)
+    five = np.resize(x, (size, 5))
+    rows = [",".join("%.17g" % v for v in row) + "\n" for row in five.tolist()]
+    table = g17_table("a,b,c,d,e\n", tuple(five.T), np.arange(5 * size).reshape(5, size).T)
+    assert table == "".join(["a,b,c,d,e\n", *rows])
 
 
 # repr_join: sep.join(map(repr, x)), byte for byte, the array route for
@@ -177,9 +189,8 @@ def test_repr_blocks(size):
 
 
 def test_repr_array_route_takes_short_values(monkeypatch):
-    # repr_join calls text(v) for the values off the array route, and for
-    # every value of a block where those are the most; the last value is
-    # repr(v) itself
+    # repr_join calls text(v) for the values off the array route alone,
+    # however many of a block they are; the last value is repr(v) itself
     calls = []
     monkeypatch.setattr(g17, "_REPR", (*g17._REPR[:2], lambda v: calls.append(v) or repr(v)))
     x = np.round(np.exp(np.random.default_rng(13).uniform(math.log(0.05), math.log(50.0), 10_000)), 6)
@@ -189,7 +200,7 @@ def test_repr_array_route_takes_short_values(monkeypatch):
     assert calls == [0.1 + 0.2]
     calls.clear()
     _assert_repr([0.1 + 0.2, 1.5, 0.7 + 0.1, 3.0])
-    assert calls == [0.1 + 0.2, 1.5, 0.7 + 0.1]
+    assert calls == [0.1 + 0.2, 0.7 + 0.1]
 
 
 def test_g17_tables_are_the_per_group_construction():
@@ -261,7 +272,6 @@ def test_cells_at_the_width_edge_and_every_prefix():
     assert g17_lines([-0.00012345678901234567, -1.2345678901234567e-05]) == "-0.00012345678901234567\n-1.2345678901234568e-05\n"
     assert repr_join([-0.000123456789012345], "") == "-0.000123456789012345"
     _assert_g17(x)
-    _assert_g17(x, "")
     _assert_repr(short)
     _assert_repr(short, "")
 

@@ -15,6 +15,7 @@ from qspectra.geometry import (
     MetricField,
     _csv_columns,
     _lattice,
+    _metric_rows,
     _potential_rows,
     field_to_csv,
     field_to_json,
@@ -98,6 +99,18 @@ def test_potential_hessian_matches_finite_differences(q):
                 potential(p + ei, q) - 2 * potential(p, q) + potential(p - ei, q)
             ) / h**2
             assert fd == pytest.approx(analytic[i, i], rel=1e-5)
+
+
+@pytest.mark.parametrize("q", (-2.0, 0.0, 0.7, 1.4, 2.5))
+def test_metric_rows_equal_pointwise_calls(q):
+    # the grid of the battery's positive-definiteness check, and rows of
+    # widths 2 to 5 on the simplex; each matrix is diag(w[:-1]) + w[-1]
+    # of its row's weights w = p^(-q), bit for bit
+    rng = np.random.default_rng(12)
+    for rows in (grid_field(20, 1.4, 1e-3).points, *(rng.dirichlet(np.ones(m), 40) for m in range(2, 6))):
+        pointwise = np.stack([induced_metric(row, q) for row in rows])
+        built = np.stack([np.diag(w[:-1]) + w[-1] for w in rows ** -q])
+        assert _metric_rows(rows, q).tobytes() == pointwise.tobytes() == built.tobytes()
 
 
 def test_induced_metric_m2():
@@ -438,6 +451,22 @@ def test_field_csv_of_a_hand_built_field():
     # integer arrays are written as their float values
     ints = MetricField(np.array([[1, 1, 2**60 + 1]]), np.array([-3]), np.array([7]), q=0.0)
     assert field_to_csv(ints) == _csv_reference(ints)
+
+
+def test_field_csv_of_a_field_grid_field_did_not_build():
+    # such a field carries no CSV table: its text is written from its own
+    # arrays, cell by cell, with the identity index, -0.0 and 0.0 apart
+    field = grid_field(60, 1.4, 1e-3)
+    moved = dataclasses.replace(field, phi=field.phi + 1.0)
+    assert moved._columns is None
+    floats, index = _csv_columns(moved)
+    assert np.array_equal(index, np.arange(5 * len(moved)).reshape(5, -1).T)
+    assert field_to_csv(moved) == _csv_reference(moved)
+    zeros = np.where(np.arange(len(field)) % 3 == 0, -0.0, 0.0)
+    signed = dataclasses.replace(field, phi=zeros)
+    text = field_to_csv(signed)
+    assert text == _csv_reference(signed)
+    assert [line.split(",")[3] for line in text.splitlines()[1:4]] == ["-0", "0", "0"]
 
 
 def test_field_csv_at_the_edges_of_the_array_route():

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _quote, finite, finite_real, finite_vector, positive_int
-from .qalgebra import _EXP_MAX, ClampedValue, _classical, _ln_q, exact_row_sums, exact_sum, q_exp, q_log_array
+from .qalgebra import _EXP_MAX, ClampedValue, _ln_q, exact_row_sums, exact_sum, q_exp, q_log_array
 from .zeta import _em_plan, _em_terms
 
 __all__ = [
@@ -162,10 +162,8 @@ def _range_sum(a: int, b: int, q: float) -> float:
 
     A range of up to _DIRECT terms is summed term by term (q_log_array) and
     rounded once; a longer one sums its head a < k <= c directly and adds
-    _em_tail, all in one math.fsum. Inside the classical band ln_q is ln.
-    A value, or an intermediate, beyond float64 raises DomainError."""
-    given = q  # named by the refusal
-    q = 1.0 if _classical(q) else q
+    _em_tail, all in one math.fsum, at the exact q. A value, or an
+    intermediate, beyond float64 raises DomainError."""
     c, m = b, 0
     try:
         if b - a > _DIRECT:
@@ -179,7 +177,7 @@ def _range_sum(a: int, b: int, q: float) -> float:
         value = math.fsum(terms)
     except (OverflowError, ValueError):  # a power beyond float64, or fsum's inf - inf
         value = math.inf
-    return finite(value, "q_factorial_log overflows float64 at q = {!r}", given)
+    return finite(value, "q_factorial_log overflows float64 at q = {!r}", q)
 
 
 def q_factorial_log(n: int, q: float) -> float:
@@ -198,7 +196,7 @@ def q_factorial_log(n: int, q: float) -> float:
     """
     n = positive_int("n", n)
     q = finite_real("deformation index", q)
-    if _classical(q):
+    if q == 1.0:
         return math.lgamma(n + 1.0)
     return _range_sum(0, n, q)
 
@@ -251,7 +249,7 @@ def _entropy_kernel(values: np.ndarray, index: float) -> np.ndarray:
     """
     # other entries are read as v = 1, whose term is exactly +-0
     v = np.where(values > 0.0, values, 1.0)
-    if _classical(index):
+    if index == 1.0:
         return -exact_row_sums(v * np.log(v))
     r = 1.0 - index
     return exact_row_sums(v * np.expm1(-r * np.log(v))) / r

@@ -93,15 +93,21 @@ def finite_real(name: str, value) -> float:
     return x
 
 
+def _integral(value) -> int | None:
+    """``value`` as an int where it is a number with an integral value (2.0
+    is read as 2), else None (2.5, "2", None, nan and +-inf)."""
+    try:
+        n = int(value)
+        return n if n == value else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def positive_int(name: str, value) -> int:
     """``value`` as an int; DomainError naming ``name`` unless it is a number
     with an integral value >= 1 (2.0 is read as 2; 2.5 and "2" are refused)."""
-    try:
-        n = int(value)
-        exact = n == value
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not (exact and n >= 1):
+    n = _integral(value)
+    if n is None or n < 1:
         raise DomainError(f"{name} must be a positive integer, got {_quote(value)}")
     return n
 

@@ -75,13 +75,13 @@ class FiniteDiag:
     band, zeta.qdet_zeta and jet0 at the exact q. Where a ratio leaves
     float64 every one of them refuses with DomainError.
 
-    The operator keeps what does not depend on q: at a scale other than 1
-    the ratios lambda_k / mu, divided on first use; the logs
-    ln(lambda_k / mu) from qdet's first call; each a read-only array of
-    8 bytes per eigenvalue for the operator's lifetime; and the sum at each
-    q qdet took, at most _QDETS of them. None is a field: equality, hash,
-    repr and the JSON form ignore them, and a copy or a pickle starts
-    without them.
+    The operator keeps what does not depend on q: the logs
+    ln(lambda_k / mu) from qdet's first call, a read-only array of 8 bytes
+    per eigenvalue for the operator's lifetime, and the sum at each q qdet
+    took, at most _QDETS of them. The ratios are not kept: at a scale
+    other than 1 dimensionless divides on each call. Neither is a field:
+    equality, hash, repr and the JSON form ignore them, and a copy or a
+    pickle starts without them.
     """
 
     eigenvalues: np.ndarray
@@ -92,9 +92,6 @@ class FiniteDiag:
     _fields = ("eigenvalues", "scale")
     kind: ClassVar[str] = "finite_diag"
     pole: ClassVar[None] = None
-    # the ratios at a scale other than 1 once dimensionless divided them; an
-    # operator without them, a pickle of any version included, reads None here
-    _ratios = None
 
     def __post_init__(self) -> None:
         arr = finite_vector("eigenvalues", self.eigenvalues)
@@ -127,9 +124,7 @@ class FiniteDiag:
         object.__setattr__(self, "_qdets", {})
 
     def __getstate__(self) -> dict:
-        state = {**self.__dict__, "_logs": None, "_qdets": {}}
-        state.pop("_ratios", None)
-        return state
+        return {**self.__dict__, "_logs": None, "_qdets": {}}
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -147,18 +142,16 @@ class FiniteDiag:
         if a ratio overflows or rounds to 0. The ratio is monotone in lambda,
         so the smallest and the largest eigenvalue decide. At scale 1 the
         ratios are the eigenvalues themselves (x / 1 is exact), and the
-        stored array is returned; at any other scale they are divided on
-        the first call and kept. A DomainError is raised on every call."""
+        stored array is returned; at any other scale each call divides into
+        a new array."""
         if self.scale == 1.0:
             return self.eigenvalues
-        if self._ratios is None:
-            lo, hi = self._extremes
-            if not (lo / self.scale > 0.0 and hi / self.scale < np.inf):
-                raise DomainError(f"a ratio lambda / scale leaves float64 at scale = {self.scale!r}")
-            ratios = self.eigenvalues / self.scale
-            ratios.flags.writeable = False
-            object.__setattr__(self, "_ratios", ratios)
-        return self._ratios
+        lo, hi = self._extremes
+        if not (lo / self.scale > 0.0 and hi / self.scale < np.inf):
+            raise DomainError(f"a ratio lambda / scale leaves float64 at scale = {self.scale!r}")
+        ratios = self.eigenvalues / self.scale
+        ratios.flags.writeable = False
+        return ratios
 
     def zeta(self, s: float) -> float:
         """Bare zeta sum_k lambda_k^(-s) of the raw eigenvalues, exactly
@@ -228,7 +221,8 @@ def q_logdet(spec: FiniteDiag, q: float) -> float:
     Each term goes through the stabilised q_log kernel and the terms are
     summed exactly, with one rounding at the end (the same bits as
     math.fsum), so the value is independent of the eigenvalue ordering.
-    Inside the classical band |q - 1| < 1e-8 each term is ln, as in q_log;
+    Inside the classical band |q - 1| < 1e-8 (qalgebra._classical) each
+    term is ln: q_logdet is the one function that keeps the band.
     zeta.qdet_zeta takes the same sum, FiniteDiag.qdet, at the exact q, so
     the two agree bit for bit outside the band. A value beyond float64, or
     a ratio lambda / scale beyond it, raises DomainError.

@@ -45,7 +45,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .errors import DomainError, FrozenRecord, PoleError, UnsupportedModelError
-from .errors import _quote, finite, finite_real, nonzero_real, positive_real
+from .errors import _integral, _quote, finite, finite_real, nonzero_real, positive_real
 from .qalgebra import _EXP_MAX, _ln_q, _two_sum, theta_reparam
 
 __all__ = [
@@ -245,15 +245,19 @@ def bernoulli_numbers(count: int) -> list[float]:
     """Bernoulli numbers B_0 .. B_count in the B_1 = -1/2 convention.
 
     Read from a table of exact fractions, each rounded once to a float.
+    count is read as errors.positive_int reads a count, with 0 allowed:
+    2.0 is 2, and 2.5, "3", None and nan are refused with DomainError.
     Counts beyond 60 are refused: the magnitudes outgrow what float64
     corrections can usefully carry.
     """
-    count = int(count)
-    if count < 0:
+    k = _integral(count)
+    if k is None:
+        raise DomainError(f"count must be a non-negative integer, got {_quote(count)}")
+    if k < 0:
         raise DomainError("count must be non-negative")
-    if count > _BERNOULLI_MAX:
-        raise DomainError(f"count must be <= {_BERNOULLI_MAX}, got {count}")
-    return [n / d for n, d in _BERNOULLI[: count + 1]]
+    if k > _BERNOULLI_MAX:
+        raise DomainError(f"count must be <= {_BERNOULLI_MAX}, got {_quote(count)}")
+    return [n / d for n, d in _BERNOULLI[: k + 1]]
 
 
 def _sin_pi(x: float) -> float:

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,11 +35,28 @@ def test_q_log_exact_values():
     assert q_log(7.0, 0.0) == pytest.approx(6.0, rel=1e-15)
 
 
-def test_q_log_classical_band_is_exact_log():
+def test_q_log_is_ln_at_one_and_deformed_beside_it():
+    # q_log has no classical band: ln x at q == 1 only, expm1((1-q) ln x)/(1-q) at any other q
     for x in (0.3, 1.0, 2.0, 9.0):
         assert q_log(x, 1.0) == math.log(x)
-        assert q_log(x, 1.0 + 1e-9) == math.log(x)
-        assert q_log(x, 1.0 - 1e-9) == math.log(x)
+        for q in (1.0 + 1e-9, 1.0 - 1e-9):
+            assert q_log(x, q) == math.expm1((1.0 - q) * math.log(x)) / (1.0 - q)
+    # the first-order term (q - 1) ln^2 x / 2 that ln x would drop
+    assert q_log(1e308, 1.0 + 5e-9) != math.log(1e308)
+
+
+def test_q_log_near_one_against_mpmath():
+    # log-spaced distances 1e-15 .. 1e-6 from q = 1, on both sides, and x
+    # across float64. Measured at most 2.1 units of 2^-53 relative; the
+    # bound allows 4.
+    qs = [1.0 + side * d for d in np.geomspace(1e-15, 1e-6, 10).tolist() for side in (1.0, -1.0)]
+    xs = (1e-300, 1e-100, 1e-10, 0.3, 1.0 - 1e-12, 1.0 + 1e-12, 2.0, 1e10, 1e100, 1e308)
+    with mp.workdps(60):
+        for q in qs:
+            r = 1 - mp.mpf(q)
+            for x in xs:
+                want = mp.expm1(r * mp.log(x)) / r
+                assert abs(q_log(x, q) - want) <= 4 * 2.0**-53 * abs(want), (x, q)
 
 
 def test_q_log_rejects_nonpositive():
@@ -75,9 +93,9 @@ def test_q_log_overflow_is_refused_not_raised():
         q_div(2.0, 1e300, -1.0)
 
 
-@pytest.mark.parametrize("q", (0.5, 1.0, 1.0 + 5e-9, 1.0 - 5e-9))
+@pytest.mark.parametrize("q", (0.5, 1.0, 1.0 - 5e-9))
 def test_q_log_of_inf_is_refused_in_and_out_of_the_band(q):
-    # the classical band took ln(inf) = inf past the finite check
+    # ln(inf) = inf at q = 1 must not pass the finite check
     with pytest.raises(DomainError, match="q_log overflows float64"):
         q_log(math.inf, q)
     with pytest.raises(DomainError, match="q_log overflows float64"):
@@ -85,8 +103,10 @@ def test_q_log_of_inf_is_refused_in_and_out_of_the_band(q):
 
 
 def test_q_log_of_inf_above_one_is_its_finite_limit():
-    # ln_q x tends to 1 / (q - 1) as x -> inf for q > 1
+    # ln_q x tends to 1 / (q - 1) as x -> inf for q > 1, however close q is to 1
     assert q_log(math.inf, 1.5) == 2.0
+    q = 1.0 + 5e-9
+    assert q_log(math.inf, q) == 1.0 / (q - 1.0)
 
 
 def test_q_prod_sum_beyond_float64_is_refused():

@@ -76,10 +76,22 @@ def test_bernoulli_numbers():
     assert bern[2] == pytest.approx(1 / 6, rel=1e-15)
     assert bern[3] == 0.0
     assert bern[12] == pytest.approx(-691 / 2730, rel=1e-15)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^count must be <= 60, got 61$"):
         bernoulli_numbers(61)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^count must be non-negative$"):
         bernoulli_numbers(-1)
+
+
+def test_bernoulli_numbers_reads_its_count_as_the_other_counts():
+    # an integral float is read as its int, and 0 is a count
+    assert bernoulli_numbers(2.0) == bernoulli_numbers(2) and bernoulli_numbers(0) == [1.0]
+    for bad, shown in ((2.5, "2.5"), ("3", "'3'"), (None, "None"), (math.nan, "nan"), (math.inf, "inf")):
+        with pytest.raises(DomainError, match=f"^count must be a non-negative integer, got {re.escape(shown)}$"):
+            bernoulli_numbers(bad)
+    # a huge count is quoted clipped, not with all of its 401 digits
+    with pytest.raises(DomainError, match=r"^count must be <= 60, got 1000+\.\.\.0+$") as info:
+        bernoulli_numbers(10**400)
+    assert len(str(info.value)) < 100
 
 
 @pytest.mark.parametrize("s", (-5.5, -3.0, -1.0, -0.5, 0.0, 0.5, 2.0, 4.5, 12.0))

@@ -93,9 +93,15 @@ def test_q_log_overflow_is_refused_not_raised():
         q_div(2.0, 1e300, -1.0)
 
 
-@pytest.mark.parametrize("q", (0.5, 1.0, 1.0 - 5e-9))
+@pytest.mark.parametrize("q", (0.5, 1.0, 1.0 + 5e-9, 1.0 - 5e-9))
 def test_q_log_of_inf_is_refused_in_and_out_of_the_band(q):
-    # ln(inf) = inf at q = 1 must not pass the finite check
+    # ln(inf) = inf must not pass the finite check. Beside q = 1, where the
+    # classical band once answered ln, q_log takes the exact q: its limit is
+    # infinite, and refused, for q <= 1, and the finite 1 / (q - 1) above 1.
+    if q > 1.0:
+        assert q_log(math.inf, q) == 1.0 / (q - 1.0)
+        assert q_mul(math.inf, 2.0, q) == ClampedValue(math.inf, True)
+        return
     with pytest.raises(DomainError, match="q_log overflows float64"):
         q_log(math.inf, q)
     with pytest.raises(DomainError, match="q_log overflows float64"):
@@ -103,10 +109,8 @@ def test_q_log_of_inf_is_refused_in_and_out_of_the_band(q):
 
 
 def test_q_log_of_inf_above_one_is_its_finite_limit():
-    # ln_q x tends to 1 / (q - 1) as x -> inf for q > 1, however close q is to 1
+    # ln_q x tends to 1 / (q - 1) as x -> inf for q > 1
     assert q_log(math.inf, 1.5) == 2.0
-    q = 1.0 + 5e-9
-    assert q_log(math.inf, q) == 1.0 / (q - 1.0)
 
 
 def test_q_prod_sum_beyond_float64_is_refused():
